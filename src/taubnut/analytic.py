@@ -33,46 +33,29 @@ Three evaluation modes:
 
 Throughout, eps = +1/-1 selects the outgoing/ingoing radial branch and r1 > 0
 is the energy-like constant of each family's first integral.
+
+A family is one entry of the private registry _REGISTRY: its constants and
+swept coordinates, default and inversion modes, turning radius, evaluator,
+exact derivatives, first-integral velocity field, classifier extraction and
+seeded verify draw. Every function here that depends on the family, the
+CLI's choices and the verify scenarios read that entry, so adding a family
+means adding one entry.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .errors import ConfigError, DegenerateError, DomainError, NotAGeodesic, RangeError
-from .geometry import ModelParams
+from .geometry import COORDS, ModelParams
 from .integrator import PhaseState, norm
 
-FAMILIES = ("thm1", "thm2", "thm3", "thm4", "thm5", "stationary", "generic")
 MODES = ("literal", "aligned", "corrected")
-
-_CURVE_FAMILIES = ("thm1", "thm2", "thm3", "thm4", "thm5")
-
-# per-family optional fields that must be set (everything else must stay None)
-_REQUIRED = {
-    "thm1": (),
-    "thm2": ("tau0", "tau1"),
-    "thm3": ("phi0", "phi1"),
-    "thm4": ("theta0", "theta1"),
-    "thm5": ("phi0", "theta_const", "tau1", "phi1"),
-    "stationary": (),
-    "generic": (),
-}
-
-_OPTIONAL_FIELDS = ("tau0", "phi0", "theta0", "theta_const", "tau1", "phi1", "theta1")
-
-# serialized key order per family; n is injected after eps
-_JSON_FIELDS = {
-    "thm1": ("family", "eps", "n", "r1", "t1"),
-    "thm2": ("family", "eps", "n", "r1", "tau0", "t1", "tau1"),
-    "thm3": ("family", "eps", "n", "r1", "phi0", "t1", "phi1"),
-    "thm4": ("family", "eps", "n", "r1", "theta0", "t1", "theta1"),
-    "thm5": ("family", "eps", "n", "r1", "phi0", "theta_const", "t1", "tau1", "phi1"),
-}
 
 
 @dataclass(frozen=True)
@@ -105,15 +88,23 @@ class FamilyConstants:
                 raise ConfigError("stationary points have r1 = 0")
         elif not self.r1 > 0:
             raise ConfigError("r1 must be positive (eps carries the direction)")
-        required = _REQUIRED[self.family]
+        spec = _REGISTRY.get(self.family)
+        required = (*spec.constants, *spec.anchors) if spec else ()
         for name in _OPTIONAL_FIELDS:
             value = getattr(self, name)
             if name in required and value is None:
                 raise ConfigError(f"family {self.family!r} requires {name}")
             if name not in required and value is not None:
                 raise ConfigError(f"family {self.family!r} does not take {name}")
-        if self.family == "thm5" and not 0.0 < self.theta_const < np.pi:
+        for name in ("r1", "t1", *required):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
+        if self.theta_const is not None and not 0.0 < self.theta_const < np.pi:
             raise ConfigError("theta_const must lie in (0, pi)")
+
+
+# the fields a family sets or leaves None according to its registry entry
+_OPTIONAL_FIELDS = tuple(f.name for f in fields(FamilyConstants) if f.default is None)
 
 
 @dataclass(frozen=True)
@@ -134,32 +125,22 @@ def _check_mode(family: str, mode: str) -> str:
     return mode
 
 
+def _spec(family: str, lacks: str) -> _Family:
+    """The registry entry of a closed-form family; ConfigError otherwise."""
+    if family not in _REGISTRY:
+        raise ConfigError(f"family {family!r} {lacks}")
+    return _REGISTRY[family]
+
+
 def turning_radius(consts: FamilyConstants, params: ModelParams) -> TurningRadius:
     """Radius at which dr/dt vanishes: n for thm1, R1/R2/R3 for thm2-4, and
     the root pair (R+, R-) of the quadratic F for thm5. Always >= n, with
     equality exactly when the family's angular constant vanishes."""
-    n = params.n
-    fam = consts.family
-    if fam not in _CURVE_FAMILIES:
-        raise ConfigError(f"family {fam!r} has no turning radius")
+    spec = _spec(consts.family, "has no turning radius")
     if consts.r1 == 0:
         raise DegenerateError("turning radius needs r1 != 0")
-    r1sq = consts.r1 * consts.r1
-    if fam == "thm1":
-        return TurningRadius(n, fam)
-    if fam == "thm2":
-        return TurningRadius(n + 2 * consts.tau0**2 * n / r1sq, fam)
-    if fam == "thm3":
-        return TurningRadius(math.sqrt(n * n + consts.phi0**2 / r1sq), fam)
-    if fam == "thm4":
-        return TurningRadius(math.sqrt(n * n + consts.theta0**2 / r1sq), fam)
-    c2 = math.cos(consts.theta_const) ** 2
-    s2 = math.sin(consts.theta_const) ** 2
-    p2 = consts.phi0**2
-    half_sum = p2 * c2 / (4 * n * r1sq)
-    rad = math.sqrt(n * n + (p2 * p2 * c2 * c2 + 8 * n * n * p2 * r1sq * c2
-                             + 16 * n * n * p2 * r1sq * s2) / (16 * n * n * r1sq * r1sq))
-    return TurningRadius(half_sum + rad, fam, r_minus=half_sum - rad)
+    value, r_minus = spec.turning(consts, params.n, consts.r1 * consts.r1)
+    return TurningRadius(value, consts.family, r_minus=r_minus)
 
 
 def F_eval(params: ModelParams, r, r1: float, phi0: float, theta: float):
@@ -355,73 +336,247 @@ def thm5_curves(params: ModelParams, consts: FamilyConstants, r, mode: str = "co
     return _scalar_like(r, t), _scalar_like(r, phi), _scalar_like(r, tau)
 
 
+# Per-family pieces of the registry below. Derivatives keep their own
+# formulas rather than v_x/v_r of the velocity field: the ratio cancels in
+# r1^2 - U(r) near the turning radius and moves the verify output.
+
+def _sweep_derivatives(c, n, R, r, c0):
+    """Shared thm3/thm4 d/dr of (t, x) with x the swept angle."""
+    rootsq = np.sqrt(r * r - R * R)
+    return c.eps / c.r1 * (r + n) / rootsq, c.eps * c0 / (c.r1 * (r - n) * rootsq)
+
+
+def _dr(c, n, r, surplus):
+    """dr/dt on the eps branch from the radial first integral
+    (r+n)/(r-n) (dr/dt)^2 = surplus."""
+    if surplus < 0:
+        raise DomainError("radius below the family's turning radius")
+    h1 = (r + n) / (r - n)
+    return c.eps * math.sqrt(surplus / h1)
+
+
+def _thm2_derivatives(c, n, tr, r):
+    R = tr.value
+    dt = c.eps / c.r1 * np.sqrt((r + n) / (r - R))
+    dtau = c.eps * c.tau0 / c.r1 * (r + n) ** 1.5 / ((r - n) * np.sqrt(r - R))
+    return dt, dtau
+
+
+def _thm2_velocity(c, params, r):
+    n = params.n
+    dtau = c.tau0 * (r + n) / (r - n)
+    return (dtau, 0.0, 0.0, _dr(c, n, r, c.r1 * c.r1 - 2 * c.tau0**2 * n / (r - n)))
+
+
+def _thm2_extract(n, r, theta, v, radial_sq, tol):
+    tau0 = (r - n) / (r + n) * v[0]
+    return {"r1": math.sqrt(radial_sq + 2 * tau0 * tau0 * n / (r - n)), "tau0": tau0}
+
+
+def _thm3_velocity(c, params, r):
+    n = params.n
+    dphi = c.phi0 / (r * r - n * n)
+    return (0.0, 0.0, dphi, _dr(c, n, r, c.r1 * c.r1 - c.phi0**2 / (r * r - n * n)))
+
+
+def _thm3_extract(n, r, theta, v, radial_sq, tol):
+    if abs(theta - np.pi / 2) <= tol:
+        phi0 = (r * r - n * n) * v[2]
+        return {"r1": math.sqrt(radial_sq + phi0 * phi0 / (r * r - n * n)), "phi0": phi0}
+    return None
+
+
+def _thm4_velocity(c, params, r):
+    n = params.n
+    dtheta = c.theta0 / (r * r - n * n)
+    return (0.0, dtheta, 0.0, _dr(c, n, r, c.r1 * c.r1 - c.theta0**2 / (r * r - n * n)))
+
+
+def _thm4_extract(n, r, theta, v, radial_sq, tol):
+    theta0 = (r * r - n * n) * v[1]
+    return {"r1": math.sqrt(radial_sq + theta0 * theta0 / (r * r - n * n)), "theta0": theta0}
+
+
+def _thm5_turning(c, n, r1sq):
+    c2 = math.cos(c.theta_const) ** 2
+    s2 = math.sin(c.theta_const) ** 2
+    p2 = c.phi0**2
+    half_sum = p2 * c2 / (4 * n * r1sq)
+    rad = math.sqrt(n * n + (p2 * p2 * c2 * c2 + 8 * n * n * p2 * r1sq * c2
+                             + 16 * n * n * p2 * r1sq * s2) / (16 * n * n * r1sq * r1sq))
+    return half_sum + rad, half_sum - rad
+
+
+def _thm5_derivatives(c, n, tr, r):
+    # the factored sqrtP = sqrt(F) / (sqrt(2n) r1) of the velocity field's F_eval
+    sqrtP = np.sqrt(r - tr.value) * np.sqrt(r - tr.r_minus)
+    ct = math.cos(c.theta_const)
+    dt = c.eps * (r + n) / (c.r1 * sqrtP)
+    dphi = c.eps * c.phi0 / (c.r1 * (r - n) * sqrtP)
+    dtau = c.eps * c.phi0 * (r + 3 * n) * ct / (2 * n * c.r1 * sqrtP)
+    return dt, dphi, dtau
+
+
+def _thm5_velocity(c, params, r):
+    n = params.n
+    ct = math.cos(c.theta_const)
+    dphi = c.phi0 / (r * r - n * n)
+    dtau = c.phi0 * (r + 3 * n) * ct / (2 * n * (r + n))
+    F = F_eval(params, r, c.r1, c.phi0, c.theta_const)
+    if F < 0:
+        raise DomainError("radius below the family's turning radius")
+    dr = c.eps * math.sqrt(F) / (math.sqrt(2 * n) * (r + n))
+    return (dtau, 0.0, dphi, dr)
+
+
+def _thm5_extract(n, r, theta, v, radial_sq, tol):
+    tau_d, _, phi_d, _ = v
+    ct = math.cos(theta)
+    rp2 = (r + n) ** 2
+    resid = (4 * n * n * ct / rp2 - ct) * phi_d + 2 * n / rp2 * tau_d
+    if abs(theta - np.pi / 2) > tol and abs(resid) <= tol * (1.0 + abs(tau_d) + abs(phi_d)):
+        phi0 = (r * r - n * n) * phi_d
+        st = math.sin(theta)
+        r1 = math.sqrt(radial_sq
+                       + phi0 * phi0 * ct * ct / (2 * n * (r - n))
+                       + phi0 * phi0 * st * st / (r * r - n * n))
+        return {"r1": r1, "phi0": phi0, "theta_const": theta}
+    return None
+
+
+@dataclass(frozen=True)
+class _Family:
+    """Everything the package knows about one closed-form family. c is the
+    family's FamilyConstants, r a radius or array of radii, v a velocity
+    (dtau, dtheta, dphi, dr)."""
+
+    constants: tuple      # amplitude fields such as tau0, never defaulted
+    swept: tuple          # curve keys after "t" in output order; the only
+                          # coordinates with nonzero velocity on the family
+    mode: str             # default evaluation mode
+    invert_mode: str      # mode whose t(r) starts exactly at t1 at R
+    start_theta: Callable  # c -> latitude a numeric orbit of the family starts at
+    turning: Callable     # (c, n, r1^2) -> (R, R- or None)
+    evaluate: Callable    # public evaluator (params, c, r, mode) -> curves
+    derivatives: Callable  # (c, n, TurningRadius, r) -> exact d/dr per curve
+    velocity: Callable    # (c, params, r) -> v from the first integrals
+    extract: Callable     # (n, r, theta, v, radial_sq, tol) -> {r1, constants},
+                          # or None when the state is off the family
+    draw: Callable        # (rng, n, r1, sign) -> seeded verify constants
+
+    @property
+    def anchors(self) -> tuple:
+        """Anchor fields (tau1, ...) of the swept coordinates, in COORDS order."""
+        return tuple(f"{k}1" for k in COORDS if k in self.swept)
+
+    @property
+    def json_fields(self) -> tuple:
+        """Serialized key order; n is injected after eps."""
+        return ("family", "eps", "n", "r1", *self.constants, "t1", *self.anchors)
+
+
+# The registry's order fixes the verify scenarios and their seed streams
+# (seeded_family keys its generator by position): add new families last.
+_REGISTRY = {
+    "thm1": _Family(
+        constants=(), swept=(), mode="literal", invert_mode="aligned",
+        start_theta=lambda c: 1.0,
+        turning=lambda c, n, r1sq: (n, None),
+        evaluate=lambda *args: (thm1_t_of_r(*args),),
+        derivatives=lambda c, n, tr, r: (c.eps / c.r1 * np.sqrt((r + n) / (r - n)),),
+        velocity=lambda c, params, r: (0.0, 0.0, 0.0, _dr(c, params.n, r, c.r1 * c.r1)),
+        extract=lambda n, r, theta, v, radial_sq, tol: {"r1": math.sqrt(radial_sq)},
+        draw=lambda rng, n, r1, sign: {},
+    ),
+    "thm2": _Family(
+        constants=("tau0",), swept=("tau",), mode="literal", invert_mode="aligned",
+        start_theta=lambda c: 1.0,
+        turning=lambda c, n, r1sq: (n + 2 * c.tau0**2 * n / r1sq, None),
+        evaluate=thm2_curves,
+        derivatives=_thm2_derivatives,
+        velocity=_thm2_velocity,
+        extract=_thm2_extract,
+        draw=lambda rng, n, r1, sign: {"tau0": sign * rng.uniform(0.3, 0.8) * r1},
+    ),
+    "thm3": _Family(
+        constants=("phi0",), swept=("phi",), mode="literal", invert_mode="aligned",
+        start_theta=lambda c: math.pi / 2,
+        turning=lambda c, n, r1sq: (math.sqrt(n * n + c.phi0**2 / r1sq), None),
+        evaluate=thm3_curves,
+        derivatives=lambda c, n, tr, r: _sweep_derivatives(c, n, tr.value, r, c.phi0),
+        velocity=_thm3_velocity,
+        extract=_thm3_extract,
+        draw=lambda rng, n, r1, sign: {"phi0": sign * rng.uniform(0.3, 0.8) * n},
+    ),
+    "thm4": _Family(
+        constants=("theta0",), swept=("theta",), mode="literal", invert_mode="aligned",
+        start_theta=lambda c: 1.0,
+        turning=lambda c, n, r1sq: (math.sqrt(n * n + c.theta0**2 / r1sq), None),
+        evaluate=thm4_curves,
+        derivatives=lambda c, n, tr, r: _sweep_derivatives(c, n, tr.value, r, c.theta0),
+        velocity=_thm4_velocity,
+        extract=_thm4_extract,
+        draw=lambda rng, n, r1, sign: {
+            "theta0": sign * rng.uniform(2.0, 3.0) * n * r1,
+            "theta1": (rng.uniform(0.4, 0.6) if sign > 0
+                       else math.pi - rng.uniform(0.4, 0.6))},
+    ),
+    "thm5": _Family(
+        constants=("phi0", "theta_const"), swept=("phi", "tau"), mode="corrected",
+        invert_mode="corrected",
+        start_theta=lambda c: c.theta_const,
+        turning=_thm5_turning,
+        evaluate=thm5_curves,
+        derivatives=_thm5_derivatives,
+        velocity=_thm5_velocity,
+        extract=_thm5_extract,
+        draw=lambda rng, n, r1, sign: {
+            "phi0": sign * rng.uniform(0.3, 0.8) * n,
+            "theta_const": rng.uniform(0.4, math.pi - 0.4)},
+    ),
+}
+
+FAMILIES = (*_REGISTRY, "stationary", "generic")
+
+
 def default_mode(family: str) -> str:
     """Evaluation mode each family is quoted in by default: literal closed
     forms for thm1-4, the derivative-exact corrected forms for thm5."""
-    if family not in _CURVE_FAMILIES:
-        raise ConfigError(f"family {family!r} has no curve mode")
-    return "corrected" if family == "thm5" else "literal"
+    return _spec(family, "has no curve mode").mode
 
 
 def curves(params: ModelParams, consts: FamilyConstants, r, mode: str | None = None):
     """Dispatch to the family's curve evaluator; returns a dict keyed by
     coordinate name ('t' plus whichever of tau/phi/theta the family sweeps).
     mode=None picks default_mode(family)."""
-    fam = consts.family
-    if fam not in _CURVE_FAMILIES:
-        raise ConfigError(f"family {fam!r} has no closed-form curves")
+    spec = _spec(consts.family, "has no closed-form curves")
     if mode is None:
-        mode = default_mode(fam)
-    if fam == "thm1":
-        return {"t": thm1_t_of_r(params, consts, r, mode)}
-    if fam == "thm2":
-        t, tau = thm2_curves(params, consts, r, mode)
-        return {"t": t, "tau": tau}
-    if fam == "thm3":
-        t, phi = thm3_curves(params, consts, r, mode)
-        return {"t": t, "phi": phi}
-    if fam == "thm4":
-        t, theta = thm4_curves(params, consts, r, mode)
-        return {"t": t, "theta": theta}
-    t, phi, tau = thm5_curves(params, consts, r, mode)
-    return {"t": t, "phi": phi, "tau": tau}
+        mode = spec.mode
+    return dict(zip(("t", *spec.swept), spec.evaluate(params, consts, r, mode)))
 
 
 def curve_derivatives(params: ModelParams, consts: FamilyConstants, r):
     """Exact d/dr of each curve from the first integrals (mode-independent
     for thm1-4 and equal to the corrected-mode derivatives for thm5), keyed
     like curves(). Radii must sit strictly above the turning radius."""
-    n = params.n
-    fam = consts.family
-    if fam not in _CURVE_FAMILIES:
-        raise ConfigError(f"family {fam!r} has no closed-form curves")
-    R = turning_radius(consts, params).value
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr <= R):
-        raise DomainError(f"derivatives need r > turning radius {R}")
-    eps, r1 = consts.eps, consts.r1
-    if fam == "thm1":
-        dt = eps / r1 * np.sqrt((arr + n) / (arr - n))
-        return {"t": _scalar_like(r, dt)}
-    if fam == "thm2":
-        dt = eps / r1 * np.sqrt((arr + n) / (arr - R))
-        dtau = eps * consts.tau0 / r1 * (arr + n) ** 1.5 / ((arr - n) * np.sqrt(arr - R))
-        return {"t": _scalar_like(r, dt), "tau": _scalar_like(r, dtau)}
-    if fam in ("thm3", "thm4"):
-        c0 = consts.phi0 if fam == "thm3" else consts.theta0
-        rootsq = np.sqrt(arr * arr - R * R)
-        dt = eps / r1 * (arr + n) / rootsq
-        dx = eps * c0 / (r1 * (arr - n) * rootsq)
-        key = "phi" if fam == "thm3" else "theta"
-        return {"t": _scalar_like(r, dt), key: _scalar_like(r, dx)}
+    spec = _spec(consts.family, "has no closed-form curves")
     tr = turning_radius(consts, params)
-    sqrtP = np.sqrt(arr - tr.value) * np.sqrt(arr - tr.r_minus)
-    ct = math.cos(consts.theta_const)
-    dt = eps * (arr + n) / (r1 * sqrtP)
-    dphi = eps * consts.phi0 / (r1 * (arr - n) * sqrtP)
-    dtau = eps * consts.phi0 * (arr + 3 * n) * ct / (2 * n * r1 * sqrtP)
-    return {"t": _scalar_like(r, dt), "phi": _scalar_like(r, dphi),
-            "tau": _scalar_like(r, dtau)}
+    arr = np.asarray(r, dtype=float)
+    if np.any(arr <= tr.value):
+        raise DomainError(f"derivatives need r > turning radius {tr.value}")
+    exact = spec.derivatives(consts, params.n, tr, arr)
+    return {key: _scalar_like(r, d) for key, d in zip(("t", *spec.swept), exact)}
+
+
+def family_velocities(consts: FamilyConstants, params: ModelParams,
+                      r: float) -> tuple:
+    """Velocity components at radius r rebuilt from the family's first
+    integrals, on the branch selected by eps."""
+    n = params.n
+    if r <= n:
+        raise DomainError(f"r must exceed n = {n}")
+    spec = _spec(consts.family, "has no first-integral velocity field")
+    return spec.velocity(consts, params, r)
 
 
 def classify(params: ModelParams, state: PhaseState, tol: float = 1e-9) -> FamilyConstants:
@@ -452,53 +607,20 @@ def classify(params: ModelParams, state: PhaseState, tol: float = 1e-9) -> Famil
     eps = 1 if r_d > 0 else -1
     h1 = (r + n) / (r - n)
     radial_sq = h1 * r_d * r_d
-    tau_on = abs(tau_d) > tol
-    theta_on = abs(theta_d) > tol
-    phi_on = abs(phi_d) > tol
-
-    def anchored(trial: FamilyConstants, mode: str, now: dict) -> FamilyConstants:
-        vals = curves(params, trial, r, mode)
+    moving = {k for k, v in zip(COORDS, (tau_d, theta_d, phi_d)) if abs(v) > tol}
+    for fam, spec in _REGISTRY.items():
+        if set(spec.swept) != moving:
+            continue
+        found = spec.extract(n, r, theta, state.velocity, radial_sq, tol)
+        if found is None:
+            break
+        trial = FamilyConstants(family=fam, eps=eps, **found,
+                                **dict.fromkeys(spec.anchors, 0.0))
+        vals = curves(params, trial, r, spec.invert_mode)
         shift = {"t1": -vals["t"]}
-        for key, anchor in (("tau", "tau1"), ("phi", "phi1"), ("theta", "theta1")):
-            if key in vals:
-                shift[anchor] = now[key] - vals[key]
+        for key in spec.swept:
+            shift[f"{key}1"] = getattr(state.point, key) - vals[key]
         return replace(trial, **shift)
-
-    if not (tau_on or theta_on or phi_on):
-        trial = FamilyConstants(family="thm1", eps=eps, r1=math.sqrt(radial_sq))
-        return anchored(trial, "aligned", {})
-    if tau_on and not theta_on and not phi_on:
-        tau0 = (r - n) / (r + n) * tau_d
-        r1 = math.sqrt(radial_sq + 2 * tau0 * tau0 * n / (r - n))
-        trial = FamilyConstants(family="thm2", eps=eps, r1=r1, tau0=tau0,
-                                tau1=0.0)
-        return anchored(trial, "aligned", {"tau": state.point.tau})
-    if phi_on and not tau_on and not theta_on and abs(theta - np.pi / 2) <= tol:
-        phi0 = (r * r - n * n) * phi_d
-        r1 = math.sqrt(radial_sq + phi0 * phi0 / (r * r - n * n))
-        trial = FamilyConstants(family="thm3", eps=eps, r1=r1, phi0=phi0,
-                                phi1=0.0)
-        return anchored(trial, "aligned", {"phi": state.point.phi})
-    if theta_on and not tau_on and not phi_on:
-        theta0 = (r * r - n * n) * theta_d
-        r1 = math.sqrt(radial_sq + theta0 * theta0 / (r * r - n * n))
-        trial = FamilyConstants(family="thm4", eps=eps, r1=r1, theta0=theta0,
-                                theta1=0.0)
-        return anchored(trial, "aligned", {"theta": state.point.theta})
-    if tau_on and phi_on and not theta_on and abs(theta - np.pi / 2) > tol:
-        ct = math.cos(theta)
-        rp2 = (r + n) ** 2
-        resid = (4 * n * n * ct / rp2 - ct) * phi_d + 2 * n / rp2 * tau_d
-        if abs(resid) <= tol * (1.0 + abs(tau_d) + abs(phi_d)):
-            phi0 = (r * r - n * n) * phi_d
-            st = math.sin(theta)
-            r1 = math.sqrt(radial_sq
-                           + phi0 * phi0 * ct * ct / (2 * n * (r - n))
-                           + phi0 * phi0 * st * st / (r * r - n * n))
-            trial = FamilyConstants(family="thm5", eps=eps, r1=r1, phi0=phi0,
-                                    theta_const=theta, tau1=0.0, phi1=0.0)
-            return anchored(trial, "corrected",
-                            {"tau": state.point.tau, "phi": state.point.phi})
     return FamilyConstants(family="generic", eps=eps,
                            r1=math.sqrt(norm(params, state)))
 
@@ -507,9 +629,7 @@ def default_invert_mode(family: str) -> str:
     """Mode used when inverting t(r): aligned for thm1-4 (so the time range
     starts exactly at t1) and corrected for thm5 (whose brackets already
     vanish at R+ and whose literal time scale is off by r1/sqrt(2n))."""
-    if family not in _CURVE_FAMILIES:
-        raise ConfigError(f"family {family!r} has no curve mode")
-    return "corrected" if family == "thm5" else "aligned"
+    return _spec(family, "has no curve mode").invert_mode
 
 
 def invert_t_of_r(params: ModelParams, consts: FamilyConstants, t: float,
@@ -519,12 +639,10 @@ def invert_t_of_r(params: ModelParams, consts: FamilyConstants, t: float,
     The curve is strictly monotone (increasing for eps = +1, decreasing for
     eps = -1), so the inverse exists on one side of the curve's value at the
     turning radius; times on the other side raise RangeError."""
-    fam = consts.family
-    if fam not in _CURVE_FAMILIES:
-        raise ConfigError(f"family {fam!r} has no closed-form curves")
+    spec = _spec(consts.family, "has no closed-form curves")
     if mode is None:
-        mode = default_invert_mode(fam)
-    _check_mode(fam, mode)
+        mode = spec.invert_mode
+    _check_mode(consts.family, mode)
     R = turning_radius(consts, params).value
 
     def t_of(rr: float) -> float:
@@ -554,10 +672,7 @@ def stitched_coords(params: ModelParams, consts: FamilyConstants, ts):
     x(t1 - d) = 2 x1 - x(t1 + d). Returns a dict of arrays keyed 't', 'r',
     plus the family's swept coordinates. Inversion uses the family's default
     invert mode, so anchors hold exactly at t1."""
-    fam = consts.family
-    if fam not in _CURVE_FAMILIES:
-        raise ConfigError(f"family {fam!r} has no closed-form curves")
-    mode = default_invert_mode(fam)
+    mode = _spec(consts.family, "has no closed-form curves").invert_mode
     outgoing = replace(consts, eps=1)
     anchors = {"tau": consts.tau1, "phi": consts.phi1, "theta": consts.theta1}
     ts = np.asarray(ts, dtype=float)
@@ -582,10 +697,8 @@ def family_to_json(consts: FamilyConstants, params: ModelParams) -> dict:
     """Serialize a curve family (with its n) to a plain JSON-ready dict with
     a fixed, family-specific key order."""
     fam = consts.family
-    if fam not in _JSON_FIELDS:
-        raise ConfigError(f"family {fam!r} is not serializable")
     obj = {}
-    for key in _JSON_FIELDS[fam]:
+    for key in _spec(fam, "is not serializable").json_fields:
         if key == "family":
             obj[key] = fam
         elif key == "eps":
@@ -603,9 +716,9 @@ def family_from_json(obj: dict) -> tuple[FamilyConstants, ModelParams]:
     if not isinstance(obj, dict):
         raise ConfigError("family record must be a JSON object")
     fam = obj.get("family")
-    if fam not in _JSON_FIELDS:
+    if fam not in _REGISTRY:
         raise ConfigError(f"unknown or missing family tag {fam!r}")
-    expected = _JSON_FIELDS[fam]
+    expected = _REGISTRY[fam].json_fields
     for key in expected:
         if key not in obj:
             raise ConfigError(f"family {fam!r} record is missing {key!r}")

@@ -32,10 +32,13 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from .analytic import (
+    _REGISTRY,
+    MODES,
     FamilyConstants,
     curves,
     theta_range_exit,
@@ -63,17 +66,8 @@ from .integrator import (
 )
 from .verify import report_to_json, run_scenario
 
-_CURVE_FAMILIES = ("thm1", "thm2", "thm3", "thm4", "thm5")
-_CONSTANT_FLAGS = ("eps", "r1", "tau0", "phi0", "theta0", "theta_const",
-                   "t1", "tau1", "phi1", "theta1")
-# anchor values that default to zero when the family requires them and no
-# flag supplies them (amplitude constants like tau0 are never defaulted)
-_ANCHOR_DEFAULTS = {
-    "thm2": ("tau1",),
-    "thm3": ("phi1",),
-    "thm4": ("theta1",),
-    "thm5": ("tau1", "phi1"),
-}
+_CONSTANT_FLAGS = tuple(f.name for f in fields(FamilyConstants) if f.name != "family")
+_CHOICES = {"family": tuple(_REGISTRY), "mode": MODES}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -172,9 +166,12 @@ def _parse_r_range(value) -> tuple:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {out}: {exc}") from exc
 
 
 def _point_of(opts: _Options) -> tuple:
@@ -206,8 +203,8 @@ def _cmd_integrate(opts: _Options) -> int:
 
 def _cmd_analytic(opts: _Options) -> int:
     family = opts.require("family")
-    if family not in _CURVE_FAMILIES:
-        raise ConfigError(f"family must be one of {', '.join(_CURVE_FAMILIES)}")
+    if family not in _REGISTRY:
+        raise ConfigError(f"family must be one of {', '.join(_REGISTRY)}")
     params = ModelParams(n=opts.require("n", float))
     mode = opts.get("mode", None, str)
     kwargs = {}
@@ -218,7 +215,8 @@ def _cmd_analytic(opts: _Options) -> int:
             kwargs[name] = value
     if "r1" not in kwargs:
         raise ConfigError("missing required option --r1")
-    for anchor in _ANCHOR_DEFAULTS.get(family, ()):
+    # anchors default to zero; amplitude constants like tau0 never do
+    for anchor in _REGISTRY[family].anchors:
         kwargs.setdefault(anchor, 0.0)
     consts = FamilyConstants(family=family, **kwargs)
 
@@ -238,7 +236,7 @@ def _cmd_analytic(opts: _Options) -> int:
     R = turning_radius(consts, params).value
     if turning_limit_used(consts, params, grid) or lo <= R * (1 + 1e-9):
         lines.append("# turning_limit=used")
-    if family == "thm4" and theta_range_exit(params, consts):
+    if "theta" in values and theta_range_exit(params, consts):
         lines.append("# theta_range_exit=true")
     _emit("\n".join(lines) + "\n", opts.get("out"))
     return 0
@@ -294,29 +292,17 @@ def _cmd_curvature(opts: _Options) -> int:
     return 0
 
 
-def _add_common(parser: _Parser, *names: str) -> tuple:
-    keys = []
+def _add_common(parser: _Parser, *names: str) -> None:
     for name in names:
         flag = "--" + name.replace("_", "-")
-        if name == "eps":
+        if name in ("eps", "samples", "seed"):
             parser.add_argument(flag, type=int)
-        elif name in ("samples", "seed"):
-            parser.add_argument(flag, type=int)
-        elif name in ("n", "t_end", "tol", "r1", "tau0", "phi0", "theta0",
-                      "theta_const", "t1", "tau1", "phi1", "theta1"):
+        elif name in ("n", "t_end", "tol", *_CONSTANT_FLAGS):
             parser.add_argument(flag, type=float)
-        elif name == "family":
-            parser.add_argument(flag, choices=_CURVE_FAMILIES)
-        elif name == "mode":
-            parser.add_argument(flag, choices=("literal", "aligned", "corrected"))
-        elif name == "scenario":
-            parser.add_argument(flag)
         else:
-            parser.add_argument(flag)
-        keys.append(name)
+            parser.add_argument(flag, choices=_CHOICES.get(name))
     parser.add_argument("--config", help="JSON file of option values")
-    parser.set_defaults(option_keys=tuple(keys))
-    return tuple(keys)
+    parser.set_defaults(option_keys=names)
 
 
 def _build_parser() -> _Parser:

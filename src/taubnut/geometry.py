@@ -53,6 +53,8 @@ class ModelParams:
     def __post_init__(self):
         if not self.n > 0:
             raise ConfigError(f"n must be positive, got {self.n}")
+        if not np.isfinite(self.n):
+            raise ConfigError(f"n must be finite, got {self.n}")
         if not 0 < self.fd_step < 1e-2:
             raise ConfigError(f"fd_step must be in (0, 1e-2), got {self.fd_step}")
         if not 0 < self.axis_guard < np.pi / 4:

@@ -65,6 +65,8 @@ class IntegrationConfig:
             raise ConfigError("abs_tol and rel_tol must be positive")
         if not self.t_end > 0:
             raise ConfigError("t_end must be positive")
+        if not np.all(np.isfinite((self.abs_tol, self.rel_tol, self.t_end))):
+            raise ConfigError("abs_tol, rel_tol and t_end must be finite")
         if not 0 < self.r_floor_rel < 0.5:
             raise ConfigError("r_floor_rel must be in (0, 0.5)")
         if self.max_steps < 1:

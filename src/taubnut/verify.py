@@ -21,14 +21,15 @@ from dataclasses import replace
 import numpy as np
 
 from .analytic import (
-    F_eval,
+    _REGISTRY,
     FamilyConstants,
+    _spec,
     classify,
     curve_derivatives,
     curves,
-    default_invert_mode,
     default_mode,
     family_to_json,
+    family_velocities,
     stitched_coords,
     turning_radius,
 )
@@ -44,7 +45,7 @@ from .geometry import (
 from .integrator import HORIZON, IntegrationConfig, PhaseState, integrate
 
 SCHEMA = 1
-SCENARIOS = ("thm1", "thm2", "thm3", "thm4", "thm5", "curvature", "all")
+SCENARIOS = (*_REGISTRY, "curvature", "all")
 
 COORD_TOL = 1e-6
 CONSERVATION_TOL = 1e-8
@@ -94,56 +95,6 @@ def _report(**values) -> dict:
     return report
 
 
-def family_velocities(consts: FamilyConstants, params: ModelParams,
-                      r: float) -> tuple:
-    """Velocity components at radius r rebuilt from the family's first
-    integrals, on the branch selected by eps."""
-    n = params.n
-    fam = consts.family
-    if r <= n:
-        raise DomainError(f"r must exceed n = {n}")
-    h1 = (r + n) / (r - n)
-    eps, r1 = consts.eps, consts.r1
-
-    def dr_from(surplus: float) -> float:
-        if surplus < 0:
-            raise DomainError("radius below the family's turning radius")
-        return eps * math.sqrt(surplus / h1)
-
-    if fam == "thm1":
-        return (0.0, 0.0, 0.0, dr_from(r1 * r1))
-    if fam == "thm2":
-        dtau = consts.tau0 * (r + n) / (r - n)
-        return (dtau, 0.0, 0.0,
-                dr_from(r1 * r1 - 2 * consts.tau0**2 * n / (r - n)))
-    if fam == "thm3":
-        dphi = consts.phi0 / (r * r - n * n)
-        return (0.0, 0.0, dphi,
-                dr_from(r1 * r1 - consts.phi0**2 / (r * r - n * n)))
-    if fam == "thm4":
-        dtheta = consts.theta0 / (r * r - n * n)
-        return (0.0, dtheta, 0.0,
-                dr_from(r1 * r1 - consts.theta0**2 / (r * r - n * n)))
-    if fam == "thm5":
-        ct = math.cos(consts.theta_const)
-        dphi = consts.phi0 / (r * r - n * n)
-        dtau = consts.phi0 * (r + 3 * n) * ct / (2 * n * (r + n))
-        F = F_eval(params, r, r1, consts.phi0, consts.theta_const)
-        if F < 0:
-            raise DomainError("radius below the family's turning radius")
-        dr = eps * math.sqrt(F) / (math.sqrt(2 * n) * (r + n))
-        return (dtau, 0.0, dphi, dr)
-    raise ConfigError(f"family {fam!r} has no first-integral velocity field")
-
-
-def _start_theta(consts: FamilyConstants) -> float:
-    if consts.family == "thm3":
-        return math.pi / 2
-    if consts.family == "thm5":
-        return consts.theta_const
-    return 1.0
-
-
 def compare_numeric_analytic(consts: FamilyConstants, params: ModelParams,
                              cfg: IntegrationConfig | None = None, *,
                              delta: float = 1e-3, r_top: float | None = None,
@@ -155,12 +106,11 @@ def compare_numeric_analytic(consts: FamilyConstants, params: ModelParams,
     checked against their start values. Reports maxima over r in [r0, r_top]
     (default r_top = 5n)."""
     fam = consts.family
-    if fam not in ("thm1", "thm2", "thm3", "thm4", "thm5"):
-        raise ConfigError(f"family {fam!r} has no closed-form curves")
+    spec = _spec(fam, "has no closed-form curves")
     if not 0 < delta < 1:
         raise ConfigError("delta must lie in (0, 1)")
     if mode is None:
-        mode = default_invert_mode(fam)
+        mode = spec.invert_mode
     n = params.n
     outgoing = replace(consts, eps=1)
     R = turning_radius(outgoing, params).value
@@ -176,13 +126,11 @@ def compare_numeric_analytic(consts: FamilyConstants, params: ModelParams,
     if cfg is None:
         # time budget from the derivative-exact curve, whatever mode is
         # being compared (literal thm5 misstates the time scale)
-        exact = default_invert_mode(fam)
-        span = (curves(params, outgoing, r_top, exact)["t"]
-                - curves(params, outgoing, r0, exact)["t"])
+        span = (curves(params, outgoing, r_top, spec.invert_mode)["t"]
+                - curves(params, outgoing, r0, spec.invert_mode)["t"])
         cfg = IntegrationConfig(abs_tol=1e-12, rel_tol=1e-12,
                                 t_end=1.05 * span)
-    theta0 = _start_theta(outgoing)
-    state = PhaseState(Point(0.0, theta0, 0.0, r0),
+    state = PhaseState(Point(0.0, spec.start_theta(outgoing), 0.0, r0),
                        family_velocities(outgoing, params, r0))
     traj = integrate(params, state, cfg)
 
@@ -309,36 +257,15 @@ def seeded_family(family: str, seed: int) -> tuple:
     """Deterministic (constants, params) draw for one family scenario. Ranges
     keep every turning radius well below the 5n comparison window and, for
     the meridional family, keep the latitude swing inside (0, pi)."""
-    index = {"thm1": 1, "thm2": 2, "thm3": 3, "thm4": 4, "thm5": 5}
-    if family not in index:
+    if family not in _REGISTRY:
         raise ConfigError(f"no seeded parameter set for {family!r}")
-    rng = np.random.default_rng([seed, index[family]])
+    rng = np.random.default_rng([seed, 1 + list(_REGISTRY).index(family)])
     n = rng.uniform(0.5, 2.0)
     r1 = rng.uniform(0.8, 1.6)
     sign = 1.0 if rng.uniform() < 0.5 else -1.0
-    params = ModelParams(n=n)
-    if family == "thm1":
-        consts = FamilyConstants(family="thm1", eps=1, r1=r1)
-    elif family == "thm2":
-        consts = FamilyConstants(family="thm2", eps=1, r1=r1,
-                                 tau0=sign * rng.uniform(0.3, 0.8) * r1,
-                                 tau1=0.0)
-    elif family == "thm3":
-        consts = FamilyConstants(family="thm3", eps=1, r1=r1,
-                                 phi0=sign * rng.uniform(0.3, 0.8) * n,
-                                 phi1=0.0)
-    elif family == "thm4":
-        theta0 = sign * rng.uniform(2.0, 3.0) * n * r1
-        theta1 = (rng.uniform(0.4, 0.6) if sign > 0
-                  else math.pi - rng.uniform(0.4, 0.6))
-        consts = FamilyConstants(family="thm4", eps=1, r1=r1,
-                                 theta0=theta0, theta1=theta1)
-    else:
-        consts = FamilyConstants(family="thm5", eps=1, r1=r1,
-                                 phi0=sign * rng.uniform(0.3, 0.8) * n,
-                                 theta_const=rng.uniform(0.4, math.pi - 0.4),
-                                 tau1=0.0, phi1=0.0)
-    return consts, params
+    spec = _REGISTRY[family]
+    values = {**dict.fromkeys(spec.anchors, 0.0), **spec.draw(rng, n, r1, sign)}
+    return FamilyConstants(family=family, eps=1, r1=r1, **values), ModelParams(n=n)
 
 
 def _radial_passthrough_check(consts: FamilyConstants,

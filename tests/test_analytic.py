@@ -4,11 +4,13 @@ classifier, t(r) inversion, two-branch stitching, and the JSON record format."""
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from taubnut.analytic import (
+    _REGISTRY,
     FAMILIES,
     MODES,
     F_eval,
@@ -40,6 +42,7 @@ from taubnut.errors import (
 )
 from taubnut.geometry import ModelParams, Point
 from taubnut.integrator import IntegrationConfig, PhaseState, integrate
+from taubnut.verify import seeded_family
 
 P1 = ModelParams(n=1.0)
 P05 = ModelParams(n=0.5)
@@ -126,6 +129,15 @@ class TestFamilyConstants:
             c_thm5(theta=0.0)
         with pytest.raises(ConfigError):
             c_thm5(theta=math.pi)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("family,field", [
+        (fam, field) for fam, spec in _REGISTRY.items()
+        for field in ("r1", "t1", *spec.constants, *spec.anchors)])
+    def test_non_finite_field_rejected(self, family, field, value):
+        consts, _ = seeded_family(family, 0)
+        with pytest.raises(ConfigError):
+            replace(consts, **{field: value})
 
 
 class TestTurningRadius:

@@ -63,6 +63,12 @@ class TestIntegrate:
         assert code == 0 and out == ""
         assert target.read_text().startswith("t,tau,theta,phi,r,")
 
+    def test_out_file_write_failure(self, capsys, tmp_path):
+        code, out, err = run(capsys, "verify", "--scenario", "thm1",
+                             "--out", str(tmp_path / "missing" / "x.json"))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ConfigError:") and err.count("\n") == 1
+
     def test_missing_required_flag(self, capsys):
         code, _, err = run(capsys, "integrate", "--n", "1", "--t-end", "1")
         assert code == 1

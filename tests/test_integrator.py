@@ -2,6 +2,8 @@
 monitoring, event termination, the exact radial passthrough, and trajectory
 CSV round-tripping."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,15 @@ class TestIntegrationConfig:
     def test_rejects_nonpositive_horizon(self):
         with pytest.raises(ConfigError):
             IntegrationConfig(t_end=-1.0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("make,field", [
+        (ModelParams, "n"), (IntegrationConfig, "t_end"),
+        (IntegrationConfig, "abs_tol"), (IntegrationConfig, "rel_tol")])
+    def test_rejects_non_finite(self, make, field, value):
+        # construction only: an infinite t_end must never reach integrate()
+        with pytest.raises(ConfigError):
+            make(**{field: value})
 
     def test_rejects_unordered_grid(self):
         with pytest.raises(ConfigError):
