@@ -53,9 +53,9 @@ from .geometry import (
     Point,
     christoffel_at,
     christoffel_fd_oracle,
+    duality_residual,
     frame_riemann_fd,
     ricci_fd,
-    self_duality_residual,
 )
 from .integrator import (
     HORIZON,
@@ -278,14 +278,14 @@ def _cmd_christoffel(opts: _Options) -> int:
 def _cmd_curvature(opts: _Options) -> int:
     params, p = _point_of(opts)
     ricci = ricci_fd(params, p)
+    Rfr = frame_riemann_fd(params, p)
     doc = {
         "n": params.n,
         "point": dict(zip(COORDS, p.as_array().tolist())),
         "ricci_max_abs": float(np.max(np.abs(ricci))),
-        "self_dual_residual": self_duality_residual(params, p),
-        "anti_self_dual_residual": self_duality_residual(
-            params, p, sign=-DUALITY_SIGN),
-        "riemann_frame_max_abs": float(np.max(np.abs(frame_riemann_fd(params, p)))),
+        "self_dual_residual": duality_residual(Rfr),
+        "anti_self_dual_residual": duality_residual(Rfr, sign=-DUALITY_SIGN),
+        "riemann_frame_max_abs": float(np.max(np.abs(Rfr))),
         "duality_sign": DUALITY_SIGN,
     }
     _emit(json.dumps(doc, indent=2) + "\n", opts.get("out"))

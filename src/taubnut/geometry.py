@@ -307,14 +307,19 @@ def frame_riemann_fd(params: ModelParams, p: Point) -> np.ndarray:
     return np.einsum("ma,nb,pc,qd,mnpq->abcd", E, E, E, E, Rlow)
 
 
-def self_duality_residual(params: ModelParams, p: Point, sign: float | None = None) -> float:
-    """max |R_{abcd} - sign * 1/2 eps_{abef} R_{efcd}| over all frame index sets.
+def duality_residual(Rfr: np.ndarray, sign: float | None = None) -> float:
+    """max |R_{abcd} - sign * 1/2 eps_{abef} R_{efcd}| over all frame index
+    sets of the frame Riemann tensor Rfr (see frame_riemann_fd).
 
     sign defaults to the frozen DUALITY_SIGN, for which the residual is ~ fd
     noise; passing -DUALITY_SIGN projects onto the opposite chirality, whose
     residual stays comparable to ||R|| (an orientation sanity check).
     """
     s = DUALITY_SIGN if sign is None else sign
-    Rfr = frame_riemann_fd(params, p)
     dual = 0.5 * np.einsum("abef,efcd->abcd", _EPS4, Rfr)
     return float(np.abs(Rfr - s * dual).max())
+
+
+def self_duality_residual(params: ModelParams, p: Point, sign: float | None = None) -> float:
+    """duality_residual of the frame Riemann tensor at p."""
+    return duality_residual(frame_riemann_fd(params, p), sign)

@@ -1,12 +1,15 @@
 """Adaptive numerical integration of the full geodesic system.
 
 State layout is the 8-vector (tau, theta, phi, r, dtau, dtheta, dphi, dr) in
-the fixed coordinate order. The stepper is an embedded Dormand-Prince 5(4)
-pair with proportional-integral step-size control, cubic Hermite dense output
-(local interpolation order 3) and event detection for the removable
-singularity r = n, the polar axis, the affine horizon t_end, and the step
-budget. The two Killing charges p_tau, p_phi and the velocity norm are
-recorded along every trajectory; they are monitored, never enforced.
+the fixed coordinate order. The stepper is scipy's DOP853 (the explicit
+Runge-Kutta 8(5,3) code of Hairer, Norsett & Wanner, Solving ODEs I,
+sections II.5-6), driven one step at a time; its 7th-order dense output
+feeds event detection for the removable singularity r = n and the polar
+axis, and the samples on a fixed grid. Integration also stops at the affine
+horizon t_end and at the step budget. Relative tolerances below 100 machine
+epsilons are rejected, since scipy would silently raise them. The two Killing
+charges p_tau, p_phi and the velocity norm are recorded along every
+trajectory; they are monitored, never enforced.
 
 Axis semantics: every 1/sin(theta) term of the equations multiplies
 dtau/dt*dtheta/dt or dphi/dt*dtheta/dt, so motion with dtau/dt = dphi/dt = 0
@@ -20,6 +23,7 @@ import bisect
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
 from .errors import AxisError, ConfigError, DegenerateError, DomainError
@@ -31,6 +35,10 @@ HORIZON = "Horizon"
 SINGULARITY_APPROACH = "SingularityApproach"
 AXIS_APPROACH = "AxisApproach"
 STEP_BUDGET = "StepBudget"
+
+# smallest relative tolerance the stepper honours; below it scipy would
+# silently raise rel_tol to this value
+REL_TOL_FLOOR = 100 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -51,7 +59,12 @@ class PhaseState:
 
 @dataclass(frozen=True)
 class IntegrationConfig:
-    """Step-control tolerances, affine horizon, budgets and stop margins."""
+    """Step-control tolerances, affine horizon, budgets and stop margins.
+
+    rel_tol must be at least REL_TOL_FLOOR (100 machine epsilons, about
+    2.2e-14). max_steps bounds the stepper calls of `integrate`, counting
+    the ones a chart exit cut short; one call may reject and shrink its step
+    internally before it accepts one."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
@@ -67,6 +80,8 @@ class IntegrationConfig:
             raise ConfigError("t_end must be positive")
         if not np.all(np.isfinite((self.abs_tol, self.rel_tol, self.t_end))):
             raise ConfigError("abs_tol, rel_tol and t_end must be finite")
+        if self.rel_tol < REL_TOL_FLOOR:
+            raise ConfigError(f"rel_tol must be at least 100*eps = {REL_TOL_FLOOR:.6g}")
         if not 0 < self.r_floor_rel < 0.5:
             raise ConfigError("r_floor_rel must be in (0, 0.5)")
         if self.max_steps < 1:
@@ -184,68 +199,8 @@ def norm(params: ModelParams, s: PhaseState) -> float:
     return float(v @ g @ v)
 
 
-# Dormand-Prince 5(4) tableau. b is the 5th-order weight row (also the last
-# stage row: first-same-as-last), bhat the embedded 4th-order row.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = np.array([
-    [0, 0, 0, 0, 0, 0],
-    [1 / 5, 0, 0, 0, 0, 0],
-    [3 / 40, 9 / 40, 0, 0, 0, 0],
-    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0],
-])
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_BHAT = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-                  187 / 2100, 1 / 40])
-
-_SAFE = 0.9
-_BETA = 0.04
-_EXPO1 = 0.2 - 0.75 * _BETA
-_FAC_MIN = 0.2   # smallest allowed hnew/h
-_FAC_MAX = 10.0  # largest allowed hnew/h
-
-
 def _rhs_vec(params: ModelParams, y: np.ndarray) -> np.ndarray:
     return geodesic_rhs(params, PhaseState.from_array(y))
-
-
-def _error_norm(y0, y1, err, abs_tol, rel_tol) -> float:
-    sc = abs_tol + rel_tol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean((err / sc) ** 2)))
-
-
-def _initial_step(params, y0, f0, abs_tol, rel_tol, t_end) -> float:
-    """Starting step size from the scaled magnitudes of the state, its
-    derivative, and a one-step derivative difference (standard dopri5 guess)."""
-    sc = abs_tol + rel_tol * np.abs(y0)
-    d0 = float(np.sqrt(np.mean((y0 / sc) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / sc) ** 2)))
-    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    y1 = y0 + h0 * f0
-    try:
-        f1 = _rhs_vec(params, y1)
-    except (DomainError, AxisError):
-        return min(h0 * 1e-2, t_end)
-    d2 = float(np.sqrt(np.mean(((f1 - f0) / sc) ** 2))) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, t_end)
-
-
-def _hermite(t0, h, y0, y1, f0, f1):
-    """Cubic Hermite interpolant over one accepted step; order 3 locally,
-    which keeps event times well below step-control error."""
-
-    def interp(t):
-        s = (t - t0) / h
-        s2, s3 = s * s, s * s * s
-        return ((2 * s3 - 3 * s2 + 1) * y0 + (s3 - 2 * s2 + s) * h * f0
-                + (-2 * s3 + 3 * s2) * y1 + (s3 - s2) * h * f1)
-
-    return interp
 
 
 def _first_crossing(interp, t0, t1, value, index, sign):
@@ -281,7 +236,13 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
     cfg.sample_grid when that is set (grid points beyond the stop time are
     dropped; the terminal sample is always appended if distinct). The axis
     event is armed only when the initial state has dtau/dt != 0 or
-    dphi/dt != 0; unarmed motion may pass through the axis."""
+    dphi/dt != 0; unarmed motion may pass through the axis.
+
+    A stage that leaves the chart (r <= n, or an active 1/sin(theta) term
+    exactly on the axis) restarts the stepper from the last accepted state
+    with a quarter of the step it tried; cfg.max_steps counts these cut-short
+    stepper calls too. The stepper giving up on a step too small to advance
+    t also ends in StepBudget."""
     n = params.n
     y = state.as_array()
     r_floor = n * (1.0 + cfg.r_floor_rel)
@@ -298,57 +259,44 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
     if all(v == 0.0 for v in state.velocity):
         return Trajectory(_row(params, 0.0, y)[None, :], HORIZON)
 
-    f = _rhs_vec(params, y)
-    t = 0.0
-    h = _initial_step(params, y, f, cfg.abs_tol, cfg.rel_tol, cfg.t_end)
-    facold = 1e-4
-    steps = [(t, y.copy(), f.copy())]  # accepted (t, y, f) nodes
-    termination = None
-    t_stop = None
-    y_stop = None
-    attempts = 0
+    def start(t, y, first_step=None):
+        return DOP853(lambda _, yy: _rhs_vec(params, yy), t, y, cfg.t_end,
+                      rtol=cfg.rel_tol, atol=cfg.abs_tol, first_step=first_step)
 
+    try:
+        solver = start(0.0, y)
+    except (DomainError, AxisError):
+        # the initial-step probe left the chart: start from the whole horizon
+        # and let the chart-exit retries shrink the step
+        solver = start(0.0, y, cfg.t_end)
+    node_t, node_y, dense = [0.0], [y], []  # accepted states, step interpolants
+    calls = 0
     while True:
-        if t >= cfg.t_end * (1 - 1e-15):
-            termination, t_stop, y_stop = HORIZON, t, y
+        t, y = solver.t, solver.y
+        if solver.status != "running" or calls >= cfg.max_steps:
+            # "failed" is scipy's "step size too small": no step advances t
+            termination = HORIZON if solver.status == "finished" else STEP_BUDGET
+            t_stop, y_stop = t, y
             break
-        if attempts >= cfg.max_steps:
-            termination, t_stop, y_stop = STEP_BUDGET, t, y
-            break
-        attempts += 1
-        h = min(h, cfg.t_end - t)
-        if h <= 1e-14 * max(1.0, abs(t)):
-            # controller underflow: count it against the budget and stop
-            termination, t_stop, y_stop = STEP_BUDGET, t, y
-            break
-
-        k = np.empty((7, 8))
-        k[0] = f
-        bad = False
+        calls += 1
+        h_try = min(solver.h_abs, cfg.t_end - t)
         try:
-            for i in range(1, 6):
-                k[i] = _rhs_vec(params, y + h * (_A[i, :i] @ k[:i]))
-            y1 = y + h * (_B[:6] @ k[:6])
-            k[6] = _rhs_vec(params, y1)
+            solver.step()
+            if solver.status == "failed":
+                continue
+            interp = solver.dense_output()
         except (DomainError, AxisError):
-            bad = True
-        if bad:
-            # stage left the chart (past the floor or onto the axis): retry
-            # shorter; the event machinery stops us once a step lands inside
-            h *= 0.25
+            # a stage left the chart (past the floor or onto the axis): retry
+            # shorter from the last accepted state; the event machinery stops
+            # us once a step lands inside
+            if 0.25 * h_try <= 10 * np.spacing(t):
+                termination, t_stop, y_stop = STEP_BUDGET, t, y
+                break
+            solver = start(t, y, 0.25 * h_try)
             continue
 
-        err_vec = h * ((_B - _BHAT) @ k)
-        err = _error_norm(y, y1, err_vec, cfg.abs_tol, cfg.rel_tol)
-        if err > 1.0:
-            fac11 = err**_EXPO1
-            h = h / min(1.0 / _FAC_MIN, fac11 / _SAFE)
-            continue
-
-        f1 = k[6]
-        interp = _hermite(t, h, y, y1, f, f1)
-        t1 = t + h
-
+        t1, y1 = solver.t, solver.y
+        h = t1 - t
         events = []
         if y1[R] <= r_floor or any(interp(t + fr * h)[R] <= r_floor for fr in (0.25, 0.5, 0.75)):
             tc = _first_crossing(interp, t, t1, r_floor, R, +1.0)
@@ -362,34 +310,27 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
                     tc = _first_crossing(interp, t, t1, value, THETA, sign)
                     if tc is not None:
                         events.append((tc, AXIS_APPROACH))
+        dense.append(interp)
         if events:
             tc, cause = min(events, key=lambda ev: ev[0])
             termination, t_stop, y_stop = cause, tc, interp(tc)
             break
+        node_t.append(t1)
+        node_y.append(y1)
 
-        t, y, f = t1, y1, f1
-        steps.append((t, y.copy(), f.copy()))
-        fac11 = err**_EXPO1
-        fac = fac11 / facold**_BETA
-        fac = max(1.0 / _FAC_MAX, min(1.0 / _FAC_MIN, fac / _SAFE))
-        h = h / fac
-        facold = max(err, 1e-4)
-
-    if t_stop > steps[-1][0]:
-        steps.append((t_stop, y_stop.copy(), _rhs_vec(params, y_stop)))
+    if t_stop > node_t[-1]:
+        node_t.append(t_stop)
+        node_y.append(y_stop)
 
     if cfg.sample_grid is None:
-        rows = [_row(params, ts, ys) for ts, ys, _ in steps]
+        rows = [_row(params, ts, ys) for ts, ys in zip(node_t, node_y)]
     else:
         rows = []
-        node_t = [ts for ts, _, _ in steps]
         for tg in cfg.sample_grid:
             if tg < 0.0 or tg > t_stop:
                 continue
-            i = min(max(bisect.bisect_right(node_t, tg) - 1, 0), len(steps) - 2)
-            ts0, ys0, fs0 = steps[i]
-            ts1, ys1, fs1 = steps[i + 1]
-            yg = ys0 if tg == ts0 else _hermite(ts0, ts1 - ts0, ys0, ys1, fs0, fs1)(tg)
+            i = bisect.bisect_right(node_t, tg) - 1
+            yg = node_y[i] if tg == node_t[i] else dense[i](tg)
             rows.append(_row(params, tg, yg))
         if not rows or rows[-1][0] < t_stop:
             rows.append(_row(params, t_stop, y_stop))

@@ -74,6 +74,12 @@ class TestIntegrate:
         assert code == 1
         assert err.startswith("error: ConfigError:") and err.count("\n") == 1
 
+    def test_tolerance_below_floor(self, capsys):
+        code, out, err = run(capsys, "integrate", "--n", "1",
+                             "--init", EQ_INIT, "--t-end", "1", "--tol", "1e-14")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ConfigError:") and err.count("\n") == 1
+
     def test_bad_init_length(self, capsys):
         code, _, err = run(capsys, "integrate", "--n", "1",
                            "--init", "0,1,0,2", "--t-end", "1")

@@ -1,6 +1,8 @@
 """Tensor evaluation tests: closed forms vs substitution values, finite-difference
 oracles, frame reconstruction, curvature residuals."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from taubnut.geometry import (
     Point,
     christoffel_at,
     christoffel_fd_oracle,
+    duality_residual,
     frame_at,
     frame_riemann_fd,
     inverse_metric_at,
@@ -217,6 +220,25 @@ class TestCurvature:
     def test_self_duality_residual(self):
         assert self_duality_residual(P1, Point(0.0, np.pi / 3, 0.0, 2.0)) <= 1e-3
         assert self_duality_residual(P1, Point(0.0, np.pi / 2, 0.0, 5.0)) <= 1e-3
+
+    def test_duality_residual_of_projected_tensor(self):
+        # X + s*(*X) is s-dual because ** = 1 on two-forms in four
+        # Euclidean dimensions; eps is built from permutation determinants
+        eps = np.zeros((4, 4, 4, 4))
+        for idx in itertools.permutations(range(4)):
+            eps[idx] = np.linalg.det(np.eye(4)[list(idx)])
+        X = np.random.default_rng(3).normal(size=(4, 4, 4, 4))
+        X = X - X.transpose(1, 0, 2, 3)
+        X = X - X.transpose(0, 1, 3, 2)
+        R = X + DUALITY_SIGN * 0.5 * np.einsum("abef,efcd->abcd", eps, X)
+        assert duality_residual(R) <= 1e-13
+        assert duality_residual(R, sign=-DUALITY_SIGN) == pytest.approx(2 * np.abs(R).max(), rel=1e-13)
+
+    def test_self_duality_residual_reads_the_frame_tensor(self):
+        p = Point(0.3, 1.1, 0.2, 2.5)
+        Rfr = frame_riemann_fd(P1, p)
+        for sign in (DUALITY_SIGN, -DUALITY_SIGN):
+            assert self_duality_residual(P1, p, sign) == duality_residual(Rfr, sign)
 
     def test_opposite_projection_does_not_vanish(self):
         p = Point(0.0, np.pi / 3, 0.0, 2.0)

@@ -7,9 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from taubnut import integrator
 from taubnut.errors import AxisError, ConfigError, DegenerateError, DomainError
 from taubnut.geometry import ModelParams, Point, christoffel_at
 from taubnut.integrator import (
+    REL_TOL_FLOOR,
     IntegrationConfig,
     PhaseState,
     Trajectory,
@@ -58,6 +60,17 @@ class TestIntegrationConfig:
         # construction only: an infinite t_end must never reach integrate()
         with pytest.raises(ConfigError):
             make(**{field: value})
+
+    def test_rel_tol_floor(self):
+        # the floor is the smallest rtol scipy's stepper keeps unchanged;
+        # below it scipy warns and silently raises rtol
+        below = np.nextafter(REL_TOL_FLOOR, 0.0)
+        IntegrationConfig(rel_tol=REL_TOL_FLOOR)
+        with pytest.raises(ConfigError, match="rel_tol"):
+            IntegrationConfig(rel_tol=below)
+        integrator.DOP853(lambda t, y: -y, 0.0, np.ones(1), 1.0, rtol=REL_TOL_FLOOR)
+        with pytest.warns(UserWarning, match="rtol"):
+            integrator.DOP853(lambda t, y: -y, 0.0, np.ones(1), 1.0, rtol=below)
 
     def test_rejects_unordered_grid(self):
         with pytest.raises(ConfigError):
@@ -233,15 +246,70 @@ class TestIntegrate:
         assert np.allclose(traj.t, grid, atol=1e-12)
         assert np.max(np.abs(traj.norm - 1.0)) <= 1e-8
 
+    def test_dense_output_conserves_on_grid(self):
+        # grid samples come from the stepper's interpolant between steps
+        s = PhaseState(Point(0.3, 1.1, 0.4, 2.0), (0.5, -0.3, 0.4, 0.6))
+        cfg = IntegrationConfig(abs_tol=1e-12, rel_tol=1e-12, t_end=20.0,
+                                sample_grid=tuple(np.linspace(0.0, 20.0, 401)))
+        traj = integrate(P1, s, cfg)
+        assert traj.termination == "Horizon" and len(traj) == 401
+        for column in (traj.p_tau, traj.p_phi, traj.norm):
+            assert np.max(np.abs(column - column[0])) <= 1e-9
+
+    def test_chart_exit_retries_then_floor_stop(self, monkeypatch):
+        # at a loose tolerance the stepper's stages overshoot r = n; each
+        # overshoot restarts from the last accepted state with a shorter step
+        raised = []
+
+        def counting_rhs(params, state):
+            try:
+                return geodesic_rhs(params, state)
+            except DomainError:
+                raised.append(state.point.r)
+                raise
+
+        monkeypatch.setattr(integrator, "geodesic_rhs", counting_rhs)
+        s = PhaseState(Point(0.0, np.pi / 2, 0.0, 3.0), (0.0, 0.0, 0.0, -1.0))
+        traj = integrate(P1, s, IntegrationConfig(abs_tol=1e-3, rel_tol=1e-3, t_end=50.0))
+        assert raised
+        assert traj.termination == "SingularityApproach"
+        assert traj.coords[-1, 3] == pytest.approx(1.0 + 1e-6, rel=1e-9)
+        # the step budget counts every stepper call, the cut-short ones too:
+        # one per row after the first (the last row ends the event step)
+        calls = len(traj) - 1 + len(raised)
+        for budget, cause in ((calls, "SingularityApproach"), (calls - 1, "StepBudget")):
+            cfg = IntegrationConfig(abs_tol=1e-3, rel_tol=1e-3, t_end=50.0, max_steps=budget)
+            assert integrate(P1, s, cfg).termination == cause
+
+    def test_initial_step_probe_past_floor(self):
+        # the stepper's initial-step guess probes beyond r = n here
+        s = PhaseState(Point(0.0, np.pi / 2, 0.0, 1.001), (0.0, 0.0, 0.0, -0.01))
+        traj = integrate(P1, s, IntegrationConfig(abs_tol=1e-3, rel_tol=1e-3, t_end=5.0))
+        assert traj.termination == "SingularityApproach"
+        assert traj.coords[-1, 3] == pytest.approx(1.0 + 1e-6, rel=1e-9)
+
     def test_step_budget(self):
         cfg = IntegrationConfig(abs_tol=1e-12, rel_tol=1e-12, t_end=10.0, max_steps=5)
         traj = integrate(P1, equatorial_state(), cfg)
         assert traj.termination == "StepBudget"
         assert traj.t[-1] < 10.0
 
+    def test_step_too_small_is_step_budget(self, monkeypatch):
+        class Stalling(integrator.DOP853):
+            def _step_impl(self):
+                if self.t > 1.0:
+                    return False, self.TOO_SMALL_STEP
+                return super()._step_impl()
+
+        monkeypatch.setattr(integrator, "DOP853", Stalling)
+        traj = integrate(P1, equatorial_state(), IntegrationConfig(t_end=10.0))
+        assert traj.termination == "StepBudget"
+        assert 1.0 < traj.t[-1] < 10.0 and np.all(np.diff(traj.t) > 0)
+
     def test_convergence_order_at_least_four(self):
         ref = integrate(P1, equatorial_state(),
-                        IntegrationConfig(abs_tol=1e-14, rel_tol=1e-14, t_end=2.0))
+                        IntegrationConfig(abs_tol=REL_TOL_FLOOR, rel_tol=REL_TOL_FLOOR,
+                                          t_end=2.0))
         yref = ref.data[-1, 1:9]
         errs, hs = [], []
         for tol in (1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11):
