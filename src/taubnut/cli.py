@@ -53,9 +53,8 @@ from .geometry import (
     Point,
     christoffel_at,
     christoffel_fd_oracle,
+    curvature_fd,
     duality_residual,
-    frame_riemann_fd,
-    ricci_fd,
 )
 from .integrator import (
     HORIZON,
@@ -277,8 +276,7 @@ def _cmd_christoffel(opts: _Options) -> int:
 
 def _cmd_curvature(opts: _Options) -> int:
     params, p = _point_of(opts)
-    ricci = ricci_fd(params, p)
-    Rfr = frame_riemann_fd(params, p)
+    (ricci,), (Rfr,) = curvature_fd([params], [p])
     doc = {
         "n": params.n,
         "point": dict(zip(COORDS, p.as_array().tolist())),

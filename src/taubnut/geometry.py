@@ -146,9 +146,59 @@ def inverse_metric_at(params: ModelParams, p: Point) -> MetricTensor:
     return MetricTensor(ginv)
 
 
+_libm_pow = np.frompyfunc(pow, 2, 1)
+
+
+def _ipow(x, k: int):
+    """x**k by the C library's pow, as a float x**k is rounded, also for
+    every element of an array. numpy's array square (x*x) rounds about one
+    result in a thousand differently, its array power about one in twenty;
+    the finite-difference stencil magnifies such a last-bit change into the
+    reported curvature residuals."""
+    if isinstance(x, np.ndarray):
+        return _libm_pow(x, k).astype(float)
+    return x**k
+
+
+def _christoffel(n, theta, r) -> np.ndarray:
+    """christoffel_at's closed forms broadcast over n, theta and r:
+    shape (..., 4, 4, 4), [..., lam, mu, nu] = Gamma^lam_{mu nu}. Callers
+    apply the chart and axis guards."""
+    ct, st = np.cos(theta), np.sin(theta)
+    ct2, st2 = _ipow(ct, 2), _ipow(st, 2)
+    n2, n3 = _ipow(n, 2), _ipow(n, 3)
+    rho2 = _ipow(r, 2) - n2
+    rp = r + n
+    rm = r - n
+    rp2, rp3 = _ipow(rp, 2), _ipow(rp, 3)
+    shape = np.shape(ct * rho2)
+    G = np.zeros((4, 4, 4) + shape)  # component axes first: plain-index writes
+
+    def sym(lam, mu, nu, val):
+        G[lam, mu, nu] = val
+        G[lam, nu, mu] = val
+
+    sym(TAU, TAU, R, n / rho2)
+    sym(TAU, TAU, THETA, 2 * n2 * ct / (rp2 * st))
+    sym(TAU, PHI, R, -2 * n * ct / rp)
+    sym(TAU, PHI, THETA, (4 * n3 * ct2 - n * st2 * rp2 - 2 * n * rp2 * ct2) / (rp2 * st))
+    sym(R, TAU, TAU, -n * rm / rp3)
+    sym(R, TAU, PHI, -2 * n2 * rm * ct / rp3)
+    sym(R, R, R, -n / rho2)
+    sym(R, THETA, THETA, -r * rm / rp)
+    sym(R, PHI, PHI, -(4 * n3 * ct2 / rp2 + r * st2) * rm / rp)
+    sym(THETA, TAU, PHI, n * st / rp2)
+    sym(THETA, R, THETA, r / rho2)
+    sym(THETA, PHI, PHI, 4 * n2 * ct * st / rp2 - st * ct)
+    sym(PHI, TAU, THETA, -n / (rp2 * st))
+    sym(PHI, PHI, R, r / rho2)
+    sym(PHI, PHI, THETA, -2 * n2 * ct / (rp2 * st) + ct / st)
+    return G.transpose(*range(3, 3 + len(shape)), 0, 1, 2)
+
+
 def christoffel_at(params: ModelParams, p: Point) -> ChristoffelTable:
     """The fifteen independent nonzero Christoffel symbols (plus lower-index
-    symmetry images), from their closed forms.
+    symmetry images) at p, from their closed forms.
 
     Whole-table axis policy: several entries carry 1/sin(theta), so the entire
     table is refused inside the guard band rather than returning a partially
@@ -156,43 +206,17 @@ def christoffel_at(params: ModelParams, p: Point) -> ChristoffelTable:
     """
     _require_interior(params, p)
     _require_off_axis(params, p.theta)
-    n, r, th = params.n, p.r, p.theta
-    ct, st = np.cos(th), np.sin(th)
-    rho2 = r**2 - n**2
-    rp = r + n
-    rm = r - n
-    G = np.zeros((4, 4, 4))
-
-    def sym(lam, mu, nu, val):
-        G[lam, mu, nu] = val
-        G[lam, nu, mu] = val
-
-    sym(TAU, TAU, R, n / rho2)
-    sym(TAU, TAU, THETA, 2 * n**2 * ct / (rp**2 * st))
-    sym(TAU, PHI, R, -2 * n * ct / rp)
-    sym(TAU, PHI, THETA,
-        (4 * n**3 * ct**2 - n * st**2 * rp**2 - 2 * n * rp**2 * ct**2) / (rp**2 * st))
-    sym(R, TAU, TAU, -n * rm / rp**3)
-    sym(R, TAU, PHI, -2 * n**2 * rm * ct / rp**3)
-    sym(R, R, R, -n / rho2)
-    sym(R, THETA, THETA, -r * rm / rp)
-    sym(R, PHI, PHI, -(4 * n**3 * ct**2 / rp**2 + r * st**2) * rm / rp)
-    sym(THETA, TAU, PHI, n * st / rp**2)
-    sym(THETA, R, THETA, r / rho2)
-    sym(THETA, PHI, PHI, 4 * n**2 * ct * st / rp**2 - st * ct)
-    sym(PHI, TAU, THETA, -n / (rp**2 * st))
-    sym(PHI, PHI, R, r / rho2)
-    sym(PHI, PHI, THETA, -2 * n**2 * ct / (rp**2 * st) + ct / st)
-    return ChristoffelTable(G)
+    return ChristoffelTable(_christoffel(params.n, p.theta, p.r))
 
 
-def _fd_steps(params: ModelParams, p: Point) -> np.ndarray:
-    """Per-coordinate central-difference steps. The radial step follows the
-    distance r - n to the chart edge, where metric derivatives grow like
-    inverse powers of that distance; tau scales with n (its period is
-    4*pi*n); plain angles use fd_step directly."""
-    h = params.fd_step
-    return np.array([h * max(1.0, params.n), h, h, h * (p.r - params.n)])
+def _fd_steps(fd_step, n, r) -> np.ndarray:
+    """Per-coordinate central-difference steps, shape (..., 4), for
+    fd_step, n and r of one shape. The radial
+    step follows the distance r - n to the chart edge, where metric
+    derivatives grow like inverse powers of that distance; tau scales with n
+    (its period is 4*pi*n); plain angles use fd_step directly."""
+    h = fd_step
+    return np.stack([h * np.maximum(1.0, n), h, h, h * (r - n)], axis=-1)
 
 
 def christoffel_fd_oracle(params: ModelParams, p: Point, metric_fn=metric_at) -> ChristoffelTable:
@@ -206,7 +230,7 @@ def christoffel_fd_oracle(params: ModelParams, p: Point, metric_fn=metric_at) ->
     """
     _require_interior(params, p)
     _require_off_axis(params, p.theta)
-    steps = _fd_steps(params, p)
+    steps = _fd_steps(params.fd_step, params.n, p.r)
     x0 = p.as_array()
     # the proportional radial step never crosses r = n, but this close to the
     # edge the stencil would sit below float placement accuracy
@@ -228,62 +252,142 @@ def christoffel_fd_oracle(params: ModelParams, p: Point, metric_fn=metric_at) ->
     return ChristoffelTable(G)
 
 
+def _frame(n, theta, tau, r) -> np.ndarray:
+    """Coframe rows broadcast over n, theta, tau and r: shape (..., 4, 4)."""
+    ct, st = np.cos(theta), np.sin(theta)
+    rad = np.sqrt(r**2 - n**2)
+    half = tau / (2 * n)
+    lapse = np.sqrt((r - n) / (r + n))
+    W1phi = rad * np.sin(half) * st
+    W = np.zeros(np.shape(W1phi) + (4, 4))
+    W[..., 0, R] = np.sqrt((r + n) / (r - n))
+    W[..., 1, THETA] = rad * np.cos(half)
+    W[..., 1, PHI] = W1phi
+    W[..., 2, THETA] = -rad * np.sin(half)
+    W[..., 2, PHI] = rad * np.cos(half) * st
+    W[..., 3, TAU] = lapse
+    W[..., 3, PHI] = lapse * 2 * n * ct
+    return W
+
+
 def frame_at(params: ModelParams, p: Point) -> FrameBasis:
     """Positively oriented orthonormal coframe; rows are omega^0..omega^3 in
     coordinate components. Valid for all theta (no 1/sin terms), though the
     matrix is singular where sin(theta) = 0."""
     _require_interior(params, p)
-    n, r, th, tau = params.n, p.r, p.theta, p.tau
-    ct, st = np.cos(th), np.sin(th)
-    rad = np.sqrt(r**2 - n**2)
-    half = tau / (2 * n)
-    W = np.zeros((4, 4))
-    W[0, R] = np.sqrt((r + n) / (r - n))
-    W[1, THETA] = rad * np.cos(half)
-    W[1, PHI] = rad * np.sin(half) * st
-    W[2, THETA] = -rad * np.sin(half)
-    W[2, PHI] = rad * np.cos(half) * st
-    W[3, TAU] = np.sqrt((r - n) / (r + n))
-    W[3, PHI] = np.sqrt((r - n) / (r + n)) * 2 * n * ct
-    return FrameBasis(W)
+    return FrameBasis(_frame(params.n, p.theta, p.tau, p.r))
 
 
-def _christoffel_partials(params: ModelParams, p: Point, christoffel_fn) -> np.ndarray:
-    """dG[k, lam, mu, nu] = d_k Gamma^lam_{mu nu} by central differences."""
-    steps = _fd_steps(params, p)
-    x0 = p.as_array()
-    dG = np.zeros((4, 4, 4, 4))
-    for k in range(4):
-        xp, xm = x0.copy(), x0.copy()
-        xp[k] += steps[k]
-        xm[k] -= steps[k]
-        Gp = christoffel_fn(params, Point.from_array(xp)).components
-        Gm = christoffel_fn(params, Point.from_array(xm)).components
-        dG[k] = (Gp - Gm) / (2 * steps[k])
-    return dG
+# Finite-difference stencil of the curvature path: +/- one step along each
+# coordinate in turn, then the centre (the row order is also the order in
+# which a point's stencil is checked against the chart).
+_STENCIL = np.vstack([sign * np.eye(4)[k] for k in range(4) for sign in (1.0, -1.0)]
+                     + [np.zeros(4)])
 
 
-def riemann_fd(params: ModelParams, p: Point, christoffel_fn=christoffel_at) -> np.ndarray:
-    """Mixed Riemann tensor R^rho_{sig mu nu} from finite differences of the
-    Christoffel table plus the quadratic terms:
+class _Stack:
+    """N (params, point) pairs as arrays: n, fd_step and axis_guard of shape
+    (N,), coordinates x of shape (N, 4)."""
+
+    def __init__(self, params, points):
+        self.params = tuple(params)
+        points = tuple(points)
+        if len(self.params) != len(points):
+            raise ConfigError("params and points must have the same length")
+        self.n = np.array([q.n for q in self.params], dtype=float)
+        self.fd_step = np.array([q.fd_step for q in self.params], dtype=float)
+        self.axis_guard = np.array([q.axis_guard for q in self.params], dtype=float)
+        self.x = np.array([p.as_array() for p in points], dtype=float).reshape(-1, 4)
+
+
+def _stencil_christoffels(stack: _Stack, christoffel_fn) -> tuple:
+    """Christoffel tables on every point's stencil, shape (N, 9, 4, 4, 4), and
+    the steps, shape (N, 4). The closed form is evaluated on the whole stack
+    at once after a chart check of every stencil point; any other
+    christoffel_fn is called point by point and applies its own guards."""
+    steps = _fd_steps(stack.fd_step, stack.n, stack.x[:, R])
+    S = stack.x[:, None, :] + _STENCIL * steps[:, None, :]
+    if christoffel_fn is not christoffel_at:
+        return np.array([[christoffel_fn(q, Point.from_array(x)).components for x in row]
+                         for q, row in zip(stack.params, S)]), steps
+    n, guard = stack.n[:, None], stack.axis_guard[:, None]
+    theta, r = S[..., THETA], S[..., R]
+    ok = (r > n) & (guard < theta) & (theta < np.pi - guard)
+    if not ok.all():
+        i, j = np.unravel_index(np.argmin(ok), ok.shape)
+        christoffel_at(stack.params[i], Point.from_array(S[i, j]))  # raises
+    return _christoffel(n, theta, r), steps
+
+
+def _riemann(stack: _Stack, christoffel_fn=christoffel_at) -> np.ndarray:
+    """Mixed Riemann tensors R^rho_{sig mu nu} at every point of the stack,
+    shape (N, 4, 4, 4, 4), from central differences of the Christoffel table
+    plus the quadratic terms:
 
         R^rho_{sig mu nu} = d_mu Gamma^rho_{nu sig} - d_nu Gamma^rho_{mu sig}
                             + Gamma^rho_{mu lam} Gamma^lam_{nu sig}
                             - Gamma^rho_{nu lam} Gamma^lam_{mu sig}.
     """
-    dG = _christoffel_partials(params, p, christoffel_fn)
-    G = christoffel_fn(params, p).components
-    term1 = dG.transpose(1, 3, 0, 2)  # [rho, sig, mu, nu] = dG[mu, rho, nu, sig]
-    term2 = dG.transpose(1, 3, 2, 0)  # [rho, sig, mu, nu] = dG[nu, rho, mu, sig]
-    term3 = np.einsum("rml,lns->rsmn", G, G)
-    term4 = np.einsum("rnl,lms->rsmn", G, G)
+    G, steps = _stencil_christoffels(stack, christoffel_fn)
+    # dG[:, k, lam, mu, nu] = d_k Gamma^lam_{mu nu}
+    dG = (G[:, 0:8:2] - G[:, 1:8:2]) / (2 * steps)[:, :, None, None, None]
+    G0 = G[:, 8]
+    term1 = dG.transpose(0, 2, 4, 1, 3)  # [., rho, sig, mu, nu] = dG[., mu, rho, nu, sig]
+    term2 = dG.transpose(0, 2, 4, 3, 1)  # [., rho, sig, mu, nu] = dG[., nu, rho, mu, sig]
+    term3 = np.einsum("...rml,...lns->...rsmn", G0, G0)
+    term4 = np.einsum("...rnl,...lms->...rsmn", G0, G0)
     return term1 - term2 + term3 - term4
+
+
+def _ricci(Rmix: np.ndarray) -> np.ndarray:
+    """Ricci tensors R_{sig nu} = R^lam_{sig lam nu} of mixed Riemann tensors."""
+    return np.einsum("...lslv->...sv", Rmix)
+
+
+# W^a_rho R^rho_{sig mu nu} E^sig_b E^mu_c E^nu_d as one-index contractions
+# instead of one pass over all index combinations
+_FRAME_PATH = np.einsum_path("...ar,...rsmn,...sb,...mc,...nd->...abcd",
+                             np.empty((1, 4, 4)), np.empty((1, 4, 4, 4, 4)),
+                             *[np.empty((1, 4, 4))] * 3, optimize="optimal")[0]
+
+
+def _frame_riemann(stack: _Stack, Rmix: np.ndarray) -> np.ndarray:
+    """Frame components R_{abcd} of mixed Riemann tensors. The frame is
+    orthonormal, so lowering the first index is W^a_rho R^rho_{sig mu nu};
+    the other three contract with the inverse vierbein E (E[., mu, a])."""
+    W = _frame(stack.n, stack.x[:, THETA], stack.x[:, TAU], stack.x[:, R])
+    E = np.linalg.inv(W)
+    return np.einsum("...ar,...rsmn,...sb,...mc,...nd->...abcd", W, Rmix, E, E, E,
+                     optimize=_FRAME_PATH)
+
+
+def curvature_fd(params, points) -> tuple:
+    """Finite-difference curvature at a stack of points, one Riemann build
+    per point: the Ricci tensors, shape (N, 4, 4), and the frame Riemann
+    tensors R_{abcd}, shape (N, 4, 4, 4, 4). params and points are equal-length
+    sequences of ModelParams and Point. A point whose stencil leaves the
+    chart raises the DomainError or AxisError christoffel_at raises there."""
+    stack = _Stack(params, points)
+    Rmix = _riemann(stack)
+    return _ricci(Rmix), _frame_riemann(stack, Rmix)
+
+
+def riemann_fd(params: ModelParams, p: Point, christoffel_fn=christoffel_at) -> np.ndarray:
+    """Mixed Riemann tensor R^rho_{sig mu nu} at p (the one-point case of
+    curvature_fd's build); christoffel_fn is pluggable so perturbed
+    connections can be probed."""
+    return _riemann(_Stack([params], [p]), christoffel_fn)[0]
 
 
 def ricci_fd(params: ModelParams, p: Point, christoffel_fn=christoffel_at) -> np.ndarray:
     """Ricci tensor R_{sig nu} = R^lam_{sig lam nu} from riemann_fd; the
     geometry is vacuum, so this is a pure residual (expected ~ fd noise)."""
-    return np.einsum("lslv->sv", riemann_fd(params, p, christoffel_fn))
+    return _ricci(riemann_fd(params, p, christoffel_fn))
+
+
+def frame_riemann_fd(params: ModelParams, p: Point) -> np.ndarray:
+    """Riemann components R_{abcd} in the orthonormal frame at p."""
+    return curvature_fd([params], [p])[1][0]
 
 
 _EPS4 = np.zeros((4, 4, 4, 4))
@@ -297,27 +401,19 @@ for _perm in permutations(range(4)):
     _EPS4[_perm] = _sign
 
 
-def frame_riemann_fd(params: ModelParams, p: Point) -> np.ndarray:
-    """Riemann components R_{abcd} in the orthonormal frame: lower the mixed
-    FD Riemann with the metric and contract with the inverse vierbein."""
-    Rmix = riemann_fd(params, p)
-    g = metric_at(params, p).components
-    Rlow = np.einsum("al,lbcd->abcd", g, Rmix)
-    E = np.linalg.inv(frame_at(params, p).rows)  # E[mu, a]
-    return np.einsum("ma,nb,pc,qd,mnpq->abcd", E, E, E, E, Rlow)
-
-
-def duality_residual(Rfr: np.ndarray, sign: float | None = None) -> float:
+def duality_residual(Rfr: np.ndarray, sign: float | None = None):
     """max |R_{abcd} - sign * 1/2 eps_{abef} R_{efcd}| over all frame index
-    sets of the frame Riemann tensor Rfr (see frame_riemann_fd).
+    sets of the frame Riemann tensor Rfr (see frame_riemann_fd): a float for
+    one tensor, an array of shape (N,) for a stack of N tensors.
 
     sign defaults to the frozen DUALITY_SIGN, for which the residual is ~ fd
     noise; passing -DUALITY_SIGN projects onto the opposite chirality, whose
     residual stays comparable to ||R|| (an orientation sanity check).
     """
     s = DUALITY_SIGN if sign is None else sign
-    dual = 0.5 * np.einsum("abef,efcd->abcd", _EPS4, Rfr)
-    return float(np.abs(Rfr - s * dual).max())
+    dual = 0.5 * np.einsum("abef,...efcd->...abcd", _EPS4, Rfr)
+    res = np.abs(Rfr - s * dual).max(axis=(-4, -3, -2, -1))
+    return float(res) if res.ndim == 0 else res
 
 
 def self_duality_residual(params: ModelParams, p: Point, sign: float | None = None) -> float:

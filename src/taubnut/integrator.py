@@ -62,9 +62,11 @@ class IntegrationConfig:
     """Step-control tolerances, affine horizon, budgets and stop margins.
 
     rel_tol must be at least REL_TOL_FLOOR (100 machine epsilons, about
-    2.2e-14). max_steps bounds the stepper calls of `integrate`, counting
-    the ones a chart exit cut short; one call may reject and shrink its step
-    internally before it accepts one."""
+    2.2e-14). r_floor_rel must survive the addition in 1 + r_floor_rel
+    (exceed half a machine epsilon, about 1.1e-16), so that the r floor
+    n*(1 + r_floor_rel) sits above n. max_steps bounds the stepper calls of
+    `integrate`, counting the ones a chart exit cut short; one call may
+    reject and shrink its step internally before it accepts one."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
@@ -84,6 +86,9 @@ class IntegrationConfig:
             raise ConfigError(f"rel_tol must be at least 100*eps = {REL_TOL_FLOOR:.6g}")
         if not 0 < self.r_floor_rel < 0.5:
             raise ConfigError("r_floor_rel must be in (0, 0.5)")
+        if not 1.0 + self.r_floor_rel > 1.0:
+            raise ConfigError(f"r_floor_rel = {self.r_floor_rel!r} is lost in 1 + r_floor_rel, "
+                              "which would put the r floor at n")
         if self.max_steps < 1:
             raise ConfigError("max_steps must be at least 1")
         if self.sample_grid is not None:

@@ -38,10 +38,12 @@ from .geometry import (
     DUALITY_SIGN,
     ModelParams,
     Point,
+    curvature_fd,
     duality_residual,
-    frame_riemann_fd,
-    ricci_fd,
-    self_duality_residual,  # noqa: F401  (bench/tracing.py wraps it here)
+    # bench/tracing.py wraps these three here
+    frame_riemann_fd,  # noqa: F401
+    ricci_fd,  # noqa: F401
+    self_duality_residual,  # noqa: F401
 )
 from .integrator import HORIZON, IntegrationConfig, PhaseState, integrate
 
@@ -139,19 +141,14 @@ def compare_numeric_analytic(consts: FamilyConstants, params: ModelParams,
     t_num = traj.t[sel]
     coords = traj.coords[sel]
     base = ana(r0)
-    names = ("tau", "theta", "phi")
-    deviation = {"t": 0.0, "tau": 0.0, "theta": 0.0, "phi": 0.0}
-    for i, (t, (tau, theta, phi, r)) in enumerate(zip(t_num, coords)):
-        vals = ana(r)
-        deviation["t"] = max(deviation["t"],
-                             abs((t - t_num[0]) - (vals["t"] - base["t"])))
-        for j, name in enumerate(names):
-            if name in vals:
-                dev = abs((coords[i, j] - coords[0, j])
-                          - (vals[name] - base[name]))
-            else:
-                dev = abs(coords[i, j] - coords[0, j])
-            deviation[name] = max(deviation[name], dev)
+    vals = ana(coords[:, 3])
+    deviation = {"t": float(np.max(np.abs((t_num - t_num[0])
+                                          - (vals["t"] - base["t"]))))}
+    for j, name in enumerate(("tau", "theta", "phi")):
+        moved = coords[:, j] - coords[0, j]
+        if name in vals:
+            moved = moved - (vals[name] - base[name])
+        deviation[name] = float(np.max(np.abs(moved)))
     drift = {
         "p_tau": float(np.max(np.abs(traj.p_tau - traj.p_tau[0]))),
         "p_phi": float(np.max(np.abs(traj.p_phi - traj.p_phi[0]))),
@@ -190,15 +187,14 @@ def derivative_sweep(consts: FamilyConstants, params: ModelParams,
     if samples < 2:
         raise ConfigError("samples must be at least 2")
     grid = np.geomspace(lo, hi, samples)
+    h = np.minimum(3e-4 * (grid - R), 1e-5 * np.maximum(grid, 1.0))
+    both = curves(params, consts, np.concatenate([grid + h, grid - h]), mode)
+    exact = curve_derivatives(params, consts, grid)
     worst = 0.0
-    for r in grid:
-        h = min(3e-4 * (r - R), 1e-5 * max(r, 1.0))
-        plus = curves(params, consts, r + h, mode)
-        minus = curves(params, consts, r - h, mode)
-        exact = curve_derivatives(params, consts, r)
-        for key, value in exact.items():
-            fd = (plus[key] - minus[key]) / (2 * h)
-            worst = max(worst, abs(fd - value) / max(1.0, abs(value)))
+    for key, value in exact.items():
+        fd = (both[key][:samples] - both[key][samples:]) / (2 * h)
+        worst = max(worst, float(np.max(np.abs(fd - value)
+                                        / np.maximum(1.0, np.abs(value)))))
     passed = worst <= DERIVATIVE_TOL
     findings = []
     if not passed:
@@ -218,27 +214,25 @@ def curvature_audit(params: ModelParams, sample_count: int = 100,
     finite-difference Ricci residual, duality residual with the one frozen
     orientation sign, and the opposite-chirality projection (which must stay
     comparable to the curvature scale; both chiralities vanishing would mean
-    the check is vacuous)."""
+    the check is vacuous). The points are drawn first, then evaluated as one
+    stack with one Riemann build each (geometry.curvature_fd)."""
     if sample_count < 1:
         raise ConfigError("sample_count must be at least 1")
     rng = np.random.default_rng(seed)
-    ricci_max = 0.0
-    sd_max = 0.0
-    asd_ratio_min = math.inf
+    pt_params, points = [], []
     for _ in range(sample_count):
         n = rng.uniform(0.5, 2.0) if vary_n else params.n
-        pt_params = ModelParams(n=n, fd_step=params.fd_step,
-                                axis_guard=params.axis_guard)
-        point = Point(tau=rng.uniform(0.0, 4 * math.pi * n),
-                      theta=rng.uniform(0.2, math.pi - 0.2),
-                      phi=rng.uniform(0.0, 2 * math.pi),
-                      r=rng.uniform(1.1 * n, 10 * n))
-        ricci_max = max(ricci_max,
-                        float(np.max(np.abs(ricci_fd(pt_params, point)))))
-        Rfr = frame_riemann_fd(pt_params, point)
-        sd_max = max(sd_max, duality_residual(Rfr, DUALITY_SIGN))
-        asd = duality_residual(Rfr, -DUALITY_SIGN)
-        asd_ratio_min = min(asd_ratio_min, asd / float(np.max(np.abs(Rfr))))
+        pt_params.append(ModelParams(n=n, fd_step=params.fd_step,
+                                     axis_guard=params.axis_guard))
+        points.append(Point(tau=rng.uniform(0.0, 4 * math.pi * n),
+                            theta=rng.uniform(0.2, math.pi - 0.2),
+                            phi=rng.uniform(0.0, 2 * math.pi),
+                            r=rng.uniform(1.1 * n, 10 * n)))
+    ricci, Rfr = curvature_fd(pt_params, points)
+    ricci_max = float(np.max(np.abs(ricci)))
+    sd_max = float(np.max(duality_residual(Rfr, DUALITY_SIGN)))
+    scale = np.abs(Rfr).max(axis=(1, 2, 3, 4))
+    asd_ratio_min = float(np.min(duality_residual(Rfr, -DUALITY_SIGN) / scale))
     curvature = {"ricci_max_abs": ricci_max,
                  "self_dual_residual_max": sd_max,
                  "anti_self_dual_min_ratio": asd_ratio_min}

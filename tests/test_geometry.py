@@ -17,12 +17,14 @@ from taubnut.geometry import (
     Point,
     christoffel_at,
     christoffel_fd_oracle,
+    curvature_fd,
     duality_residual,
     frame_at,
     frame_riemann_fd,
     inverse_metric_at,
     metric_at,
     ricci_fd,
+    riemann_fd,
     self_duality_residual,
 )
 
@@ -244,3 +246,53 @@ class TestCurvature:
         p = Point(0.0, np.pi / 3, 0.0, 2.0)
         norm = np.abs(frame_riemann_fd(P1, p)).max()
         assert self_duality_residual(P1, p, sign=-DUALITY_SIGN) >= 0.1 * norm
+
+
+def frame_riemann_oracle(params, p):
+    """The frame rotation as one 5-operand einsum over the metric-lowered
+    FD Riemann tensor: a second route beside the staged contraction."""
+    Rlow = np.einsum("al,lbcd->abcd", metric_at(params, p).components, riemann_fd(params, p))
+    E = np.linalg.inv(frame_at(params, p).rows)
+    return np.einsum("ma,nb,pc,qd,mnpq->abcd", E, E, E, E, Rlow)
+
+
+class TestCurvatureStack:
+    def test_frame_rotation_matches_einsum_oracle(self):
+        pairs = interior_points(10, seed=5)
+        _, stacked = curvature_fd(*zip(*pairs))
+        for (params, p), Rfr in zip(pairs, stacked):
+            oracle = frame_riemann_oracle(params, p)
+            scale = np.abs(oracle).max()
+            assert np.abs(frame_riemann_fd(params, p) - oracle).max() <= 1e-13 * scale
+            assert np.abs(Rfr - oracle).max() <= 1e-13 * scale
+
+    def test_stack_is_the_one_point_case(self):
+        pairs = interior_points(6, seed=9)
+        ricci, Rfr = curvature_fd(*zip(*pairs))
+        assert ricci.shape == (6, 4, 4) and Rfr.shape == (6, 4, 4, 4, 4)
+        for i, (params, p) in enumerate(pairs):
+            assert np.array_equal(ricci[i], ricci_fd(params, p))
+            assert np.array_equal(Rfr[i], frame_riemann_fd(params, p))
+        residuals = duality_residual(Rfr)
+        assert residuals.shape == (6,)
+        assert residuals.tolist() == [duality_residual(R) for R in Rfr]
+
+    @pytest.mark.parametrize("bad", [
+        Point(0.1, 5e-4, 0.2, 2.0),          # axis band
+        Point(0.1, 1e-3 + 5e-5, 0.2, 2.0),   # stencil reaches the axis band
+        Point(0.1, 1.0, 0.2, 1.0),           # r = n
+        Point(0.1, 1.0, 0.2, 1.0 + 1e-17),   # r rounds to n
+        Point(0.1, 1.0, 0.2, 0.5),           # below n
+    ])
+    def test_invalid_point_raises_like_one_point_call(self, bad):
+        with pytest.raises((AxisError, DomainError)) as one:
+            ricci_fd(P1, bad)
+        pairs = interior_points(4, seed=2)
+        pairs.insert(2, (P1, bad))
+        with pytest.raises(one.type) as stacked:
+            curvature_fd(*zip(*pairs))
+        assert str(stacked.value) == str(one.value)
+
+    def test_mismatched_lengths(self):
+        with pytest.raises(ConfigError):
+            curvature_fd([P1, P1], [Point(0.0, 1.0, 0.0, 2.0)])

@@ -48,6 +48,20 @@ class TestIntegrationConfig:
         with pytest.raises(ConfigError):
             IntegrationConfig(r_floor_rel=0.7)
 
+    @pytest.mark.parametrize("value", [1e-16, 1e-20])
+    def test_rejects_floor_margin_lost_in_rounding(self, value):
+        # n*(1 + value) == n in floats: the floor would sit at r = n
+        with pytest.raises(ConfigError):
+            IntegrationConfig(r_floor_rel=value)
+
+    def test_smallest_floor_margin_still_stops(self):
+        # 2e-16 survives 1 + r_floor_rel, so the floor is one ulp above n
+        s = PhaseState(Point(0.0, np.pi / 2, 0.0, 2.0), (0.0, 0.0, 0.0, -0.5))
+        traj = integrate(P1, s, IntegrationConfig(t_end=50.0, r_floor_rel=2e-16))
+        assert traj.termination == "SingularityApproach"
+        assert traj.t[-1] < 4.0
+        assert traj.coords[-1, 3] > 1.0
+
     def test_rejects_nonpositive_horizon(self):
         with pytest.raises(ConfigError):
             IntegrationConfig(t_end=-1.0)

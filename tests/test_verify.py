@@ -4,13 +4,29 @@ assembly, and byte-level report determinism."""
 
 import json
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from taubnut.analytic import FamilyConstants
+from taubnut import verify
+from taubnut.analytic import (
+    FamilyConstants,
+    curve_derivatives,
+    curves,
+    default_invert_mode,
+    default_mode,
+    turning_radius,
+)
 from taubnut.errors import ConfigError, DomainError
-from taubnut.geometry import ModelParams
-from taubnut.integrator import IntegrationConfig, PhaseState, norm
+from taubnut.geometry import (
+    DUALITY_SIGN,
+    ModelParams,
+    frame_riemann_fd,
+    ricci_fd,
+    self_duality_residual,
+)
+from taubnut.integrator import IntegrationConfig, PhaseState, integrate, norm
 from taubnut.geometry import Point
 from taubnut.verify import (
     SCENARIOS,
@@ -142,6 +158,61 @@ class TestDerivativeSweep:
             derivative_sweep(c_thm3(), P1, r_range=(5.0, 2.0))
 
 
+# (family, mode) pairs the verify scenarios sweep and compare
+SWEPT = [("thm1", None), ("thm2", None), ("thm3", None), ("thm4", None),
+         ("thm5", None), ("thm5", "literal")]
+
+
+class TestArraySweeps:
+    """The sweeps evaluate the curves on arrays of radii; the loops below
+    are the radius-by-radius route they replaced, with scalar curves."""
+
+    @pytest.mark.parametrize("family,mode", SWEPT)
+    def test_derivative_sweep_matches_scalar_loop(self, family, mode):
+        consts, params = seeded_family(family, 42)
+        mode = mode or default_mode(family)
+        R = turning_radius(consts, params).value
+        worst = 0.0
+        for r in np.geomspace(R * 1.001, 10 * params.n, 50):
+            h = min(3e-4 * (r - R), 1e-5 * max(r, 1.0))
+            plus = curves(params, consts, r + h, mode)
+            minus = curves(params, consts, r - h, mode)
+            for key, value in curve_derivatives(params, consts, r).items():
+                fd = (plus[key] - minus[key]) / (2 * h)
+                worst = max(worst, abs(fd - value) / max(1.0, abs(value)))
+        report = derivative_sweep(consts, params, mode=mode)
+        assert report["derivative_max_rel_error"] == worst
+
+    @pytest.mark.parametrize("family,mode", SWEPT)
+    def test_compare_matches_scalar_loop(self, monkeypatch, family, mode):
+        consts, params = seeded_family(family, 42)
+        mode = mode or default_invert_mode(family)
+        runs = []
+
+        def keep(*args):
+            runs.append(integrate(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(verify, "integrate", keep)
+        report = compare_numeric_analytic(consts, params, mode=mode)
+        (traj,) = runs
+        sel = traj.coords[:, 3] <= 5 * params.n
+        t_num, coords = traj.t[sel], traj.coords[sel]
+        outgoing = replace(consts, eps=1)
+        base = curves(params, outgoing, coords[0, 3], mode)
+        deviation = dict.fromkeys(("t", "tau", "theta", "phi"), 0.0)
+        for i, t in enumerate(t_num):
+            vals = curves(params, outgoing, coords[i, 3], mode)
+            deviation["t"] = max(deviation["t"],
+                                 abs((t - t_num[0]) - (vals["t"] - base["t"])))
+            for j, name in enumerate(("tau", "theta", "phi")):
+                dev = coords[i, j] - coords[0, j]
+                if name in vals:
+                    dev = dev - (vals[name] - base[name])
+                deviation[name] = max(deviation[name], abs(dev))
+        assert report["max_coordinate_deviation"] == deviation
+
+
 class TestCurvatureAudit:
     def test_bounds(self):
         report = curvature_audit(P1, 20, seed=11)
@@ -160,6 +231,27 @@ class TestCurvatureAudit:
     def test_sample_count_validated(self):
         with pytest.raises(ConfigError):
             curvature_audit(P1, 0)
+
+    @pytest.mark.parametrize("seed", [42, 7, 0])
+    def test_batch_equals_one_point_route(self, seed):
+        # the audit's draws, replayed through the public one-point functions
+        rng = np.random.default_rng(seed)
+        ricci, sd, ratio = [], [], []
+        for _ in range(100):
+            n = rng.uniform(0.5, 2.0)
+            params = ModelParams(n=n)
+            p = Point(tau=rng.uniform(0.0, 4 * math.pi * n),
+                      theta=rng.uniform(0.2, math.pi - 0.2),
+                      phi=rng.uniform(0.0, 2 * math.pi),
+                      r=rng.uniform(1.1 * n, 10 * n))
+            ricci.append(np.max(np.abs(ricci_fd(params, p))))
+            sd.append(self_duality_residual(params, p))
+            ratio.append(self_duality_residual(params, p, -DUALITY_SIGN)
+                         / np.max(np.abs(frame_riemann_fd(params, p))))
+        cur = curvature_audit(P1, 100, seed=seed)["curvature"]
+        assert cur == {"ricci_max_abs": max(ricci),
+                       "self_dual_residual_max": max(sd),
+                       "anti_self_dual_min_ratio": min(ratio)}
 
 
 class TestScenarios:
