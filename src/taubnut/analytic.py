@@ -1,5 +1,6 @@
 """Closed-form geodesic families, their turning radii and first integrals,
-the special-case classifier, and monotone inversion of t(r).
+the special-case classifier, monotone inversion of t(r), and the exact
+radial passthrough of r = n.
 
 Five families admit closed forms; the tags double as the data-format labels:
 
@@ -36,10 +37,10 @@ is the energy-like constant of each family's first integral.
 
 A family is one entry of the private registry _REGISTRY: its constants and
 swept coordinates, default and inversion modes, turning radius, evaluator,
-exact derivatives, first-integral velocity field, classifier extraction and
-seeded verify draw. Every function here that depends on the family, the
-CLI's choices and the verify scenarios read that entry, so adding a family
-means adding one entry.
+first-integral velocity field (which also gives the exact curve
+derivatives), classifier extraction and seeded verify draw. Every function
+here that depends on the family, the CLI's choices and the verify scenarios
+read that entry, so adding a family means adding one entry.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from scipy.optimize import brentq
 
 from .errors import ConfigError, DegenerateError, DomainError, NotAGeodesic, RangeError
 from .geometry import COORDS, ModelParams
-from .integrator import PhaseState, norm
+from .integrator import HORIZON, PhaseState, Trajectory, norm
 
 MODES = ("literal", "aligned", "corrected")
 
@@ -336,30 +337,16 @@ def thm5_curves(params: ModelParams, consts: FamilyConstants, r, mode: str = "co
     return _scalar_like(r, t), _scalar_like(r, phi), _scalar_like(r, tau)
 
 
-# Per-family pieces of the registry below. Derivatives keep their own
-# formulas rather than v_x/v_r of the velocity field: the ratio cancels in
-# r1^2 - U(r) near the turning radius and moves the verify output.
-
-def _sweep_derivatives(c, n, R, r, c0):
-    """Shared thm3/thm4 d/dr of (t, x) with x the swept angle."""
-    rootsq = np.sqrt(r * r - R * R)
-    return c.eps / c.r1 * (r + n) / rootsq, c.eps * c0 / (c.r1 * (r - n) * rootsq)
-
+# Per-family pieces of the registry below. Velocity fields take a radius or
+# an array of radii.
 
 def _dr(c, n, r, surplus):
     """dr/dt on the eps branch from the radial first integral
     (r+n)/(r-n) (dr/dt)^2 = surplus."""
-    if surplus < 0:
+    if np.any(surplus < 0):
         raise DomainError("radius below the family's turning radius")
     h1 = (r + n) / (r - n)
-    return c.eps * math.sqrt(surplus / h1)
-
-
-def _thm2_derivatives(c, n, tr, r):
-    R = tr.value
-    dt = c.eps / c.r1 * np.sqrt((r + n) / (r - R))
-    dtau = c.eps * c.tau0 / c.r1 * (r + n) ** 1.5 / ((r - n) * np.sqrt(r - R))
-    return dt, dtau
+    return c.eps * np.sqrt(surplus / h1)
 
 
 def _thm2_velocity(c, params, r):
@@ -407,25 +394,15 @@ def _thm5_turning(c, n, r1sq):
     return half_sum + rad, half_sum - rad
 
 
-def _thm5_derivatives(c, n, tr, r):
-    # the factored sqrtP = sqrt(F) / (sqrt(2n) r1) of the velocity field's F_eval
-    sqrtP = np.sqrt(r - tr.value) * np.sqrt(r - tr.r_minus)
-    ct = math.cos(c.theta_const)
-    dt = c.eps * (r + n) / (c.r1 * sqrtP)
-    dphi = c.eps * c.phi0 / (c.r1 * (r - n) * sqrtP)
-    dtau = c.eps * c.phi0 * (r + 3 * n) * ct / (2 * n * c.r1 * sqrtP)
-    return dt, dphi, dtau
-
-
 def _thm5_velocity(c, params, r):
     n = params.n
     ct = math.cos(c.theta_const)
     dphi = c.phi0 / (r * r - n * n)
     dtau = c.phi0 * (r + 3 * n) * ct / (2 * n * (r + n))
     F = F_eval(params, r, c.r1, c.phi0, c.theta_const)
-    if F < 0:
+    if np.any(F < 0):
         raise DomainError("radius below the family's turning radius")
-    dr = c.eps * math.sqrt(F) / (math.sqrt(2 * n) * (r + n))
+    dr = c.eps * np.sqrt(F) / (math.sqrt(2 * n) * (r + n))
     return (dtau, 0.0, dphi, dr)
 
 
@@ -434,7 +411,7 @@ def _thm5_extract(n, r, theta, v, radial_sq, tol):
     ct = math.cos(theta)
     rp2 = (r + n) ** 2
     resid = (4 * n * n * ct / rp2 - ct) * phi_d + 2 * n / rp2 * tau_d
-    if abs(theta - np.pi / 2) > tol and abs(resid) <= tol * (1.0 + abs(tau_d) + abs(phi_d)):
+    if abs(theta - np.pi / 2) > tol and abs(resid) <= tol * (abs(tau_d) + abs(phi_d)):
         phi0 = (r * r - n * n) * phi_d
         st = math.sin(theta)
         r1 = math.sqrt(radial_sq
@@ -458,7 +435,6 @@ class _Family:
     start_theta: Callable  # c -> latitude a numeric orbit of the family starts at
     turning: Callable     # (c, n, r1^2) -> (R, R- or None)
     evaluate: Callable    # public evaluator (params, c, r, mode) -> curves
-    derivatives: Callable  # (c, n, TurningRadius, r) -> exact d/dr per curve
     velocity: Callable    # (c, params, r) -> v from the first integrals
     extract: Callable     # (n, r, theta, v, radial_sq, tol) -> {r1, constants},
                           # or None when the state is off the family
@@ -483,7 +459,6 @@ _REGISTRY = {
         start_theta=lambda c: 1.0,
         turning=lambda c, n, r1sq: (n, None),
         evaluate=lambda *args: (thm1_t_of_r(*args),),
-        derivatives=lambda c, n, tr, r: (c.eps / c.r1 * np.sqrt((r + n) / (r - n)),),
         velocity=lambda c, params, r: (0.0, 0.0, 0.0, _dr(c, params.n, r, c.r1 * c.r1)),
         extract=lambda n, r, theta, v, radial_sq, tol: {"r1": math.sqrt(radial_sq)},
         draw=lambda rng, n, r1, sign: {},
@@ -493,7 +468,6 @@ _REGISTRY = {
         start_theta=lambda c: 1.0,
         turning=lambda c, n, r1sq: (n + 2 * c.tau0**2 * n / r1sq, None),
         evaluate=thm2_curves,
-        derivatives=_thm2_derivatives,
         velocity=_thm2_velocity,
         extract=_thm2_extract,
         draw=lambda rng, n, r1, sign: {"tau0": sign * rng.uniform(0.3, 0.8) * r1},
@@ -503,7 +477,6 @@ _REGISTRY = {
         start_theta=lambda c: math.pi / 2,
         turning=lambda c, n, r1sq: (math.sqrt(n * n + c.phi0**2 / r1sq), None),
         evaluate=thm3_curves,
-        derivatives=lambda c, n, tr, r: _sweep_derivatives(c, n, tr.value, r, c.phi0),
         velocity=_thm3_velocity,
         extract=_thm3_extract,
         draw=lambda rng, n, r1, sign: {"phi0": sign * rng.uniform(0.3, 0.8) * n},
@@ -513,7 +486,6 @@ _REGISTRY = {
         start_theta=lambda c: 1.0,
         turning=lambda c, n, r1sq: (math.sqrt(n * n + c.theta0**2 / r1sq), None),
         evaluate=thm4_curves,
-        derivatives=lambda c, n, tr, r: _sweep_derivatives(c, n, tr.value, r, c.theta0),
         velocity=_thm4_velocity,
         extract=_thm4_extract,
         draw=lambda rng, n, r1, sign: {
@@ -527,7 +499,6 @@ _REGISTRY = {
         start_theta=lambda c: c.theta_const,
         turning=_thm5_turning,
         evaluate=thm5_curves,
-        derivatives=_thm5_derivatives,
         velocity=_thm5_velocity,
         extract=_thm5_extract,
         draw=lambda rng, n, r1, sign: {
@@ -556,16 +527,18 @@ def curves(params: ModelParams, consts: FamilyConstants, r, mode: str | None = N
 
 
 def curve_derivatives(params: ModelParams, consts: FamilyConstants, r):
-    """Exact d/dr of each curve from the first integrals (mode-independent
-    for thm1-4 and equal to the corrected-mode derivatives for thm5), keyed
-    like curves(). Radii must sit strictly above the turning radius."""
+    """Exact d/dr of each curve from the first-integral velocity field v:
+    dt/dr = 1/v_r and dx/dr = v_x/v_r (mode-independent for thm1-4 and equal
+    to the corrected-mode derivatives for thm5), keyed like curves(). Radii
+    must sit strictly above the turning radius."""
     spec = _spec(consts.family, "has no closed-form curves")
-    tr = turning_radius(consts, params)
+    R = turning_radius(consts, params).value
     arr = np.asarray(r, dtype=float)
-    if np.any(arr <= tr.value):
-        raise DomainError(f"derivatives need r > turning radius {tr.value}")
-    exact = spec.derivatives(consts, params.n, tr, arr)
-    return {key: _scalar_like(r, d) for key, d in zip(("t", *spec.swept), exact)}
+    if np.any(arr <= R):
+        raise DomainError(f"derivatives need r > turning radius {R}")
+    v = dict(zip(COORDS, spec.velocity(consts, params, arr)))
+    exact = {"t": 1.0 / v["r"], **{key: v[key] / v["r"] for key in spec.swept}}
+    return {key: _scalar_like(r, d) for key, d in exact.items()}
 
 
 def family_velocities(consts: FamilyConstants, params: ModelParams,
@@ -582,32 +555,39 @@ def family_velocities(consts: FamilyConstants, params: ModelParams,
 def classify(params: ModelParams, state: PhaseState, tol: float = 1e-9) -> FamilyConstants:
     """Match a phase-space state to its closed-form family.
 
-    Decision tree on which velocity components exceed tol: all below gives a
-    stationary point; dr/dt below tol with any other component above means the
-    state cannot lie on a geodesic at all (constant r forces every velocity to
-    vanish), raising NotAGeodesic. Otherwise the family is picked by the
-    surviving components, r1 is extracted from that family's first integral
-    (never from the norm, which also counts kinetic terms the first integrals
-    exclude), and the anchors are backed out so the state sits on the aligned
-    curve (corrected for thm5) at affine time zero."""
-    if tol <= 0:
-        raise ConfigError("tol must be positive")
+    Decision tree on which velocity components exceed tol times the largest
+    one, so the answer does not depend on the affine scale of the velocity: a
+    state with every component 0 is a stationary point; dr/dt at or below
+    that bound means the state cannot lie on a geodesic at all (constant r
+    forces every velocity to vanish), raising NotAGeodesic. Otherwise the
+    family is picked by the components above the bound, r1 is extracted from
+    that family's first integral (never from the norm, which also counts
+    kinetic terms the first integrals exclude), and the anchors are backed
+    out so the state sits on the aligned curve (corrected for thm5) at
+    affine time zero. The equator test of thm3 and thm5 compares theta with
+    pi/2 to the absolute tol."""
+    if not 0 < tol < math.inf:
+        raise ConfigError("tol must be positive and finite")
+    p = state.point
+    if not all(map(math.isfinite, (p.tau, p.theta, p.phi, p.r, *state.velocity))):
+        raise ConfigError("state coordinates and velocity must be finite")
     n = params.n
     tau_d, theta_d, phi_d, r_d = state.velocity
-    r = state.point.r
-    theta = state.point.theta
+    r, theta = p.r, p.theta
     if r <= n:
         raise DomainError(f"r must exceed n = {n}")
-    if max(abs(tau_d), abs(theta_d), abs(phi_d), abs(r_d)) <= tol:
+    scale = max(abs(tau_d), abs(theta_d), abs(phi_d), abs(r_d))
+    if scale == 0:
         return FamilyConstants(family="stationary", eps=1, r1=0.0)
-    if abs(r_d) <= tol:
+    bound = tol * scale
+    if abs(r_d) <= bound:
         raise NotAGeodesic(
             "constant r forces every velocity component to vanish; "
             "no geodesic passes through this state")
     eps = 1 if r_d > 0 else -1
     h1 = (r + n) / (r - n)
     radial_sq = h1 * r_d * r_d
-    moving = {k for k, v in zip(COORDS, (tau_d, theta_d, phi_d)) if abs(v) > tol}
+    moving = {k for k, v in zip(COORDS, (tau_d, theta_d, phi_d)) if abs(v) > bound}
     for fam, spec in _REGISTRY.items():
         if set(spec.swept) != moving:
             continue
@@ -640,6 +620,8 @@ def invert_t_of_r(params: ModelParams, consts: FamilyConstants, t: float,
     eps = -1), so the inverse exists on one side of the curve's value at the
     turning radius; times on the other side raise RangeError."""
     spec = _spec(consts.family, "has no closed-form curves")
+    if not math.isfinite(t):
+        raise ConfigError(f"t must be finite, got {t}")
     if mode is None:
         mode = spec.invert_mode
     _check_mode(consts.family, mode)
@@ -676,6 +658,8 @@ def stitched_coords(params: ModelParams, consts: FamilyConstants, ts):
     outgoing = replace(consts, eps=1)
     anchors = {"tau": consts.tau1, "phi": consts.phi1, "theta": consts.theta1}
     ts = np.asarray(ts, dtype=float)
+    if not np.all(np.isfinite(ts)):
+        raise ConfigError("times must be finite")
     flat = np.atleast_1d(ts)
     out = {"t": flat.copy(), "r": np.empty_like(flat)}
     coord_keys = [k for k in ("tau", "theta", "phi") if anchors[k] is not None]
@@ -691,6 +675,52 @@ def stitched_coords(params: ModelParams, consts: FamilyConstants, ts):
                 x = vals[key]
                 out[key][i] = 2 * anchors[key] - x if mirrored else x
     return out
+
+
+def radial_passthrough(params: ModelParams, t1: float, r1: float, direction: int,
+                       *, r_max: float | None = None, samples: int = 201,
+                       tau: float = 0.0, theta: float = np.pi / 2,
+                       phi: float = 0.0) -> Trajectory:
+    """Exact radial trajectory continued across r = n: the incoming branch
+    reaches the origin point at t = t1 with coordinate speed dr/dt -> 0 but
+    constant sqrt((r+n)/(r-n)) dr/dt, and the outgoing branch leaves it, so
+    r(t1+d) = r(t1-d). This is the only family that touches r = n; built in
+    closed form from the thm1 curve (stitched_coords) and its velocity field,
+    no stepping involved.
+
+    The stitched profile is invariant under swapping which branch is labeled
+    incoming, so `direction` (+1 or -1) is validated as bookkeeping only.
+    The angular coordinates are constant and configurable; they do not enter
+    the radial motion. Samples are uniform in t over [t1 - T, t1 + T] where
+    T is the time to reach r_max (default 5n)."""
+    n = params.n
+    if r1 == 0:
+        raise DegenerateError("radial constant r1 must be nonzero")
+    if direction not in (1, -1):
+        raise ConfigError("direction must be +1 or -1")
+    if samples < 3 or samples % 2 == 0:
+        raise ConfigError("samples must be an odd count >= 3")
+    if not np.all(np.isfinite((tau, theta, phi))):
+        raise ConfigError("tau, theta and phi must be finite")
+    consts = FamilyConstants(family="thm1", r1=abs(float(r1)), t1=float(t1))
+    top = 5 * n if r_max is None else float(r_max)
+    if not n < top < math.inf:
+        raise ConfigError("r_max must be finite and exceed n")
+
+    T = thm1_t_of_r(params, consts, top, "aligned") - consts.t1
+    ts = consts.t1 + np.linspace(-T, T, samples)
+    r = stitched_coords(params, consts, ts)["r"]
+    # dr/dt is 0 on the seam r = n, where the velocity field divides by r - n
+    dr = np.zeros(samples)
+    off = r > n
+    speed = _REGISTRY["thm1"].velocity(consts, params, r[off])[3]
+    dr[off] = np.sign(ts[off] - consts.t1) * speed
+    # charges vanish (no tau/phi motion); norm = g_rr dr^2 = r1^2 exactly,
+    # including in the r -> n limit
+    rows = np.zeros((samples, 12))
+    rows[:, 0], rows[:, 4], rows[:, 8], rows[:, 11] = ts, r, dr, consts.r1 * consts.r1
+    rows[:, 1:4] = tau, theta, phi
+    return Trajectory(rows, HORIZON)
 
 
 def family_to_json(consts: FamilyConstants, params: ModelParams) -> dict:

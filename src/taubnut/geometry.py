@@ -11,7 +11,8 @@ hyperspherical coordinates; the manifold is topologically R^4). This module
 evaluates the metric, its inverse, the Christoffel symbols and an orthonormal
 coframe from their closed forms, and provides independent finite-difference
 oracles for the Christoffels and for curvature (Ricci residual, self-duality
-residual in the orthonormal frame).
+residual in the orthonormal frame). The Christoffel closed forms written here
+are the package's only copy; the integrator's geodesic equations use them.
 
 All functions are pure; coordinate index order is fixed by COORDS throughout.
 """
@@ -160,39 +161,51 @@ def _ipow(x, k: int):
     return x**k
 
 
-def _christoffel(n, theta, r) -> np.ndarray:
-    """christoffel_at's closed forms broadcast over n, theta and r:
-    shape (..., 4, 4, 4), [..., lam, mu, nu] = Gamma^lam_{mu nu}. Callers
-    apply the chart and axis guards."""
-    ct, st = np.cos(theta), np.sin(theta)
+# (lam, mu, nu) of the fifteen independent Christoffel symbols
+# Gamma^lam_{mu nu}: the eleven regular ones in _connection_regular's order,
+# then the four that carry 1/sin(theta) in _connection_singular's order
+_CONNECTION = ((TAU, TAU, R), (TAU, PHI, R), (R, TAU, TAU), (R, TAU, PHI), (R, R, R),
+               (R, THETA, THETA), (R, PHI, PHI), (THETA, TAU, PHI), (THETA, R, THETA),
+               (THETA, PHI, PHI), (PHI, PHI, R),
+               (TAU, TAU, THETA), (TAU, PHI, THETA), (PHI, TAU, THETA), (PHI, PHI, THETA))
+
+
+def _connection_regular(n, r, ct, st) -> tuple:
+    """The eleven Christoffel symbols free of 1/sin(theta), in _CONNECTION
+    order, from n, r, cos(theta) and sin(theta) (scalars or arrays)."""
     ct2, st2 = _ipow(ct, 2), _ipow(st, 2)
     n2, n3 = _ipow(n, 2), _ipow(n, 3)
     rho2 = _ipow(r, 2) - n2
     rp = r + n
     rm = r - n
     rp2, rp3 = _ipow(rp, 2), _ipow(rp, 3)
-    shape = np.shape(ct * rho2)
-    G = np.zeros((4, 4, 4) + shape)  # component axes first: plain-index writes
+    return (n / rho2, -2 * n * ct / rp, -n * rm / rp3, -2 * n2 * rm * ct / rp3, -n / rho2,
+            -r * rm / rp, -(4 * n3 * ct2 / rp2 + r * st2) * rm / rp, n * st / rp2, r / rho2,
+            4 * n2 * ct * st / rp2 - st * ct, r / rho2)
 
-    def sym(lam, mu, nu, val):
+
+def _connection_singular(n, r, ct, st) -> tuple:
+    """The four Christoffel symbols that carry 1/sin(theta), in _CONNECTION
+    order after the regular ones; st must be nonzero."""
+    ct2, st2 = _ipow(ct, 2), _ipow(st, 2)
+    n2, n3 = _ipow(n, 2), _ipow(n, 3)
+    rp2 = _ipow(r + n, 2)
+    return (2 * n2 * ct / (rp2 * st),
+            (4 * n3 * ct2 - n * st2 * rp2 - 2 * n * rp2 * ct2) / (rp2 * st),
+            -n / (rp2 * st), -2 * n2 * ct / (rp2 * st) + ct / st)
+
+
+def _christoffel(n, theta, r) -> np.ndarray:
+    """christoffel_at's closed forms broadcast over n, theta and r:
+    shape (..., 4, 4, 4), [..., lam, mu, nu] = Gamma^lam_{mu nu}. Callers
+    apply the chart and axis guards."""
+    ct, st = np.cos(theta), np.sin(theta)
+    values = _connection_regular(n, r, ct, st) + _connection_singular(n, r, ct, st)
+    shape = np.broadcast_shapes(np.shape(n), np.shape(theta), np.shape(r))
+    G = np.zeros((4, 4, 4) + shape)  # component axes first: plain-index writes
+    for (lam, mu, nu), val in zip(_CONNECTION, values):
         G[lam, mu, nu] = val
         G[lam, nu, mu] = val
-
-    sym(TAU, TAU, R, n / rho2)
-    sym(TAU, TAU, THETA, 2 * n2 * ct / (rp2 * st))
-    sym(TAU, PHI, R, -2 * n * ct / rp)
-    sym(TAU, PHI, THETA, (4 * n3 * ct2 - n * st2 * rp2 - 2 * n * rp2 * ct2) / (rp2 * st))
-    sym(R, TAU, TAU, -n * rm / rp3)
-    sym(R, TAU, PHI, -2 * n2 * rm * ct / rp3)
-    sym(R, R, R, -n / rho2)
-    sym(R, THETA, THETA, -r * rm / rp)
-    sym(R, PHI, PHI, -(4 * n3 * ct2 / rp2 + r * st2) * rm / rp)
-    sym(THETA, TAU, PHI, n * st / rp2)
-    sym(THETA, R, THETA, r / rho2)
-    sym(THETA, PHI, PHI, 4 * n2 * ct * st / rp2 - st * ct)
-    sym(PHI, TAU, THETA, -n / (rp2 * st))
-    sym(PHI, PHI, R, r / rho2)
-    sym(PHI, PHI, THETA, -2 * n2 * ct / (rp2 * st) + ct / st)
     return G.transpose(*range(3, 3 + len(shape)), 0, 1, 2)
 
 

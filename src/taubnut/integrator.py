@@ -1,15 +1,19 @@
 """Adaptive numerical integration of the full geodesic system.
 
-State layout is the 8-vector (tau, theta, phi, r, dtau, dtheta, dphi, dr) in
-the fixed coordinate order. The stepper is scipy's DOP853 (the explicit
+The equations of motion contract the geometry module's closed-form
+connection coefficients with the velocity; no coefficient is written here.
+State layout is the 8-vector (tau, theta, phi, r, dtau, dtheta, dphi, dr)
+in the fixed coordinate order. The stepper is scipy's DOP853 (the explicit
 Runge-Kutta 8(5,3) code of Hairer, Norsett & Wanner, Solving ODEs I,
 sections II.5-6), driven one step at a time; its 7th-order dense output
 feeds event detection for the removable singularity r = n and the polar
 axis, and the samples on a fixed grid. Integration also stops at the affine
-horizon t_end and at the step budget. Relative tolerances below 100 machine
-epsilons are rejected, since scipy would silently raise them. The two Killing
-charges p_tau, p_phi and the velocity norm are recorded along every
-trajectory; they are monitored, never enforced.
+horizon t_end and at the step budget. Non-finite start states and relative
+tolerances below 100 machine epsilons are rejected (scipy would silently
+raise the latter). The two Killing charges p_tau, p_phi and the velocity
+norm are recorded along every trajectory; they are monitored, never
+enforced. The exact radial passthrough of r = n is a closed form and lives
+in the analytic module.
 
 Axis semantics: every 1/sin(theta) term of the equations multiplies
 dtau/dt*dtheta/dt or dphi/dt*dtheta/dt, so motion with dtau/dt = dphi/dt = 0
@@ -26,8 +30,18 @@ import numpy as np
 from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
-from .errors import AxisError, ConfigError, DegenerateError, DomainError
-from .geometry import PHI, R, TAU, THETA, ModelParams, Point, metric_at
+from .errors import AxisError, ConfigError, DomainError
+from .geometry import (
+    PHI,
+    R,
+    TAU,
+    THETA,
+    ModelParams,
+    Point,
+    _connection_regular,
+    _connection_singular,
+    metric_at,
+)
 
 TERMINATIONS = ("Horizon", "SingularityApproach", "AxisApproach", "StepBudget")
 
@@ -143,46 +157,37 @@ class Trajectory:
 
 
 def geodesic_rhs(params: ModelParams, s: PhaseState) -> np.ndarray:
-    """Velocity-and-acceleration 8-vector of the geodesic system, expanded
-    term by term. Singular 1/sin(theta) terms are entered only when their
-    velocity product is nonzero, so radial/meridional motion evaluates cleanly
-    arbitrarily close to (and across) the axis."""
+    """Velocity-and-acceleration 8-vector of the geodesic system,
+    x''^lam = -Gamma^lam_{mu nu} x'^mu x'^nu, with the connection from
+    geometry's closed forms contracted by explicit velocity products. The
+    1/sin(theta) coefficients are evaluated only when their velocity product
+    dtau*dtheta or dphi*dtheta is nonzero, so radial/meridional motion
+    evaluates cleanly arbitrarily close to (and across) the axis."""
     p = s.point
     n = params.n
     if not p.r > n:
         raise DomainError(f"r = {p.r} must exceed n = {n}")
-    r, th = p.r, p.theta
+    r = p.r
     dtau, dth, dphi, dr = s.velocity
-    ct, st = np.cos(th), np.sin(th)
-    rho2 = r * r - n * n
-    rp = r + n
-    rm = r - n
-
+    # numpy's cos and sin (the C library's differ in the last bit) as Python
+    # floats, whose arithmetic costs less than numpy scalars'
+    ct, st = float(np.cos(p.theta)), float(np.sin(p.theta))
+    # Gamma^lam_{mu nu} is named lam_mu nu, with h standing for theta
+    (t_tr, t_pr, r_tt, r_tp, r_rr, r_hh, r_pp, h_tp, h_rh, h_pp,
+     p_pr) = _connection_regular(n, r, ct, st)
+    acc_tau = -2 * (t_tr * dtau + t_pr * dphi) * dr
+    acc_theta = -(2 * (h_tp * dtau * dphi + h_rh * dr * dth) + h_pp * dphi * dphi)
+    acc_phi = -2 * p_pr * dphi * dr
+    acc_r = -(r_tt * dtau * dtau + 2 * r_tp * dtau * dphi + r_rr * dr * dr
+              + r_hh * dth * dth + r_pp * dphi * dphi)
     tau_theta = dtau * dth
     phi_theta = dphi * dth
-    tau_r = dtau * dr
-    phi_r = dphi * dr
-    tau_phi = dtau * dphi
-
-    acc_tau = -2 * n / rho2 * tau_r + 4 * n * ct / rp * phi_r
-    acc_phi = -2 * r / rho2 * phi_r
     if tau_theta != 0.0 or phi_theta != 0.0:
         if st == 0.0:
             raise AxisError("1/sin(theta) term activated exactly on the axis")
-        acc_tau -= 4 * n**2 * ct / (rp**2 * st) * tau_theta
-        acc_tau -= (2 * (4 * n**3 * ct**2 - n * st**2 * rp**2 - 2 * n * rp**2 * ct**2)
-                    / (rp**2 * st) * phi_theta)
-        acc_phi -= 2 * (-2 * n**2 * ct / (rp**2 * st) + ct / st) * phi_theta
-        acc_phi += 2 * n / (rp**2 * st) * tau_theta
-
-    acc_theta = (-2 * r / rho2 * dr * dth
-                 - (4 * n**2 * ct * st / rp**2 - st * ct) * dphi * dphi
-                 - 2 * n * st / rp**2 * tau_phi)
-    acc_r = (n / rho2 * dr * dr
-             + n * rm / rp**3 * dtau * dtau
-             + r * rm / rp * dth * dth
-             + (4 * n**3 * ct**2 / rp**2 + r * st**2) * rm / rp * dphi * dphi
-             + 4 * n**2 * rm * ct / rp**3 * tau_phi)
+        t_th, t_ph, p_th, p_ph = _connection_singular(n, r, ct, st)
+        acc_tau -= 2 * (t_th * tau_theta + t_ph * phi_theta)
+        acc_phi -= 2 * (p_th * tau_theta + p_ph * phi_theta)
     return np.array([dtau, dth, dphi, dr, acc_tau, acc_theta, acc_phi, acc_r])
 
 
@@ -250,6 +255,8 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
     t also ends in StepBudget."""
     n = params.n
     y = state.as_array()
+    if not np.all(np.isfinite(y)):
+        raise ConfigError("state coordinates and velocity must be finite")
     r_floor = n * (1.0 + cfg.r_floor_rel)
     if y[R] <= r_floor and not y[R] > n:
         raise DomainError(f"initial r = {y[R]} must exceed n = {n}")
@@ -340,71 +347,6 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
         if not rows or rows[-1][0] < t_stop:
             rows.append(_row(params, t_stop, y_stop))
     return Trajectory(np.asarray(rows), termination)
-
-
-def _radial_profile(n: float) -> tuple:
-    """Antiderivative B(r) of sqrt((r+n)/(r-n)) and its value at r = n, so
-    that t(r) = t1 + (B(r) - B(n))/c along the outgoing radial branch."""
-
-    def B(r):
-        return np.sqrt(r * r - n * n) + 2 * n * np.log(np.sqrt(r + n) + np.sqrt(r - n))
-
-    return B, 2 * n * np.log(np.sqrt(2 * n))
-
-
-def radial_passthrough(params: ModelParams, t1: float, r1: float, direction: int,
-                       *, r_max: float | None = None, samples: int = 201,
-                       tau: float = 0.0, theta: float = np.pi / 2,
-                       phi: float = 0.0) -> Trajectory:
-    """Exact radial trajectory continued across r = n: the incoming branch
-    reaches the origin point at t = t1 with coordinate speed dr/dt -> 0 but
-    constant sqrt((r+n)/(r-n)) dr/dt, and the outgoing branch leaves it, so
-    r(t1+d) = r(t1-d). This is the only family that touches r = n; built in
-    closed form, no stepping involved.
-
-    The stitched profile is invariant under swapping which branch is labeled
-    incoming, so `direction` (+1 or -1) is validated as bookkeeping only.
-    The angular coordinates are constant and configurable; they do not enter
-    the radial motion. Samples are uniform in t over [t1 - T, t1 + T] where
-    T is the time to reach r_max (default 5n)."""
-    n = params.n
-    if r1 == 0:
-        raise DegenerateError("radial constant r1 must be nonzero")
-    if direction not in (1, -1):
-        raise ConfigError("direction must be +1 or -1")
-    if samples < 3 or samples % 2 == 0:
-        raise ConfigError("samples must be an odd count >= 3")
-    c = abs(float(r1))
-    top = 5 * n if r_max is None else float(r_max)
-    if not top > n:
-        raise ConfigError("r_max must exceed n")
-
-    B, B_n = _radial_profile(n)
-    T = (B(top) - B_n) / c
-    ts = t1 + np.linspace(-T, T, samples)
-
-    def r_of_dt(dt_abs):
-        if dt_abs == 0.0:
-            return n
-        target = c * dt_abs
-
-        def g(r):
-            return B(r) - B_n - target
-
-        hi = top
-        while g(hi) < 0:
-            hi *= 2
-        return float(brentq(g, n, hi, xtol=1e-14, rtol=8.9e-16))
-
-    rows = np.empty((samples, 12))
-    for i, t in enumerate(ts):
-        dt = t - t1
-        r = r_of_dt(abs(dt))
-        dr = 0.0 if r == n else np.sign(dt) * c * np.sqrt((r - n) / (r + n))
-        # charges vanish (no tau/phi motion); norm = g_rr dr^2 = c^2 exactly,
-        # including in the r -> n limit
-        rows[i] = [t, tau, theta, phi, r, 0.0, 0.0, 0.0, dr, 0.0, 0.0, c * c]
-    return Trajectory(rows, HORIZON)
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:

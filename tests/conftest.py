@@ -1,0 +1,7 @@
+"""Hypothesis runs derandomized and without its example database, so the
+suite draws the same examples on every run and writes no files."""
+
+from hypothesis import settings
+
+settings.register_profile("taubnut", derandomize=True, database=None)
+settings.load_profile("taubnut")

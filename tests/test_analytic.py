@@ -544,6 +544,25 @@ class TestClassify:
             classify(P1, PhaseState(Point(0, 1.0, 0, 2.0), (0, 0, 0, 0.5)),
                      tol=0.0)
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e6])
+    def test_scale_free(self, scale):
+        # the affine parameter's scale must not change the family; r1 and
+        # phi0 scale with the velocity
+        v = (0.0, 0.0, 1 / 3, math.sqrt(2) / 3)
+        state = PhaseState(Point(0.0, math.pi / 2, 0.0, 2.0), tuple(scale * x for x in v))
+        consts = classify(P1, state)
+        assert consts.family == "thm3" and consts.eps == 1
+        assert consts.r1 == pytest.approx(scale, rel=1e-13)
+        assert consts.phi0 == pytest.approx(scale, rel=1e-13)
+
+    @pytest.mark.parametrize("point,velocity", [
+        (Point(0, 1.0, 0, 2.0), (0, 0, math.nan, 1)),
+        (Point(0, 1.0, 0, 2.0), (math.inf, 0, 0, 1)),
+        (Point(0, math.nan, 0, 2.0), (0, 0, 0, 1))])
+    def test_rejects_non_finite_state(self, point, velocity):
+        with pytest.raises(ConfigError):
+            classify(P1, PhaseState(point, velocity))
+
     def test_consistent_along_trajectory(self):
         # every point of an integrated family trajectory classifies to the
         # same constants; t1 shifts back by the elapsed time
@@ -585,6 +604,11 @@ class TestInvert:
             invert_t_of_r(P1, c_thm1(), -0.5)
         with pytest.raises(RangeError):
             invert_t_of_r(P1, c_thm4(eps=-1), 0.5)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_time(self, t):
+        with pytest.raises(ConfigError):
+            invert_t_of_r(P1, c_thm1(), t)
 
     def test_frozen_radial_inversion(self):
         r = invert_t_of_r(P05, c_thm1(), THM1_T_13)
@@ -630,6 +654,10 @@ class TestStitched:
         with pytest.raises(ConfigError):
             stitched_coords(P1, FamilyConstants(family="generic", eps=1,
                                                 r1=1.0), [0.0])
+
+    def test_rejects_non_finite_time(self):
+        with pytest.raises(ConfigError):
+            stitched_coords(P1, c_thm1(), [0.0, math.nan, 1.0])
 
 
 class TestJsonRecords:

@@ -6,10 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from taubnut import integrator
+from taubnut import integrator, radial_passthrough
 from taubnut.errors import AxisError, ConfigError, DegenerateError, DomainError
-from taubnut.geometry import ModelParams, Point, christoffel_at
+from taubnut.geometry import ModelParams, Point, christoffel_at, christoffel_fd_oracle
 from taubnut.integrator import (
     REL_TOL_FLOOR,
     IntegrationConfig,
@@ -19,7 +21,6 @@ from taubnut.integrator import (
     integrate,
     killing_charges,
     norm,
-    radial_passthrough,
     trajectory_from_csv,
     trajectory_to_csv,
 )
@@ -121,6 +122,24 @@ class TestGeodesicRhs:
         assert np.allclose(out[:4], v, atol=0)
         assert np.allclose(out[4:], acc, atol=1e-13)
 
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.floats(0.5, 2.0), theta=st.floats(0.2, math.pi - 0.2),
+           r_over_n=st.floats(1.1, 10.0),
+           speeds=st.tuples(*[st.floats(0.1, 1.0)] * 4),
+           signs=st.tuples(*[st.sampled_from((-1.0, 1.0))] * 4))
+    def test_matches_fd_oracle_contraction(self, n, theta, r_over_n, speeds, signs):
+        # the independent route: -Gamma(v, v) with Gamma from central
+        # differences of the metric; every velocity component is nonzero, so
+        # the 1/sin(theta) terms are active. Each acceleration is compared
+        # relative to the sum of its terms' magnitudes.
+        params = ModelParams(n=n)
+        p = Point(0.0, theta, 0.0, r_over_n * n)
+        v = np.array(speeds) * np.array(signs)
+        terms = np.einsum("lmn,m,n->lmn", christoffel_fd_oracle(params, p).components, v, v)
+        acc = geodesic_rhs(params, PhaseState(p, tuple(v)))[4:]
+        scale = np.abs(terms).sum(axis=(1, 2))
+        assert np.all(np.abs(acc + terms.sum(axis=(1, 2))) <= 1e-6 * scale)
+
     def test_rejects_r_at_or_below_n(self):
         with pytest.raises(DomainError):
             geodesic_rhs(P1, PhaseState(Point(0.0, 1.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0)))
@@ -198,6 +217,14 @@ class TestIntegrate:
         traj = integrate(P1, s, IntegrationConfig(t_end=5.0))
         assert traj.termination == "Horizon"
         assert len(traj) == 1 and traj.norm[0] == 0.0
+
+    @pytest.mark.parametrize("state", [
+        PhaseState(Point(0.0, 1.0, 0.0, 2.0), (0.0, 0.0, math.nan, 1.0)),
+        PhaseState(Point(0.0, 1.0, 0.0, math.inf), (0.0, 0.0, 0.0, -1.0)),
+        PhaseState(Point(math.nan, 1.0, 0.0, 2.0), (0.0, 0.0, 0.0, 1.0))])
+    def test_rejects_non_finite_state(self, state):
+        with pytest.raises(ConfigError):
+            integrate(P1, state, IntegrationConfig(t_end=1.0))
 
     def test_immediate_floor_violation(self):
         s = PhaseState(Point(0.0, np.pi / 2, 0.0, 1.0 + 1e-7), (0.0, 0.0, 0.0, -0.1))
@@ -374,6 +401,14 @@ class TestRadialPassthrough:
     def test_rejects_bad_direction(self):
         with pytest.raises(ConfigError):
             radial_passthrough(P1, 0.0, 1.0, 2)
+
+    @pytest.mark.parametrize("kwargs", [{"t1": math.nan}, {"t1": math.inf},
+                                        {"r_max": math.inf}, {"r_max": math.nan},
+                                        {"theta": math.nan}])
+    def test_rejects_non_finite(self, kwargs):
+        args = {"t1": 0.0, "r1": 1.0, "direction": +1, **kwargs}
+        with pytest.raises(ConfigError):
+            radial_passthrough(P1, **args)
 
 
 class TestTrajectoryCsv:
