@@ -138,8 +138,8 @@ def turning_radius(consts: FamilyConstants, params: ModelParams) -> TurningRadiu
     the root pair (R+, R-) of the quadratic F for thm5. Always >= n, with
     equality exactly when the family's angular constant vanishes."""
     spec = _spec(consts.family, "has no turning radius")
-    if consts.r1 == 0:
-        raise DegenerateError("turning radius needs r1 != 0")
+    if consts.r1 * consts.r1 == 0:
+        raise DegenerateError(f"turning radius needs r1*r1 != 0 (r1 = {consts.r1!r})")
     value, r_minus = spec.turning(consts, params.n, consts.r1 * consts.r1)
     return TurningRadius(value, consts.family, r_minus=r_minus)
 
@@ -541,12 +541,11 @@ def curve_derivatives(params: ModelParams, consts: FamilyConstants, r):
     return {key: _scalar_like(r, d) for key, d in exact.items()}
 
 
-def family_velocities(consts: FamilyConstants, params: ModelParams,
-                      r: float) -> tuple:
-    """Velocity components at radius r rebuilt from the family's first
-    integrals, on the branch selected by eps."""
+def family_velocities(consts: FamilyConstants, params: ModelParams, r) -> tuple:
+    """Velocity components at radius r (a float or an array of radii)
+    rebuilt from the family's first integrals, on the branch selected by eps."""
     n = params.n
-    if r <= n:
+    if np.any(np.asarray(r) <= n):
         raise DomainError(f"r must exceed n = {n}")
     spec = _spec(consts.family, "has no first-integral velocity field")
     return spec.velocity(consts, params, r)

@@ -124,9 +124,9 @@ def metric_at(params: ModelParams, p: Point) -> MetricTensor:
     g = np.zeros((4, 4))
     g[TAU, TAU] = f
     g[TAU, PHI] = g[PHI, TAU] = 2 * n * ct * f
-    g[PHI, PHI] = 4 * n**2 * ct**2 * f + (r**2 - n**2) * st**2
+    g[PHI, PHI] = 4 * _ipow(n, 2) * ct**2 * f + (_ipow(r, 2) - _ipow(n, 2)) * st**2
     g[R, R] = (r + n) / (r - n)
-    g[THETA, THETA] = r**2 - n**2
+    g[THETA, THETA] = _ipow(r, 2) - _ipow(n, 2)
     return MetricTensor(g)
 
 
@@ -137,9 +137,9 @@ def inverse_metric_at(params: ModelParams, p: Point) -> MetricTensor:
     _require_off_axis(params, p.theta)
     n, r, th = params.n, p.r, p.theta
     ct, st = np.cos(th), np.sin(th)
-    rho2 = r**2 - n**2
+    rho2 = _ipow(r, 2) - _ipow(n, 2)
     ginv = np.zeros((4, 4))
-    ginv[TAU, TAU] = 4 * n**2 * ct**2 / (rho2 * st**2) + (r + n) / (r - n)
+    ginv[TAU, TAU] = 4 * _ipow(n, 2) * ct**2 / (rho2 * st**2) + (r + n) / (r - n)
     ginv[TAU, PHI] = ginv[PHI, TAU] = -2 * n * ct / (rho2 * st**2)
     ginv[PHI, PHI] = 1.0 / (rho2 * st**2)
     ginv[R, R] = (r - n) / (r + n)
@@ -155,10 +155,14 @@ def _ipow(x, k: int):
     every element of an array. numpy's array square (x*x) rounds about one
     result in a thousand differently, its array power about one in twenty;
     the finite-difference stencil magnifies such a last-bit change into the
-    reported curvature residuals."""
-    if isinstance(x, np.ndarray):
-        return _libm_pow(x, k).astype(float)
-    return x**k
+    reported curvature residuals. A power beyond the float range raises
+    DomainError: the closed forms cannot be evaluated that far out."""
+    try:
+        if isinstance(x, np.ndarray):
+            return _libm_pow(x, k).astype(float)
+        return x**k
+    except OverflowError:
+        raise DomainError(f"x**{k} overflows a float at |x| = {np.max(np.abs(x))}") from None
 
 
 # (lam, mu, nu) of the fifteen independent Christoffel symbols

@@ -3,11 +3,12 @@
 The equations of motion contract the geometry module's closed-form
 connection coefficients with the velocity; no coefficient is written here.
 State layout is the 8-vector (tau, theta, phi, r, dtau, dtheta, dphi, dr)
-in the fixed coordinate order. The stepper is scipy's DOP853 (the explicit
-Runge-Kutta 8(5,3) code of Hairer, Norsett & Wanner, Solving ODEs I,
-sections II.5-6), driven one step at a time; its 7th-order dense output
-feeds event detection for the removable singularity r = n and the polar
-axis, and the samples on a fixed grid. Integration also stops at the affine
+in the fixed coordinate order; geodesic_rhs takes it flat. The stepper is
+scipy's DOP853 (the explicit Runge-Kutta 8(5,3) code of Hairer, Norsett &
+Wanner, Solving ODEs I, sections II.5-6), driven one step at a time; its
+7th-order dense output, evaluated once per step for every event, feeds
+event detection for the removable singularity r = n and the polar axis, and
+the samples on a fixed grid. Integration also stops at the affine
 horizon t_end and at the step budget. Non-finite start states and relative
 tolerances below 100 machine epsilons are rejected (scipy would silently
 raise the latter). The two Killing charges p_tau, p_phi and the velocity
@@ -53,6 +54,9 @@ STEP_BUDGET = "StepBudget"
 # smallest relative tolerance the stepper honours; below it scipy would
 # silently raise rel_tol to this value
 REL_TOL_FLOOR = 100 * np.finfo(float).eps
+
+# fractions of each accepted step at which the event scan reads the interpolant
+_PROBES = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
 
 
 @dataclass(frozen=True)
@@ -156,22 +160,22 @@ class Trajectory:
         return self.data.shape[0]
 
 
-def geodesic_rhs(params: ModelParams, s: PhaseState) -> np.ndarray:
+def geodesic_rhs(params: ModelParams, y: np.ndarray) -> np.ndarray:
     """Velocity-and-acceleration 8-vector of the geodesic system,
-    x''^lam = -Gamma^lam_{mu nu} x'^mu x'^nu, with the connection from
-    geometry's closed forms contracted by explicit velocity products. The
-    1/sin(theta) coefficients are evaluated only when their velocity product
-    dtau*dtheta or dphi*dtheta is nonzero, so radial/meridional motion
-    evaluates cleanly arbitrarily close to (and across) the axis."""
-    p = s.point
+    x''^lam = -Gamma^lam_{mu nu} x'^mu x'^nu, at the flat state y (a
+    PhaseState passes s.as_array()), with the connection from geometry's
+    closed forms contracted by explicit velocity products. The 1/sin(theta)
+    coefficients are evaluated only when their velocity product dtau*dtheta
+    or dphi*dtheta is nonzero, so radial/meridional motion evaluates cleanly
+    arbitrarily close to (and across) the axis. r <= n, and radii whose
+    powers overflow a float, raise DomainError."""
+    _, theta, _, r, dtau, dth, dphi, dr = y.tolist()
     n = params.n
-    if not p.r > n:
-        raise DomainError(f"r = {p.r} must exceed n = {n}")
-    r = p.r
-    dtau, dth, dphi, dr = s.velocity
+    if not r > n:
+        raise DomainError(f"r = {r} must exceed n = {n}")
     # numpy's cos and sin (the C library's differ in the last bit) as Python
     # floats, whose arithmetic costs less than numpy scalars'
-    ct, st = float(np.cos(p.theta)), float(np.sin(p.theta))
+    ct, st = float(np.cos(theta)), float(np.sin(theta))
     # Gamma^lam_{mu nu} is named lam_mu nu, with h standing for theta
     (t_tr, t_pr, r_tt, r_tp, r_rr, r_hh, r_pp, h_tp, h_rh, h_pp,
      p_pr) = _connection_regular(n, r, ct, st)
@@ -209,26 +213,19 @@ def norm(params: ModelParams, s: PhaseState) -> float:
     return float(v @ g @ v)
 
 
-def _rhs_vec(params: ModelParams, y: np.ndarray) -> np.ndarray:
-    return geodesic_rhs(params, PhaseState.from_array(y))
-
-
-def _first_crossing(interp, t0, t1, value, index, sign):
-    """Earliest t in (t0, t1] where sign*(y[index](t) - value) reaches zero,
-    given sign*(y[index](t0) - value) > 0; None if no crossing."""
-
-    def g(t):
-        return sign * (interp(t)[index] - value)
-
-    probes = [t0 + f * (t1 - t0) for f in (0.25, 0.5, 0.75)] + [t1]
-    lo = t0
-    for t in probes:
-        if g(t) <= 0.0:
-            if g(lo) <= 0.0:
-                return lo
-            return float(brentq(g, lo, t, xtol=1e-14, rtol=8.9e-16))
-        lo = t
-    return None
+def _first_crossing(interp, ts, ys, value, index, sign):
+    """Earliest t in [ts[0], ts[-1]] where sign*(y[index](t) - value) reaches
+    zero, given the states ys = interp(ts) at the probe times ts; None if no
+    probe reaches it. Only the first probe interval that reaches zero is
+    root-solved."""
+    reached = np.flatnonzero(sign * (ys[index] - value) <= 0.0)
+    if reached.size == 0:
+        return None
+    k = reached[0]
+    if k == 0:
+        return float(ts[0])
+    return float(brentq(lambda t: sign * (interp(t)[index] - value), ts[k - 1], ts[k],
+                        xtol=1e-14, rtol=8.9e-16))
 
 
 def _row(params: ModelParams, t: float, y: np.ndarray) -> np.ndarray:
@@ -248,9 +245,9 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
     event is armed only when the initial state has dtau/dt != 0 or
     dphi/dt != 0; unarmed motion may pass through the axis.
 
-    A stage that leaves the chart (r <= n, or an active 1/sin(theta) term
-    exactly on the axis) restarts the stepper from the last accepted state
-    with a quarter of the step it tried; cfg.max_steps counts these cut-short
+    A stage that leaves the chart (r <= n, a radius whose powers overflow,
+    or an active 1/sin(theta) term exactly on the axis) restarts the stepper
+    from the last accepted state with a quarter of the step it tried; cfg.max_steps counts these cut-short
     stepper calls too. The stepper giving up on a step too small to advance
     t also ends in StepBudget."""
     n = params.n
@@ -263,6 +260,10 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
 
     armed = state.velocity[0] != 0.0 or state.velocity[2] != 0.0
     guard = params.axis_guard
+    event_table = [(r_floor, R, +1.0, SINGULARITY_APPROACH)]
+    if armed:
+        event_table += [(guard, THETA, +1.0, AXIS_APPROACH),
+                        (np.pi - guard, THETA, -1.0, AXIS_APPROACH)]
 
     if y[R] <= r_floor:
         return Trajectory(_row(params, 0.0, y)[None, :], SINGULARITY_APPROACH)
@@ -272,7 +273,7 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
         return Trajectory(_row(params, 0.0, y)[None, :], HORIZON)
 
     def start(t, y, first_step=None):
-        return DOP853(lambda _, yy: _rhs_vec(params, yy), t, y, cfg.t_end,
+        return DOP853(lambda _, yy: geodesic_rhs(params, yy), t, y, cfg.t_end,
                       rtol=cfg.rel_tol, atol=cfg.abs_tol, first_step=first_step)
 
     try:
@@ -308,20 +309,11 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
             continue
 
         t1, y1 = solver.t, solver.y
-        h = t1 - t
-        events = []
-        if y1[R] <= r_floor or any(interp(t + fr * h)[R] <= r_floor for fr in (0.25, 0.5, 0.75)):
-            tc = _first_crossing(interp, t, t1, r_floor, R, +1.0)
-            if tc is not None:
-                events.append((tc, SINGULARITY_APPROACH))
-        if armed:
-            for value, sign in ((guard, +1.0), (np.pi - guard, -1.0)):
-                crossed_end = sign * (y1[THETA] - value) <= 0.0
-                if crossed_end or any(sign * (interp(t + fr * h)[THETA] - value) <= 0.0
-                                      for fr in (0.25, 0.5, 0.75)):
-                    tc = _first_crossing(interp, t, t1, value, THETA, sign)
-                    if tc is not None:
-                        events.append((tc, AXIS_APPROACH))
+        ts = t + (t1 - t) * _PROBES
+        ts[-1] = t1
+        ys = interp(ts)
+        events = [(tc, cause) for value, index, sign, cause in event_table
+                  if (tc := _first_crossing(interp, ts, ys, value, index, sign)) is not None]
         dense.append(interp)
         if events:
             tc, cause = min(events, key=lambda ev: ev[0])

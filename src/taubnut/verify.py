@@ -100,9 +100,9 @@ def _report(**values) -> dict:
 
 def compare_numeric_analytic(consts: FamilyConstants, params: ModelParams,
                              cfg: IntegrationConfig | None = None, *,
-                             delta: float = 1e-3, r_top: float | None = None,
+                             r_top: float | None = None,
                              mode: str | None = None) -> dict:
-    """Integrate one family numerically from r0 = R(1 + delta) on the
+    """Integrate one family numerically from r0 = R(1 + 1e-3) on the
     outgoing branch and compare against the closed-form curves evaluated at
     the accepted-step radii, after subtracting both routes' values at r0
     (immunity to additive-constant conventions). Constant coordinates are
@@ -110,14 +110,12 @@ def compare_numeric_analytic(consts: FamilyConstants, params: ModelParams,
     (default r_top = 5n)."""
     fam = consts.family
     spec = _spec(fam, "has no closed-form curves")
-    if not 0 < delta < 1:
-        raise ConfigError("delta must lie in (0, 1)")
     if mode is None:
         mode = spec.invert_mode
     n = params.n
     outgoing = replace(consts, eps=1)
     R = turning_radius(outgoing, params).value
-    r0 = R * (1 + delta)
+    r0 = R * (1 + 1e-3)
     if r_top is None:
         r_top = 5 * n
     if r_top <= r0:
@@ -209,19 +207,20 @@ def derivative_sweep(consts: FamilyConstants, params: ModelParams,
 
 
 def curvature_audit(params: ModelParams, sample_count: int = 100,
-                    seed: int = 0, vary_n: bool = True) -> dict:
+                    seed: int = 0) -> dict:
     """Vacuum and duality audit at seeded pseudo-random interior points:
     finite-difference Ricci residual, duality residual with the one frozen
     orientation sign, and the opposite-chirality projection (which must stay
     comparable to the curvature scale; both chiralities vanishing would mean
-    the check is vacuous). The points are drawn first, then evaluated as one
-    stack with one Riemann build each (geometry.curvature_fd)."""
+    the check is vacuous). Each point draws its own n; params gives fd_step
+    and axis_guard. The points are drawn first, then evaluated as one stack
+    with one Riemann build each (geometry.curvature_fd)."""
     if sample_count < 1:
         raise ConfigError("sample_count must be at least 1")
     rng = np.random.default_rng(seed)
     pt_params, points = [], []
     for _ in range(sample_count):
-        n = rng.uniform(0.5, 2.0) if vary_n else params.n
+        n = rng.uniform(0.5, 2.0)
         pt_params.append(ModelParams(n=n, fd_step=params.fd_step,
                                      axis_guard=params.axis_guard))
         points.append(Point(tau=rng.uniform(0.0, 4 * math.pi * n),
@@ -240,7 +239,7 @@ def curvature_audit(params: ModelParams, sample_count: int = 100,
                   "anti_self_dual_min_ratio": ANTI_SELF_DUAL_MIN_RATIO}
     passed = (ricci_max <= RICCI_TOL and sd_max <= SELF_DUAL_TOL
               and asd_ratio_min >= ANTI_SELF_DUAL_MIN_RATIO)
-    return _report(scenario="curvature", params={"n": None if vary_n else params.n,
+    return _report(scenario="curvature", params={"n": None,
                                                  "samples": sample_count,
                                                  "seed": seed},
                    tolerances=tolerances, curvature=curvature,
@@ -293,6 +292,8 @@ def run_scenario(name: str, seed: int = 0) -> dict:
     aggregates every scenario (order fixed) under one verdict."""
     if name not in SCENARIOS:
         raise ConfigError(f"unknown scenario {name!r}; choose from {SCENARIOS}")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     if name == "all":
         reports = [run_scenario(s, seed) for s in SCENARIOS[:-1]]
         return {"schema": SCHEMA, "scenario": "all", "seed": seed,

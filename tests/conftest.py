@@ -1,5 +1,6 @@
 """Hypothesis runs derandomized and without its example database, so the
-suite draws the same examples on every run and writes no files."""
+suite draws the same examples on every run. Hypothesis still caches source
+literals under .hypothesis/constants/, which .gitignore covers."""
 
 from hypothesis import settings
 

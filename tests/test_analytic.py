@@ -22,6 +22,7 @@ from taubnut.analytic import (
     default_mode,
     family_from_json,
     family_to_json,
+    family_velocities,
     invert_t_of_r,
     stitched_coords,
     theta_range_exit,
@@ -448,6 +449,20 @@ class TestCurveDerivatives:
     def test_requires_interior_radius(self):
         with pytest.raises(DomainError):
             curve_derivatives(P1, c_thm3(), math.sqrt(2))
+
+
+class TestFamilyVelocities:
+    def test_arrays_match_scalar_calls(self):
+        for consts in TestCurveDerivatives.CASES:
+            r = turning_radius(consts, P1).value * np.array([1.5, 2.0, 3.0]) + 0.3
+            fields = [np.broadcast_to(v, r.shape) for v in family_velocities(consts, P1, r)]
+            for i, ri in enumerate(r):
+                scalar = family_velocities(consts, P1, float(ri))
+                assert [v[i] for v in fields] == list(scalar)
+
+    def test_array_reaching_chart_edge_rejected(self):
+        with pytest.raises(DomainError):
+            family_velocities(c_thm3(), P1, np.array([0.5, 2.0]))
 
 
 class TestCurvesDispatch:

@@ -95,6 +95,18 @@ class TestIntegrate:
                            "--init", "0,1,0,0.5,0,0,0,0", "--t-end", "1")
         assert code == 1 and err.startswith("error: DomainError:")
 
+    def test_escape_past_float_range_ends_in_step_budget(self, capsys):
+        code, out, err = run(capsys, "integrate", "--n", "1",
+                             "--init", "0,1,0,2,0,0,0,1", "--t-end", "1e308")
+        assert code == 2 and err == ""
+        assert trajectory_from_csv(out).termination == "StepBudget"
+
+    def test_powers_past_float_range_are_domain_error(self, capsys):
+        code, _, err = run(capsys, "integrate", "--n", "1e300",
+                           "--init", "0,1,0,2e300,0,0,0,1", "--t-end", "1")
+        assert code == 1 and err.startswith("error: DomainError:")
+        assert err.count("\n") == 1
+
 
 class TestAnalytic:
     def test_radial_regression_row(self, capsys):
@@ -115,6 +127,13 @@ class TestAnalytic:
                            "--r1", "2", "--tau0", "1", "--phi0", "0.5",
                            "--r-range", "2:3")
         assert code == 1 and "phi0" in err
+
+    def test_underflowing_r1_is_degenerate(self, capsys):
+        # r1*r1 underflows to 0
+        code, _, err = run(capsys, "analytic", "--family", "thm2", "--n", "1",
+                           "--r1", "1e-300", "--tau0", "1", "--r-range", "2:3")
+        assert code == 1 and err.startswith("error: DegenerateError:")
+        assert err.count("\n") == 1
 
     def test_missing_r1(self, capsys):
         code, _, err = run(capsys, "analytic", "--family", "thm1", "--n", "1",
@@ -195,6 +214,11 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--scenario", "thm6")
         assert code == 1 and err.startswith("error: ConfigError:")
 
+    def test_negative_seed(self, capsys):
+        code, _, err = run(capsys, "verify", "--scenario", "all", "--seed", "-1")
+        assert code == 1 and err.startswith("error: ConfigError:")
+        assert err.count("\n") == 1
+
     def test_seeded_byte_determinism(self, capsys):
         _, first, _ = run(capsys, "verify", "--scenario", "thm2", "--seed", "7")
         _, second, _ = run(capsys, "verify", "--scenario", "thm2", "--seed", "7")
@@ -245,6 +269,12 @@ class TestTensorDumps:
         code, _, err = run(capsys, "curvature", "--n", "1",
                            "--point", "0,1,0,0.9")
         assert code == 1 and err.startswith("error: DomainError:")
+
+    @pytest.mark.parametrize("command", ["christoffel", "curvature"])
+    def test_powers_past_float_range_are_domain_error(self, capsys, command):
+        code, _, err = run(capsys, command, "--n", "1", "--point", "0,1,0,1e200")
+        assert code == 1 and err.startswith("error: DomainError:")
+        assert err.count("\n") == 1
 
 
 class TestConfigFile:

@@ -98,6 +98,13 @@ class TestMetric:
         with pytest.raises(DomainError):
             metric_at(P1, Point(0.0, 1.0, 0.0, 0.5))
 
+    def test_domain_error_where_powers_overflow(self):
+        # r**2 overflows a float beyond r ~ 1.3e154, n**2 beyond n ~ 1.3e154
+        with pytest.raises(DomainError):
+            metric_at(P1, Point(0.0, 1.0, 0.0, 1e200))
+        with pytest.raises(DomainError):
+            metric_at(ModelParams(n=1e300), Point(0.0, 1.0, 0.0, 2e300))
+
 
 class TestInverseMetric:
     def test_equator_values(self):
@@ -152,6 +159,10 @@ class TestChristoffel:
     def test_axis_error_whole_table(self):
         with pytest.raises(AxisError):
             christoffel_at(P1, Point(0.0, 5e-4, 0.0, 2.0))
+
+    def test_domain_error_where_powers_overflow(self):
+        with pytest.raises(DomainError):
+            christoffel_at(P1, Point(0.0, 1.0, 0.0, 1e200))
 
 
 class TestChristoffelOracle:

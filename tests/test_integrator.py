@@ -3,6 +3,7 @@ monitoring, event termination, the exact radial passthrough, and trajectory
 CSV round-tripping."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taubnut import integrator, radial_passthrough
+from taubnut.analytic import FamilyConstants, curves, family_velocities
 from taubnut.errors import AxisError, ConfigError, DegenerateError, DomainError
 from taubnut.geometry import ModelParams, Point, christoffel_at, christoffel_fd_oracle
 from taubnut.integrator import (
@@ -96,13 +98,13 @@ class TestGeodesicRhs:
     def test_radial_acceleration(self):
         # only dr/dt nonzero: d2r/dt2 = n/(r^2-n^2) = 1/3, everything else 0
         s = PhaseState(Point(0.0, np.pi / 3, 0.0, 2.0), (0.0, 0.0, 0.0, 1.0))
-        out = geodesic_rhs(P1, s)
+        out = geodesic_rhs(P1, s.as_array())
         assert out[7] == pytest.approx(1 / 3, abs=1e-15)
         assert np.max(np.abs(out[4:7])) == 0.0
 
     def test_equator_azimuthal_state(self):
         s = PhaseState(Point(0.0, np.pi / 2, 0.0, 2.0), (0.0, 0.0, 1.0, 0.0))
-        out = geodesic_rhs(P1, s)
+        out = geodesic_rhs(P1, s.as_array())
         assert out[7] == pytest.approx(2 / 3, abs=1e-15)
         # sin*cos vanishes at the equator up to the cos(pi/2) rounding residue
         assert abs(out[5]) < 1e-15
@@ -110,7 +112,7 @@ class TestGeodesicRhs:
 
     def test_theta_acceleration_from_charge_coupling(self):
         s = PhaseState(Point(0.0, np.pi / 2, 0.0, 2.0), (1.0, 0.0, 1.0, 0.0))
-        assert geodesic_rhs(P1, s)[5] == pytest.approx(-2 / 9, abs=1e-14)
+        assert geodesic_rhs(P1, s.as_array())[5] == pytest.approx(-2 / 9, abs=1e-14)
 
     def test_matches_christoffel_contraction(self):
         params = ModelParams(n=0.7)
@@ -118,7 +120,7 @@ class TestGeodesicRhs:
         v = np.array([0.3, -0.2, 0.4, 0.1])
         G = christoffel_at(params, p).components
         acc = -np.einsum("lmn,m,n->l", G, v, v)
-        out = geodesic_rhs(params, PhaseState(p, tuple(v)))
+        out = geodesic_rhs(params, PhaseState(p, tuple(v)).as_array())
         assert np.allclose(out[:4], v, atol=0)
         assert np.allclose(out[4:], acc, atol=1e-13)
 
@@ -136,30 +138,36 @@ class TestGeodesicRhs:
         p = Point(0.0, theta, 0.0, r_over_n * n)
         v = np.array(speeds) * np.array(signs)
         terms = np.einsum("lmn,m,n->lmn", christoffel_fd_oracle(params, p).components, v, v)
-        acc = geodesic_rhs(params, PhaseState(p, tuple(v)))[4:]
+        acc = geodesic_rhs(params, PhaseState(p, tuple(v)).as_array())[4:]
         scale = np.abs(terms).sum(axis=(1, 2))
         assert np.all(np.abs(acc + terms.sum(axis=(1, 2))) <= 1e-6 * scale)
 
     def test_rejects_r_at_or_below_n(self):
         with pytest.raises(DomainError):
-            geodesic_rhs(P1, PhaseState(Point(0.0, 1.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0)))
+            geodesic_rhs(P1, PhaseState(Point(0.0, 1.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0)).as_array())
+
+    def test_domain_error_where_powers_overflow(self):
+        # (r + n)**3 overflows a float beyond r ~ 5.6e102
+        s = PhaseState(Point(0.0, 1.0, 0.0, 1e103), (0.0, 0.0, 0.0, 1.0))
+        with pytest.raises(DomainError):
+            geodesic_rhs(P1, s.as_array())
 
     def test_axis_error_when_singular_term_active(self):
         s = PhaseState(Point(0.0, 0.0, 0.0, 2.0), (1.0, 1.0, 0.0, 0.0))
         with pytest.raises(AxisError):
-            geodesic_rhs(P1, s)
+            geodesic_rhs(P1, s.as_array())
 
     def test_meridional_clean_arbitrarily_near_axis(self):
         # no 1/sin term is activated when dtau/dt = dphi/dt = 0
         s = PhaseState(Point(0.0, 1e-9, 0.0, 2.0), (0.0, 1.0, 0.0, 0.0))
-        out = geodesic_rhs(P1, s)
+        out = geodesic_rhs(P1, s.as_array())
         assert np.all(np.isfinite(out))
         assert out[7] == pytest.approx(2 / 3, abs=1e-15)
 
     def test_holding_r_fixed_requires_zero_velocity(self):
         # dr/dt = 0 with dphi/dt != 0 gives d2r/dt2 != 0: r cannot stay constant
         s = PhaseState(Point(0.0, np.pi / 2, 0.0, 2.0), (0.0, 0.0, 1.0, 0.0))
-        assert geodesic_rhs(P1, s)[7] > 0.1
+        assert geodesic_rhs(P1, s.as_array())[7] > 0.1
 
 
 class TestKillingCharges:
@@ -302,11 +310,11 @@ class TestIntegrate:
         # overshoot restarts from the last accepted state with a shorter step
         raised = []
 
-        def counting_rhs(params, state):
+        def counting_rhs(params, y):
             try:
-                return geodesic_rhs(params, state)
+                return geodesic_rhs(params, y)
             except DomainError:
-                raised.append(state.point.r)
+                raised.append(y[3])
                 raise
 
         monkeypatch.setattr(integrator, "geodesic_rhs", counting_rhs)
@@ -328,6 +336,14 @@ class TestIntegrate:
         traj = integrate(P1, s, IntegrationConfig(abs_tol=1e-3, rel_tol=1e-3, t_end=5.0))
         assert traj.termination == "SingularityApproach"
         assert traj.coords[-1, 3] == pytest.approx(1.0 + 1e-6, rel=1e-9)
+
+    def test_escape_past_float_range_is_chart_exit(self):
+        # the rhs refuses radii whose powers overflow; the stepper treats that
+        # as a chart exit and shrinks the step until it gives up
+        s = PhaseState(Point(0.0, 1.0, 0.0, 2.0), (0.0, 0.0, 0.0, 1.0))
+        traj = integrate(P1, s, IntegrationConfig(abs_tol=1e-12, rel_tol=1e-12, t_end=1e308))
+        assert traj.termination == "StepBudget"
+        assert 1e102 < traj.coords[-1, 3] < 5.7e102
 
     def test_step_budget(self):
         cfg = IntegrationConfig(abs_tol=1e-12, rel_tol=1e-12, t_end=10.0, max_steps=5)
@@ -436,3 +452,32 @@ class TestTrajectoryCsv:
     def test_rejects_unknown_cause(self):
         with pytest.raises(ConfigError):
             Trajectory(np.zeros((1, 12)), "Elsewhere")
+
+
+class TestFloorGraze:
+    """An ingoing equatorial thm3 orbit at n = 1, r1 = 1 turns at
+    R2 = sqrt(1 + phi0^2), just below or just above the r floor 1 + 1e-6."""
+
+    FLOOR = 1.0 + 1e-6
+    R0 = 1.5
+
+    def orbit(self, R2, tol):
+        consts = FamilyConstants(family="thm3", eps=-1, r1=1.0, phi0=-math.sqrt(R2 * R2 - 1.0),
+                                 t1=0.0, phi1=0.0)
+        s = PhaseState(Point(0.0, np.pi / 2, 0.0, self.R0), family_velocities(consts, P1, self.R0))
+        return consts, integrate(P1, s, IntegrationConfig(abs_tol=tol, rel_tol=tol, t_end=5.0))
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6, 1e-3])
+    @pytest.mark.parametrize("R2", [1.0 + 0.2e-6, 1.0 + 0.9e-6])
+    def test_turning_below_floor_stops_at_floor(self, R2, tol):
+        consts, traj = self.orbit(R2, tol)
+        assert traj.termination == "SingularityApproach"
+        if tol == 1e-12:
+            t = curves(P1, replace(consts, eps=1), np.array([self.FLOOR, self.R0]), "aligned")["t"]
+            assert abs(traj.t[-1] - (t[1] - t[0])) <= 1e-9
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6, 1e-3])
+    @pytest.mark.parametrize("R2", [1.0 + 1.1e-6, 1.0 + 2e-6])
+    def test_turning_above_floor_runs_to_horizon(self, R2, tol):
+        _, traj = self.orbit(R2, tol)
+        assert traj.termination == "Horizon"
