@@ -660,19 +660,13 @@ def stitched_coords(params: ModelParams, consts: FamilyConstants, ts):
     if not np.all(np.isfinite(ts)):
         raise ConfigError("times must be finite")
     flat = np.atleast_1d(ts)
-    out = {"t": flat.copy(), "r": np.empty_like(flat)}
-    coord_keys = [k for k in ("tau", "theta", "phi") if anchors[k] is not None]
-    for key in coord_keys:
-        out[key] = np.empty_like(flat)
-    for i, t in enumerate(flat):
-        mirrored = t < consts.t1
-        r = invert_t_of_r(params, outgoing, consts.t1 + abs(t - consts.t1), mode)
-        out["r"][i] = r
-        if coord_keys:
-            vals = curves(params, outgoing, r, mode)
-            for key in coord_keys:
-                x = vals[key]
-                out[key][i] = 2 * anchors[key] - x if mirrored else x
+    r = np.array([invert_t_of_r(params, outgoing, consts.t1 + abs(t - consts.t1), mode)
+                  for t in flat])
+    vals = curves(params, outgoing, r, mode)
+    out = {"t": flat.copy(), "r": r}
+    for key in ("tau", "theta", "phi"):
+        if anchors[key] is not None:
+            out[key] = np.where(flat < consts.t1, 2 * anchors[key] - vals[key], vals[key])
     return out
 
 

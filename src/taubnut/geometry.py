@@ -11,8 +11,8 @@ hyperspherical coordinates; the manifold is topologically R^4). This module
 evaluates the metric, its inverse, the Christoffel symbols and an orthonormal
 coframe from their closed forms, and provides independent finite-difference
 oracles for the Christoffels and for curvature (Ricci residual, self-duality
-residual in the orthonormal frame). The Christoffel closed forms written here
-are the package's only copy; the integrator's geodesic equations use them.
+residual in the orthonormal frame). The metric and Christoffel closed forms
+written here are the package's only copies; the integrator reads both.
 
 All functions are pure; coordinate index order is fixed by COORDS throughout.
 """
@@ -114,20 +114,25 @@ def _require_off_axis(params: ModelParams, theta: float) -> None:
         )
 
 
-def metric_at(params: ModelParams, p: Point) -> MetricTensor:
-    """Metric components at p. Defined for all theta; the (tau, phi) block
-    degenerates on the axis (its det scales like sin^2 theta)."""
-    _require_interior(params, p)
-    n, r, th = params.n, p.r, p.theta
-    ct, st = np.cos(th), np.sin(th)
+def _metric(n, theta, r) -> np.ndarray:
+    """metric_at's closed forms broadcast over n, theta and r: shape (..., 4, 4)."""
+    ct, st = np.cos(theta), np.sin(theta)
     f = (r - n) / (r + n)
-    g = np.zeros((4, 4))
-    g[TAU, TAU] = f
-    g[TAU, PHI] = g[PHI, TAU] = 2 * n * ct * f
-    g[PHI, PHI] = 4 * _ipow(n, 2) * ct**2 * f + (_ipow(r, 2) - _ipow(n, 2)) * st**2
-    g[R, R] = (r + n) / (r - n)
-    g[THETA, THETA] = _ipow(r, 2) - _ipow(n, 2)
-    return MetricTensor(g)
+    rho2 = _ipow(r, 2) - _ipow(n, 2)
+    g = np.zeros(np.broadcast_shapes(np.shape(n), np.shape(theta), np.shape(r)) + (4, 4))
+    g[..., TAU, TAU] = f
+    g[..., TAU, PHI] = g[..., PHI, TAU] = 2 * n * ct * f
+    g[..., PHI, PHI] = 4 * _ipow(n, 2) * _ipow(ct, 2) * f + rho2 * _ipow(st, 2)
+    g[..., R, R] = (r + n) / (r - n)
+    g[..., THETA, THETA] = rho2
+    return g
+
+
+def metric_at(params: ModelParams, p: Point) -> MetricTensor:
+    """Metric components at p, the one-point case of _metric. Defined for all
+    theta; the (tau, phi) block degenerates on the axis (det ~ sin^2 theta)."""
+    _require_interior(params, p)
+    return MetricTensor(_metric(params.n, p.theta, p.r))
 
 
 def inverse_metric_at(params: ModelParams, p: Point) -> MetricTensor:
@@ -290,8 +295,9 @@ def _frame(n, theta, tau, r) -> np.ndarray:
 def frame_at(params: ModelParams, p: Point) -> FrameBasis:
     """Positively oriented orthonormal coframe; rows are omega^0..omega^3 in
     coordinate components. Valid for all theta (no 1/sin terms), though the
-    matrix is singular where sin(theta) = 0."""
+    matrix is singular where sin(theta) = 0. r**2 overflowing raises DomainError."""
     _require_interior(params, p)
+    _ipow(p.r, 2)  # raises DomainError where _frame's r**2 would overflow
     return FrameBasis(_frame(params.n, p.theta, p.tau, p.r))
 
 

@@ -8,13 +8,14 @@ scipy's DOP853 (the explicit Runge-Kutta 8(5,3) code of Hairer, Norsett &
 Wanner, Solving ODEs I, sections II.5-6), driven one step at a time; its
 7th-order dense output, evaluated once per step for every event, feeds
 event detection for the removable singularity r = n and the polar axis, and
-the samples on a fixed grid. Integration also stops at the affine
-horizon t_end and at the step budget. Non-finite start states and relative
-tolerances below 100 machine epsilons are rejected (scipy would silently
-raise the latter). The two Killing charges p_tau, p_phi and the velocity
-norm are recorded along every trajectory; they are monitored, never
-enforced. The exact radial passthrough of r = n is a closed form and lives
-in the analytic module.
+the fixed-grid samples each step reads before its interpolant is dropped.
+Integration also stops at the affine horizon t_end and at the step budget.
+Non-finite start states or grid entries, and relative tolerances below 100
+machine epsilons (which scipy would silently raise), are rejected. The two
+Killing charges p_tau, p_phi and the velocity norm of all rows come from one
+array pass over geometry's broadcast metric; they are monitored, never
+enforced. The exact radial passthrough of r = n is a closed form in the
+analytic module.
 
 Axis semantics: every 1/sin(theta) term of the equations multiplies
 dtau/dt*dtheta/dt or dphi/dt*dtheta/dt, so motion with dtau/dt = dphi/dt = 0
@@ -24,7 +25,6 @@ axis; the axis stop applies only when those charges are active.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +41,8 @@ from .geometry import (
     Point,
     _connection_regular,
     _connection_singular,
-    metric_at,
+    _metric,
+    metric_at,  # noqa: F401  (bench/tracing.py wraps integrator.metric_at)
 )
 
 TERMINATIONS = ("Horizon", "SingularityApproach", "AxisApproach", "StepBudget")
@@ -111,8 +112,8 @@ class IntegrationConfig:
             raise ConfigError("max_steps must be at least 1")
         if self.sample_grid is not None:
             grid = tuple(float(v) for v in self.sample_grid)
-            if any(b <= a for a, b in zip(grid, grid[1:])):
-                raise ConfigError("sample_grid must be strictly increasing")
+            if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
+                raise ConfigError("sample_grid must be finite and strictly increasing")
             object.__setattr__(self, "sample_grid", grid)
 
 
@@ -195,22 +196,30 @@ def geodesic_rhs(params: ModelParams, y: np.ndarray) -> np.ndarray:
     return np.array([dtau, dth, dphi, dr, acc_tau, acc_theta, acc_phi, acc_r])
 
 
+def _rows(params: ModelParams, ts, ys) -> np.ndarray:
+    """Rows (t, state, p_tau, p_phi, norm) of sample times ts and flat states
+    ys from one broadcast metric evaluation; r <= n raises DomainError."""
+    ys = np.reshape(ys, (-1, 8))
+    n, r, v = params.n, ys[:, R], ys[:, 4:]
+    if not np.all(r > n):
+        raise DomainError(f"r = {np.min(r)} must exceed n = {n}")
+    g = _metric(n, ys[:, THETA], r)
+    p_tau = g[:, TAU, TAU] * v[:, TAU] + g[:, TAU, PHI] * v[:, PHI]
+    p_phi = g[:, PHI, TAU] * v[:, TAU] + g[:, PHI, PHI] * v[:, PHI]
+    return np.column_stack([ts, ys, p_tau, p_phi, (v[:, None, :] @ g @ v[:, :, None])[:, 0, 0]])
+
+
 def killing_charges(params: ModelParams, s: PhaseState) -> tuple:
     """Conserved momenta of the two commuting symmetries:
     p_tau = g_tt tau' + g_tp phi', p_phi = g_pt tau' + g_pp phi'."""
-    g = metric_at(params, s.point).components
-    dtau, _, dphi, _ = s.velocity
-    p_tau = g[TAU, TAU] * dtau + g[TAU, PHI] * dphi
-    p_phi = g[PHI, TAU] * dtau + g[PHI, PHI] * dphi
-    return float(p_tau), float(p_phi)
+    row = _rows(params, [0.0], [s.as_array()])[0]
+    return float(row[9]), float(row[10])
 
 
 def norm(params: ModelParams, s: PhaseState) -> float:
     """Velocity norm g_{mu nu} x'^mu x'^nu; nonnegative and conserved along
     exact geodesics (the metric is positive definite)."""
-    g = metric_at(params, s.point).components
-    v = np.asarray(s.velocity, dtype=float)
-    return float(v @ g @ v)
+    return float(_rows(params, [0.0], [s.as_array()])[0, 11])
 
 
 def _first_crossing(interp, ts, ys, value, index, sign):
@@ -228,27 +237,23 @@ def _first_crossing(interp, ts, ys, value, index, sign):
                         xtol=1e-14, rtol=8.9e-16))
 
 
-def _row(params: ModelParams, t: float, y: np.ndarray) -> np.ndarray:
-    s = PhaseState.from_array(y)
-    p_tau, p_phi = killing_charges(params, s)
-    return np.concatenate([[t], y, [p_tau, p_phi, norm(params, s)]])
-
-
 def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) -> Trajectory:
     """Integrate the geodesic system from `state` until the affine horizon
     t_end, the r floor n*(1 + r_floor_rel), an armed axis crossing, or the
     step budget, whichever comes first.
 
-    Samples are the accepted step endpoints, or dense-output values on
-    cfg.sample_grid when that is set (grid points beyond the stop time are
-    dropped; the terminal sample is always appended if distinct). The axis
-    event is armed only when the initial state has dtau/dt != 0 or
-    dphi/dt != 0; unarmed motion may pass through the axis.
+    Sampling is one pass: each accepted step appends its start state or,
+    with cfg.sample_grid set, its grid times up to its end or event time,
+    read by one call of its interpolant, which is not kept. Grid entries
+    outside [0, stop time] are dropped; the terminal sample is always
+    appended if distinct. The axis event is armed only when
+    the initial state has dtau/dt != 0 or dphi/dt != 0; unarmed motion may
+    pass through the axis.
 
     A stage that leaves the chart (r <= n, a radius whose powers overflow,
     or an active 1/sin(theta) term exactly on the axis) restarts the stepper
-    from the last accepted state with a quarter of the step it tried; cfg.max_steps counts these cut-short
-    stepper calls too. The stepper giving up on a step too small to advance
+    from the last accepted state with a quarter of the step it tried;
+    cfg.max_steps counts these cut-short stepper calls too. The stepper giving up on a step too small to advance
     t also ends in StepBudget."""
     n = params.n
     y = state.as_array()
@@ -266,11 +271,11 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
                         (np.pi - guard, THETA, -1.0, AXIS_APPROACH)]
 
     if y[R] <= r_floor:
-        return Trajectory(_row(params, 0.0, y)[None, :], SINGULARITY_APPROACH)
+        return Trajectory(_rows(params, [0.0], [y]), SINGULARITY_APPROACH)
     if armed and not guard < y[THETA] < np.pi - guard and state.velocity[1] != 0.0:
-        return Trajectory(_row(params, 0.0, y)[None, :], AXIS_APPROACH)
+        return Trajectory(_rows(params, [0.0], [y]), AXIS_APPROACH)
     if all(v == 0.0 for v in state.velocity):
-        return Trajectory(_row(params, 0.0, y)[None, :], HORIZON)
+        return Trajectory(_rows(params, [0.0], [y]), HORIZON)
 
     def start(t, y, first_step=None):
         return DOP853(lambda _, yy: geodesic_rhs(params, yy), t, y, cfg.t_end,
@@ -282,7 +287,8 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
         # the initial-step probe left the chart: start from the whole horizon
         # and let the chart-exit retries shrink the step
         solver = start(0.0, y, cfg.t_end)
-    node_t, node_y, dense = [0.0], [y], []  # accepted states, step interpolants
+    grid = None if cfg.sample_grid is None else np.array(cfg.sample_grid)
+    sample_t, sample_y = [], []
     calls = 0
     while True:
         t, y = solver.t, solver.y
@@ -308,37 +314,30 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
             solver = start(t, y, 0.25 * h_try)
             continue
 
-        t1, y1 = solver.t, solver.y
+        t1 = solver.t
         ts = t + (t1 - t) * _PROBES
         ts[-1] = t1
         ys = interp(ts)
         events = [(tc, cause) for value, index, sign, cause in event_table
                   if (tc := _first_crossing(interp, ts, ys, value, index, sign)) is not None]
-        dense.append(interp)
-        if events:
-            tc, cause = min(events, key=lambda ev: ev[0])
-            termination, t_stop, y_stop = cause, tc, interp(tc)
+        tc, cause = min(events, key=lambda ev: ev[0]) if events else (t1, None)
+        if grid is None:
+            block, yb = [t], [y]  # the step start
+        else:
+            # the grid times in [t, tc), read now: no interpolant outlives its step
+            block = grid[np.searchsorted(grid, t):np.searchsorted(grid, tc)]
+            yb = interp(block).T
+            yb[block == t] = y  # a grid time at the step start is that state, signed zeros too
+        sample_t.extend(block)
+        sample_y.extend(yb)
+        if cause is not None:
+            termination, t_stop, y_stop = cause, tc, y if tc == t else interp(tc)
             break
-        node_t.append(t1)
-        node_y.append(y1)
 
-    if t_stop > node_t[-1]:
-        node_t.append(t_stop)
-        node_y.append(y_stop)
-
-    if cfg.sample_grid is None:
-        rows = [_row(params, ts, ys) for ts, ys in zip(node_t, node_y)]
-    else:
-        rows = []
-        for tg in cfg.sample_grid:
-            if tg < 0.0 or tg > t_stop:
-                continue
-            i = bisect.bisect_right(node_t, tg) - 1
-            yg = node_y[i] if tg == node_t[i] else dense[i](tg)
-            rows.append(_row(params, tg, yg))
-        if not rows or rows[-1][0] < t_stop:
-            rows.append(_row(params, t_stop, y_stop))
-    return Trajectory(np.asarray(rows), termination)
+    if not sample_t or sample_t[-1] < t_stop:
+        sample_t.append(t_stop)
+        sample_y.append(y_stop)
+    return Trajectory(_rows(params, sample_t, sample_y), termination)
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:

@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taubnut.analytic import (
     _REGISTRY,
@@ -570,6 +572,25 @@ class TestClassify:
         assert consts.r1 == pytest.approx(scale, rel=1e-13)
         assert consts.phi0 == pytest.approx(scale, rel=1e-13)
 
+    @settings(max_examples=300, deadline=None)
+    @given(family=st.sampled_from(tuple(_REGISTRY)), seed=st.integers(0, 10_000),
+           lift=st.floats(0.05, 3.0), eps=st.sampled_from((1, -1)),
+           log_scale=st.floats(-9.0, 6.0))
+    def test_scale_free_on_every_family(self, family, seed, lift, eps, log_scale):
+        # a state on the family at radius (1 + lift) R, its velocity scaled
+        # by 10^log_scale: the family and branch hold and r1 scales along
+        consts, params = seeded_family(family, seed)
+        consts = replace(consts, eps=eps)
+        r = (1 + lift) * turning_radius(consts, params).value
+        point = Point(0.3, _REGISTRY[family].start_theta(consts), 0.2, r)
+        velocity = family_velocities(consts, params, r)
+        base = classify(params, PhaseState(point, velocity))
+        assert (base.family, base.eps) == (family, eps)
+        scale = 10.0**log_scale
+        scaled = classify(params, PhaseState(point, tuple(scale * v for v in velocity)))
+        assert (scaled.family, scaled.eps) == (family, eps)
+        assert scaled.r1 == pytest.approx(scale * base.r1, rel=1e-12)
+
     @pytest.mark.parametrize("point,velocity", [
         (Point(0, 1.0, 0, 2.0), (0, 0, math.nan, 1)),
         (Point(0, 1.0, 0, 2.0), (math.inf, 0, 0, 1)),
@@ -673,6 +694,17 @@ class TestStitched:
     def test_rejects_non_finite_time(self):
         with pytest.raises(ConfigError):
             stitched_coords(P1, c_thm1(), [0.0, math.nan, 1.0])
+
+    @pytest.mark.parametrize("consts", [c_thm1(t1=0.3), c_thm2(t1=0.3, tau1=0.1),
+                                        c_thm3(t1=0.3, phi1=0.1), c_thm4(t1=0.3, theta1=0.5),
+                                        c_thm5(t1=0.3, tau1=0.1, phi1=-0.2)])
+    def test_array_matches_one_time_calls(self, consts):
+        # times before, at and after t1 in one call, against one call per time
+        ts = consts.t1 + np.linspace(-2.0, 2.0, 9)
+        out = stitched_coords(P1, consts, ts)
+        for key, values in out.items():
+            one = [stitched_coords(P1, consts, t)[key][0] for t in ts]
+            assert values.tobytes() == np.array(one).tobytes(), key
 
 
 class TestJsonRecords:

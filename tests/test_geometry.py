@@ -200,6 +200,11 @@ class TestFrame:
         assert W[1, PHI] == pytest.approx(0.0, abs=1e-15)
         assert W[0, R] == pytest.approx(np.sqrt(2), rel=1e-15)
 
+    def test_domain_error_where_square_overflows(self):
+        # r**2 overflows a float beyond r ~ 1.3e154, as in metric_at
+        with pytest.raises(DomainError):
+            frame_at(P1, Point(0.0, 1.0, 0.0, 1e200))
+
 
 class TestCurvature:
     def test_ricci_residual_small(self):

@@ -13,7 +13,15 @@ from hypothesis import strategies as st
 from taubnut import integrator, radial_passthrough
 from taubnut.analytic import FamilyConstants, curves, family_velocities
 from taubnut.errors import AxisError, ConfigError, DegenerateError, DomainError
-from taubnut.geometry import ModelParams, Point, christoffel_at, christoffel_fd_oracle
+from taubnut.geometry import (
+    PHI,
+    TAU,
+    ModelParams,
+    Point,
+    christoffel_at,
+    christoffel_fd_oracle,
+    metric_at,
+)
 from taubnut.integrator import (
     REL_TOL_FLOOR,
     IntegrationConfig,
@@ -92,6 +100,13 @@ class TestIntegrationConfig:
     def test_rejects_unordered_grid(self):
         with pytest.raises(ConfigError):
             IntegrationConfig(sample_grid=(0.0, 2.0, 1.0))
+
+    @pytest.mark.parametrize("grid", [(0.0, math.nan, 1.0), (0.0, 1.0, math.inf),
+                                      (-math.inf, 0.0, 1.0)])
+    def test_rejects_non_finite_grid(self, grid):
+        # infinities at the ends pass the ordering check, NaN passes any
+        with pytest.raises(ConfigError, match="finite"):
+            IntegrationConfig(sample_grid=grid)
 
 
 class TestGeodesicRhs:
@@ -304,6 +319,62 @@ class TestIntegrate:
         assert traj.termination == "Horizon" and len(traj) == 401
         for column in (traj.p_tau, traj.p_phi, traj.norm):
             assert np.max(np.abs(column - column[0])) <= 1e-9
+
+    @pytest.mark.parametrize("grid", [None, tuple(np.linspace(-1.0, 30.0, 311))])
+    def test_rows_match_one_state_functions(self, grid):
+        # the array row pass equals the one-state charges and norm, and the
+        # contractions of metric_at's one-point matrix, bit for bit
+        s = PhaseState(Point(0.3, 1.1, 0.4, 2.0), (0.5, -0.3, 0.4, 0.6))
+        cfg = IntegrationConfig(abs_tol=1e-12, rel_tol=1e-12, t_end=20.0, sample_grid=grid)
+        traj = integrate(P1, s, cfg)
+        assert len(traj) > 30
+        for i in range(len(traj)):
+            state = traj.state(i)
+            assert killing_charges(P1, state) == (traj.p_tau[i], traj.p_phi[i])
+            assert norm(P1, state) == traj.norm[i]
+            g = metric_at(P1, state.point).components
+            v = np.array(state.velocity)
+            assert g[TAU, TAU] * v[TAU] + g[TAU, PHI] * v[PHI] == traj.p_tau[i]
+            assert g[PHI, TAU] * v[TAU] + g[PHI, PHI] * v[PHI] == traj.p_phi[i]
+            assert v @ g @ v == traj.norm[i]
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(("SingularityApproach", "AxisApproach", "Horizon")),
+           n=st.floats(0.5, 2.0), r0_over_n=st.floats(1.2, 3.0), r1=st.floats(0.8, 1.6),
+           theta=st.floats(0.1, 0.6), swing=st.floats(0.5, 1.0),
+           tol=st.sampled_from((1e-12, 1e-6, 1e-3)))
+    def test_grid_at_node_times_reproduces_nodes(self, kind, n, r0_over_n, r1, theta,
+                                                 swing, tol):
+        # a grid through every node time, plus entries outside [0, t_stop),
+        # gives back the gridless trajectory bit for bit
+        params = ModelParams(n=n)
+        r0 = r0_over_n * n
+        if kind == "SingularityApproach":
+            # radial infall onto the r floor
+            velocity = (0.0, 0.0, 0.0, -r1 * math.sqrt((r0 - n) / (r0 + n)))
+        elif kind == "AxisApproach":
+            # p_phi = 2n p_tau, heading north: reaches the axis guard
+            ct, st_ = math.cos(theta), math.sin(theta)
+            dphi = 2 * n * r1 * (1 - ct) / ((r0 * r0 - n * n) * st_ * st_)
+            velocity = (r1 * (r0 + n) / (r0 - n) - 2 * n * ct * dphi, -swing, dphi, -0.1)
+        else:
+            velocity = (0.5 * r1, 0.3 * swing, 0.4, 0.6)
+        s = PhaseState(Point(0.2, theta + 0.8 * (kind != "AxisApproach"), 0.1, r0), velocity)
+        cfg = IntegrationConfig(abs_tol=tol, rel_tol=tol, t_end=10.0)
+        plain = integrate(params, s, cfg)
+        assert plain.termination == kind
+        gridded = integrate(params, s, replace(cfg, sample_grid=(-1.0, *plain.t, 11.0)))
+        assert gridded.termination == plain.termination
+        assert gridded.data.tobytes() == plain.data.tobytes()
+
+    def test_grid_start_keeps_signed_zeros(self):
+        # a grid time at a step start returns that state itself, -0.0 included
+        s = PhaseState(Point(-0.0, 1.0, -0.0, 2.0), (-0.0, 0.0, -0.0, 0.5))
+        cfg = IntegrationConfig(t_end=2.0)
+        plain = integrate(P1, s, cfg)
+        gridded = integrate(P1, s, replace(cfg, sample_grid=tuple(plain.t)))
+        assert np.signbit(gridded.data[0, 1:9]).tolist() == np.signbit(s.as_array()).tolist()
+        assert gridded.data.tobytes() == plain.data.tobytes()
 
     def test_chart_exit_retries_then_floor_stop(self, monkeypatch):
         # at a loose tolerance the stepper's stages overshoot r = n; each
