@@ -29,6 +29,7 @@ honored trivially.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -303,7 +304,10 @@ def _add_common(parser: _Parser, *names: str) -> None:
     parser.set_defaults(option_keys=names)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argparse tree, built once per process: parsing keeps no state in
+    it (each call gets a fresh Namespace), so main reuses it."""
     parser = _Parser(prog="taubnut", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True

@@ -6,9 +6,11 @@ State layout is the 8-vector (tau, theta, phi, r, dtau, dtheta, dphi, dr)
 in the fixed coordinate order; geodesic_rhs takes it flat. The stepper is
 scipy's DOP853 (the explicit Runge-Kutta 8(5,3) code of Hairer, Norsett &
 Wanner, Solving ODEs I, sections II.5-6), driven one step at a time; its
-7th-order dense output, evaluated once per step for every event, feeds
-event detection for the removable singularity r = n and the polar axis, and
-the fixed-grid samples each step reads before its interpolant is dropped.
+7th-order dense output feeds event detection for the removable singularity
+r = n and the polar axis, and the fixed-grid samples each step reads before
+its interpolant is dropped. The interpolant costs three extra rhs calls, so
+it is built only for a step that can reach the floor, the axis band or a
+grid time, and evaluated once there for every event within reach.
 Integration also stops at the affine horizon t_end and at the step budget.
 Non-finite start states or grid entries, and relative tolerances below 100
 machine epsilons (which scipy would silently raise), are rejected. The two
@@ -25,6 +27,7 @@ axis; the axis stop applies only when those charges are active.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,16 +122,23 @@ class IntegrationConfig:
 
 class Trajectory:
     """Ordered samples of (t, state, p_tau, p_phi, norm) plus the termination
-    cause. Row layout matches the CSV column order exactly."""
+    cause. Row layout matches the CSV column order exactly.
+
+    stats holds the run's deterministic counters when `integrate` built it
+    (empty otherwise): nfev (rhs calls of every stepper, chart-exit restarts
+    included), accepted (steps), chart_retries, interpolants (dense outputs
+    built), root_solves (brentq calls), and h_min, h_max over the accepted
+    steps (inf and 0.0 when none was taken)."""
 
     COLUMNS = ("t", "tau", "theta", "phi", "r", "dtau", "dtheta", "dphi", "dr",
                "p_tau", "p_phi", "norm")
 
-    def __init__(self, data: np.ndarray, termination: str):
+    def __init__(self, data: np.ndarray, termination: str, stats: dict | None = None):
         if termination not in TERMINATIONS:
             raise ConfigError(f"unknown termination cause {termination!r}")
         self.data = np.asarray(data, dtype=float).reshape(-1, 12)
         self.termination = termination
+        self.stats = dict(stats or {})
 
     @property
     def t(self) -> np.ndarray:
@@ -222,17 +232,18 @@ def norm(params: ModelParams, s: PhaseState) -> float:
     return float(_rows(params, [0.0], [s.as_array()])[0, 11])
 
 
-def _first_crossing(interp, ts, ys, value, index, sign):
+def _first_crossing(interp, ts, ys, value, index, sign, stats):
     """Earliest t in [ts[0], ts[-1]] where sign*(y[index](t) - value) reaches
     zero, given the states ys = interp(ts) at the probe times ts; None if no
     probe reaches it. Only the first probe interval that reaches zero is
-    root-solved."""
+    root-solved, and counted in stats["root_solves"]."""
     reached = np.flatnonzero(sign * (ys[index] - value) <= 0.0)
     if reached.size == 0:
         return None
     k = reached[0]
     if k == 0:
         return float(ts[0])
+    stats["root_solves"] += 1
     return float(brentq(lambda t: sign * (interp(t)[index] - value), ts[k - 1], ts[k],
                         xtol=1e-14, rtol=8.9e-16))
 
@@ -244,17 +255,22 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
 
     Sampling is one pass: each accepted step appends its start state or,
     with cfg.sample_grid set, its grid times up to its end or event time,
-    read by one call of its interpolant, which is not kept. Grid entries
-    outside [0, stop time] are dropped; the terminal sample is always
-    appended if distinct. The axis event is armed only when
-    the initial state has dtau/dt != 0 or dphi/dt != 0; unarmed motion may
-    pass through the axis.
+    read by one call of its interpolant, which is not kept. An event level
+    is within a step's reach when its smaller endpoint margin
+    sign*(y[index] - value) is at most twice the step times the largest
+    |dy[index]/dt| over the step's stages (solver.K). Only levels within
+    reach are scanned, at five probe times; without a grid, a step with none
+    builds no interpolant. Grid entries outside [0, stop time] are dropped;
+    the terminal sample is always appended if distinct. The axis event is
+    armed only when the initial state has dtau/dt != 0 or dphi/dt != 0;
+    unarmed motion may pass through the axis.
 
     A stage that leaves the chart (r <= n, a radius whose powers overflow,
     or an active 1/sin(theta) term exactly on the axis) restarts the stepper
     from the last accepted state with a quarter of the step it tried;
-    cfg.max_steps counts these cut-short stepper calls too. The stepper giving up on a step too small to advance
-    t also ends in StepBudget."""
+    cfg.max_steps counts these cut-short stepper calls too. The stepper
+    giving up on a step too small to advance t also ends in StepBudget. The
+    run's counters are in the returned Trajectory's stats."""
     n = params.n
     y = state.as_array()
     if not np.all(np.isfinite(y)):
@@ -270,16 +286,22 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
         event_table += [(guard, THETA, +1.0, AXIS_APPROACH),
                         (np.pi - guard, THETA, -1.0, AXIS_APPROACH)]
 
+    stats = {"nfev": 0, "accepted": 0, "chart_retries": 0, "interpolants": 0,
+             "root_solves": 0, "h_min": math.inf, "h_max": 0.0}
     if y[R] <= r_floor:
-        return Trajectory(_rows(params, [0.0], [y]), SINGULARITY_APPROACH)
+        return Trajectory(_rows(params, [0.0], [y]), SINGULARITY_APPROACH, stats)
     if armed and not guard < y[THETA] < np.pi - guard and state.velocity[1] != 0.0:
-        return Trajectory(_rows(params, [0.0], [y]), AXIS_APPROACH)
+        return Trajectory(_rows(params, [0.0], [y]), AXIS_APPROACH, stats)
     if all(v == 0.0 for v in state.velocity):
-        return Trajectory(_rows(params, [0.0], [y]), HORIZON)
+        return Trajectory(_rows(params, [0.0], [y]), HORIZON, stats)
+
+    def rhs(_, yy):
+        stats["nfev"] += 1
+        return geodesic_rhs(params, yy)
 
     def start(t, y, first_step=None):
-        return DOP853(lambda _, yy: geodesic_rhs(params, yy), t, y, cfg.t_end,
-                      rtol=cfg.rel_tol, atol=cfg.abs_tol, first_step=first_step)
+        return DOP853(rhs, t, y, cfg.t_end, rtol=cfg.rel_tol, atol=cfg.abs_tol,
+                      first_step=first_step)
 
     try:
         solver = start(0.0, y)
@@ -303,7 +325,13 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
             solver.step()
             if solver.status == "failed":
                 continue
-            interp = solver.dense_output()
+            t1, y1 = solver.t, solver.y
+            # the event rows this step can reach: an endpoint margin within
+            # twice the step times the largest stage rate of that coordinate
+            reach = 2 * (t1 - t) * np.max(np.abs(solver.K), axis=0)
+            near = [(value, index, sign, cause) for value, index, sign, cause in event_table
+                    if min(sign * (y[index] - value), sign * (y1[index] - value)) <= reach[index]]
+            interp = solver.dense_output() if near or grid is not None else None
         except (DomainError, AxisError):
             # a stage left the chart (past the floor or onto the axis): retry
             # shorter from the last accepted state; the event machinery stops
@@ -311,25 +339,35 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
             if 0.25 * h_try <= 10 * np.spacing(t):
                 termination, t_stop, y_stop = STEP_BUDGET, t, y
                 break
+            stats["chart_retries"] += 1
             solver = start(t, y, 0.25 * h_try)
             continue
 
-        t1 = solver.t
-        ts = t + (t1 - t) * _PROBES
-        ts[-1] = t1
-        ys = interp(ts)
-        events = [(tc, cause) for value, index, sign, cause in event_table
-                  if (tc := _first_crossing(interp, ts, ys, value, index, sign)) is not None]
-        tc, cause = min(events, key=lambda ev: ev[0]) if events else (t1, None)
+        h = float(t1 - t)
+        stats["accepted"] += 1
+        stats["h_min"], stats["h_max"] = min(stats["h_min"], h), max(stats["h_max"], h)
         if grid is None:
-            block, yb = [t], [y]  # the step start
-        else:
+            sample_t.append(t)  # the step start
+            sample_y.append(y)
+        if interp is None:
+            continue  # no grid and no event level within reach
+        stats["interpolants"] += 1
+        tc, cause = t1, None
+        if near:
+            ts = t + (t1 - t) * _PROBES
+            ts[-1] = t1
+            ys = interp(ts)
+            events = [(tc, cause) for value, index, sign, cause in near
+                      if (tc := _first_crossing(interp, ts, ys, value, index, sign,
+                                                stats)) is not None]
+            tc, cause = min(events, key=lambda ev: ev[0]) if events else (t1, None)
+        if grid is not None:
             # the grid times in [t, tc), read now: no interpolant outlives its step
             block = grid[np.searchsorted(grid, t):np.searchsorted(grid, tc)]
             yb = interp(block).T
             yb[block == t] = y  # a grid time at the step start is that state, signed zeros too
-        sample_t.extend(block)
-        sample_y.extend(yb)
+            sample_t.extend(block)
+            sample_y.extend(yb)
         if cause is not None:
             termination, t_stop, y_stop = cause, tc, y if tc == t else interp(tc)
             break
@@ -337,7 +375,7 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
     if not sample_t or sample_t[-1] < t_stop:
         sample_t.append(t_stop)
         sample_y.append(y_stop)
-    return Trajectory(_rows(params, sample_t, sample_y), termination)
+    return Trajectory(_rows(params, sample_t, sample_y), termination, stats)
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:

@@ -217,16 +217,16 @@ def curvature_audit(params: ModelParams, sample_count: int = 100,
     with one Riemann build each (geometry.curvature_fd)."""
     if sample_count < 1:
         raise ConfigError("sample_count must be at least 1")
-    rng = np.random.default_rng(seed)
-    pt_params, points = [], []
-    for _ in range(sample_count):
-        n = rng.uniform(0.5, 2.0)
-        pt_params.append(ModelParams(n=n, fd_step=params.fd_step,
-                                     axis_guard=params.axis_guard))
-        points.append(Point(tau=rng.uniform(0.0, 4 * math.pi * n),
-                            theta=rng.uniform(0.2, math.pi - 0.2),
-                            phi=rng.uniform(0.0, 2 * math.pi),
-                            r=rng.uniform(1.1 * n, 10 * n)))
+    # per point, rng.uniform(lo, hi) of n, tau, theta, phi and r in turn:
+    # lo + (hi - lo) * u from one batch of uniforms, the same bits
+    u = np.random.default_rng(seed).random((sample_count, 5)).T
+    n = 0.5 + (2.0 - 0.5) * u[0]
+    bounds = ((0.0, 4 * math.pi * n), (0.2, math.pi - 0.2), (0.0, 2 * math.pi),
+              (1.1 * n, 10 * n))
+    coords = np.column_stack([lo + (hi - lo) * v for (lo, hi), v in zip(bounds, u[1:])])
+    pt_params = [ModelParams(n=v, fd_step=params.fd_step, axis_guard=params.axis_guard)
+                 for v in n.tolist()]
+    points = [Point(*c) for c in coords.tolist()]
     ricci, Rfr = curvature_fd(pt_params, points)
     ricci_max = float(np.max(np.abs(ricci)))
     sd_max = float(np.max(duality_residual(Rfr, DUALITY_SIGN)))

@@ -354,3 +354,35 @@ class TestParsing:
         code, _, err = run(capsys, "integrate", "--n", "one",
                            "--init", "0,1,0,2,0,0,0,0", "--t-end", "1")
         assert code == 1 and err.count("\n") == 1
+
+    def test_parser_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_bad_flag_after_successful_call(self, capsys):
+        code, _, _ = run(capsys, "integrate", "--n", "1",
+                         "--init", "0,1,0,2,0,0,0,0", "--t-end", "1")
+        assert code == 0
+        code, out, err = run(capsys, "integrate", "--frobnicate", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ConfigError:") and err.count("\n") == 1
+
+    def test_calls_share_no_option_values(self, capsys, tmp_path):
+        # the parser is reused across calls; a verify call's values and
+        # option keys must not reach the integrate call after it
+        report = tmp_path / "report.json"
+        code, out, _ = run(capsys, "verify", "--scenario", "thm4", "--seed", "3",
+                           "--out", str(report))
+        assert code == 0 and out == "" and report.exists()
+        args = cli._build_parser().parse_args(
+            ["integrate", "--n", "1", "--init", "0,1,0,2,0,0,0,0", "--t-end", "1"])
+        assert args.option_keys == ("n", "init", "t_end", "tol", "samples", "out")
+        assert args.out is None and args.config is None
+        assert not hasattr(args, "seed") and not hasattr(args, "scenario")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"seed": 3}))
+        code, _, err = run(capsys, "integrate", "--config", str(cfg), "--n", "1",
+                           "--init", "0,1,0,2,0,0,0,0", "--t-end", "1")
+        assert code == 1 and err.startswith("error: ConfigError: unknown config key(s): seed")
+        code, out, _ = run(capsys, "integrate", "--n", "1",
+                           "--init", "0,1,0,2,0,0,0,0", "--t-end", "1")
+        assert code == 0 and out.startswith("t,tau,")

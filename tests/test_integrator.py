@@ -4,6 +4,7 @@ CSV round-tripping."""
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -552,3 +553,132 @@ class TestFloorGraze:
     def test_turning_above_floor_runs_to_horizon(self, R2, tol):
         _, traj = self.orbit(R2, tol)
         assert traj.termination == "Horizon"
+
+
+class TestStats:
+    CHART_EXIT = PhaseState(Point(0.0, np.pi / 2, 0.0, 3.0), (0.0, 0.0, 0.0, -1.0))
+
+    def test_counts_of_a_chart_exit_orbit(self, monkeypatch):
+        calls, raised = [], []
+
+        def counting_rhs(params, y):
+            calls.append(y[3])
+            try:
+                return geodesic_rhs(params, y)
+            except DomainError:
+                raised.append(y[3])
+                raise
+
+        monkeypatch.setattr(integrator, "geodesic_rhs", counting_rhs)
+        traj = integrate(P1, self.CHART_EXIT,
+                         IntegrationConfig(abs_tol=1e-3, rel_tol=1e-3, t_end=50.0))
+        stats = traj.stats
+        assert {k: stats[k] for k in ("nfev", "accepted", "chart_retries", "interpolants",
+                                      "root_solves")} == {
+            "nfev": 199, "accepted": 8, "chart_retries": 9, "interpolants": 7,
+            "root_solves": 1}
+        assert stats["h_min"] == pytest.approx(8.806766795070864e-4, rel=1e-9)
+        assert stats["h_max"] == pytest.approx(1.5165185634204172, rel=1e-9)
+        # second routes: every rhs call is counted, every chart exit is one
+        # retry, and without a grid each accepted step leaves its start row
+        assert stats["nfev"] == len(calls) and stats["chart_retries"] == len(raised)
+        assert stats["accepted"] == len(traj) - 1
+        # rows are the step starts, then the event time inside the last step
+        steps = np.diff(traj.t[:-1])
+        assert stats["h_min"] <= steps.min() and stats["h_max"] == steps.max()
+
+    def test_interpolants_only_near_events_or_with_grid(self):
+        # the equatorial orbit turns at r = sqrt(2), far from the floor, and
+        # stays on the equator, far from the axis band
+        cfg = IntegrationConfig(t_end=10.0)
+        plain = integrate(P1, equatorial_state(), cfg)
+        assert plain.termination == "Horizon"
+        assert plain.stats["interpolants"] < plain.stats["accepted"]
+        gridded = integrate(P1, equatorial_state(),
+                            replace(cfg, sample_grid=tuple(np.linspace(0.0, 10.0, 11))))
+        assert gridded.stats["interpolants"] == gridded.stats["accepted"]
+        assert gridded.stats["accepted"] == plain.stats["accepted"]
+        # each interpolant costs three rhs calls; the steps are the same
+        extra = gridded.stats["interpolants"] - plain.stats["interpolants"]
+        assert gridded.stats["nfev"] == plain.stats["nfev"] + 3 * extra
+
+    def test_no_step_taken(self):
+        s = PhaseState(Point(0.0, 1.0, 0.0, 2.0), (0.0, 0.0, 0.0, 0.0))
+        stats = integrate(P1, s, IntegrationConfig()).stats
+        assert stats == {"nfev": 0, "accepted": 0, "chart_retries": 0, "interpolants": 0,
+                         "root_solves": 0, "h_min": math.inf, "h_max": 0.0}
+
+    def test_closed_form_and_parsed_trajectories_carry_none(self):
+        assert radial_passthrough(P1, 1.5, 0.8, +1).stats == {}
+        traj = integrate(P1, equatorial_state(), IntegrationConfig(t_end=1.0))
+        assert traj.stats and trajectory_from_csv(trajectory_to_csv(traj)).stats == {}
+
+
+def scanning_dop853(levels, reached, built):
+    """A DOP853 that builds each accepted step's dense output itself and
+    scans it at 257 points: steps whose scan reaches one of the levels
+    (value, index, sign), or whose dense output leaves the chart, go into
+    `reached`; steps whose interpolant the caller asked for go into `built`.
+    Steps are keyed by (start, end), so a chart-exit restart is a new step."""
+
+    class Scanning(integrator.DOP853):
+        def step(self):
+            message = super().step()
+            if self.status != "failed":
+                key = (self.t_old, self.t)
+                try:
+                    interp = super().dense_output()
+                except (DomainError, AxisError):
+                    reached.add(key)
+                    return message
+                ys = interp(np.linspace(self.t_old, self.t, 257))
+                if any(np.any(sign * (ys[index] - value) <= 0.0) for value, index, sign in levels):
+                    reached.add(key)
+            return message
+
+        def dense_output(self):
+            built.add((self.t_old, self.t))
+            return super().dense_output()
+
+    return Scanning
+
+
+class TestEventGate:
+    """`integrate` builds a step's interpolant only when an event level is
+    within reach; a fine scan of every step's own interpolant must find no
+    level on a step it skipped."""
+
+    @settings(max_examples=36, deadline=None)
+    @given(kind=st.sampled_from(("floor", "axis")), tol=st.sampled_from((1e-12, 1e-6, 1e-3)),
+           offset=st.floats(-0.9e-6, 2e-6), r0_over_n=st.floats(1.2, 3.0),
+           n=st.floats(0.5, 2.0), r1=st.floats(0.8, 1.6), theta=st.floats(0.1, 0.6),
+           swing=st.floats(0.5, 1.0))
+    def test_skipped_steps_reach_no_level(self, kind, tol, offset, r0_over_n, n, r1, theta,
+                                          swing):
+        cfg = IntegrationConfig(abs_tol=tol, rel_tol=tol, t_end=5.0 if kind == "floor" else 10.0)
+        if kind == "floor":
+            # ingoing thm3 orbit at n = 1, r1 = 1 turning at R2 = sqrt(1 + phi0^2),
+            # within a few 1e-6 of the floor (as in TestFloorGraze)
+            params, r0 = P1, r0_over_n
+            R2 = 1.0 + cfg.r_floor_rel + offset
+            consts = FamilyConstants(family="thm3", eps=-1, r1=1.0,
+                                     phi0=-math.sqrt(R2 * R2 - 1.0), t1=0.0, phi1=0.0)
+            s = PhaseState(Point(0.0, np.pi / 2, 0.0, r0), family_velocities(consts, P1, r0))
+        else:
+            # p_phi = 2n p_tau, heading north: reaches the axis guard (as in
+            # test_grid_at_node_times_reproduces_nodes)
+            params, r0 = ModelParams(n=n), r0_over_n * n
+            ct, st_ = math.cos(theta), math.sin(theta)
+            dphi = 2 * n * r1 * (1 - ct) / ((r0 * r0 - n * n) * st_ * st_)
+            s = PhaseState(Point(0.2, theta, 0.1, r0),
+                           (r1 * (r0 + n) / (r0 - n) - 2 * n * ct * dphi, -swing, dphi, -0.1))
+        guard = params.axis_guard
+        levels = [(params.n * (1.0 + cfg.r_floor_rel), 3, +1.0),
+                  (guard, 1, +1.0), (np.pi - guard, 1, -1.0)]
+        reached, built = set(), set()
+        with mock.patch.object(integrator, "DOP853", scanning_dop853(levels, reached, built)):
+            traj = integrate(params, s, cfg)
+        if kind == "axis":
+            assert traj.termination == "AxisApproach"
+        assert traj.stats["interpolants"] <= len(built)
+        assert reached <= built, sorted(reached - built)

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from taubnut import verify
+from taubnut import geometry, verify
 from taubnut.analytic import (
     FamilyConstants,
     curve_derivatives,
@@ -231,6 +231,28 @@ class TestCurvatureAudit:
     def test_sample_count_validated(self):
         with pytest.raises(ConfigError):
             curvature_audit(P1, 0)
+
+    @pytest.mark.parametrize("seed", [0, 7, 42, 123])
+    def test_points_equal_per_point_draws(self, seed, monkeypatch):
+        # the batched draw gives the per-point rng.uniform draws bit for bit
+        drawn = []
+
+        def keep(ps, pts):
+            drawn.append((ps, pts))
+            return geometry.curvature_fd(ps, pts)
+
+        monkeypatch.setattr(verify, "curvature_fd", keep)
+        curvature_audit(ModelParams(n=1.0, fd_step=2e-4, axis_guard=1e-5), 100, seed=seed)
+        (ps, pts), = drawn
+        rng = np.random.default_rng(seed)
+        for params, p in zip(ps, pts, strict=True):
+            n = rng.uniform(0.5, 2.0)
+            assert (params.n, params.fd_step, params.axis_guard) == (n, 2e-4, 1e-5)
+            assert p == Point(tau=rng.uniform(0.0, 4 * math.pi * n),
+                              theta=rng.uniform(0.2, math.pi - 0.2),
+                              phi=rng.uniform(0.0, 2 * math.pi),
+                              r=rng.uniform(1.1 * n, 10 * n))
+            assert all(type(v) is float for v in (params.n, p.tau, p.theta, p.phi, p.r))
 
     @pytest.mark.parametrize("seed", [42, 7, 0])
     def test_batch_equals_one_point_route(self, seed):
