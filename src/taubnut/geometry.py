@@ -179,15 +179,33 @@ _CONNECTION = ((TAU, TAU, R), (TAU, PHI, R), (R, TAU, TAU), (R, TAU, PHI), (R, R
                (TAU, TAU, THETA), (TAU, PHI, THETA), (PHI, TAU, THETA), (PHI, PHI, THETA))
 
 
+def _any_array(n, r, ct, st) -> bool:
+    """Whether a connection call takes the array route. Each call picks its
+    power routine once: with an array argument, _ipow on every base; with
+    scalars only, Python's ** (what _ipow does to a scalar: the C library's
+    pow) inside one try, without _ipow's per-power dispatch."""
+    return (isinstance(n, np.ndarray) or isinstance(r, np.ndarray)
+            or isinstance(ct, np.ndarray) or isinstance(st, np.ndarray))
+
+
+def _overflow(n, r) -> DomainError:
+    return DomainError(f"a power of n = {n} or r = {r} overflows a float")
+
+
 def _connection_regular(n, r, ct, st) -> tuple:
     """The eleven Christoffel symbols free of 1/sin(theta), in _CONNECTION
     order, from n, r, cos(theta) and sin(theta) (scalars or arrays)."""
-    ct2, st2 = _ipow(ct, 2), _ipow(st, 2)
-    n2, n3 = _ipow(n, 2), _ipow(n, 3)
-    rho2 = _ipow(r, 2) - n2
     rp = r + n
+    if _any_array(n, r, ct, st):
+        ct2, st2, n2, n3, r2, rp2, rp3 = map(_ipow, (ct, st, n, n, r, rp, rp),
+                                              (2, 2, 2, 3, 2, 2, 3))
+    else:
+        try:
+            ct2, st2, n2, n3, r2, rp2, rp3 = ct**2, st**2, n**2, n**3, r**2, rp**2, rp**3
+        except OverflowError:
+            raise _overflow(n, r) from None
+    rho2 = r2 - n2
     rm = r - n
-    rp2, rp3 = _ipow(rp, 2), _ipow(rp, 3)
     return (n / rho2, -2 * n * ct / rp, -n * rm / rp3, -2 * n2 * rm * ct / rp3, -n / rho2,
             -r * rm / rp, -(4 * n3 * ct2 / rp2 + r * st2) * rm / rp, n * st / rp2, r / rho2,
             4 * n2 * ct * st / rp2 - st * ct, r / rho2)
@@ -196,9 +214,14 @@ def _connection_regular(n, r, ct, st) -> tuple:
 def _connection_singular(n, r, ct, st) -> tuple:
     """The four Christoffel symbols that carry 1/sin(theta), in _CONNECTION
     order after the regular ones; st must be nonzero."""
-    ct2, st2 = _ipow(ct, 2), _ipow(st, 2)
-    n2, n3 = _ipow(n, 2), _ipow(n, 3)
-    rp2 = _ipow(r + n, 2)
+    rp = r + n
+    if _any_array(n, r, ct, st):
+        ct2, st2, n2, n3, rp2 = map(_ipow, (ct, st, n, n, rp), (2, 2, 2, 3, 2))
+    else:
+        try:
+            ct2, st2, n2, n3, rp2 = ct**2, st**2, n**2, n**3, rp**2
+        except OverflowError:
+            raise _overflow(n, r) from None
     return (2 * n2 * ct / (rp2 * st),
             (4 * n3 * ct2 - n * st2 * rp2 - 2 * n * rp2 * ct2) / (rp2 * st),
             -n / (rp2 * st), -2 * n2 * ct / (rp2 * st) + ct / st)

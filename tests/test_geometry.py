@@ -2,9 +2,12 @@
 oracles, frame reconstruction, curvature residuals."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taubnut.errors import AxisError, ConfigError, DomainError
 from taubnut.geometry import (
@@ -15,6 +18,8 @@ from taubnut.geometry import (
     THETA,
     ModelParams,
     Point,
+    _connection_regular,
+    _connection_singular,
     christoffel_at,
     christoffel_fd_oracle,
     curvature_fd,
@@ -163,6 +168,20 @@ class TestChristoffel:
     def test_domain_error_where_powers_overflow(self):
         with pytest.raises(DomainError):
             christoffel_at(P1, Point(0.0, 1.0, 0.0, 1e200))
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.floats(1e-3, 1e3), theta=st.floats(1e-6, math.pi - 1e-6),
+           r_over_n=st.floats(1.001, 1e3))
+    def test_scalar_route_matches_array_route_bits(self, n, theta, r_over_n):
+        # Python floats take **, 1-element arrays the C pow element by
+        # element; every entry of both connection parts agrees bit for bit
+        r = r_over_n * n
+        ct, sn = float(np.cos(theta)), float(np.sin(theta))
+        one = [np.array([x]) for x in (n, r, ct, sn)]
+        for part in (_connection_regular, _connection_singular):
+            scalar = np.array(part(n, r, ct, sn))
+            array = np.concatenate(part(*one))
+            assert np.array_equal(scalar.view(np.uint64), array.view(np.uint64))
 
 
 class TestChristoffelOracle:

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from taubnut import geometry, verify
+from taubnut import geometry, integrator, verify
 from taubnut.analytic import (
     FamilyConstants,
     curve_derivatives,
@@ -26,7 +26,7 @@ from taubnut.geometry import (
     ricci_fd,
     self_duality_residual,
 )
-from taubnut.integrator import IntegrationConfig, PhaseState, integrate, norm
+from taubnut.integrator import IntegrationConfig, PhaseState, geodesic_rhs, integrate, norm
 from taubnut.geometry import Point
 from taubnut.verify import (
     SCENARIOS,
@@ -289,6 +289,49 @@ class TestScenarios:
         text = " ".join(report["findings"])
         assert "r1*sqrt(2n)" in text
         assert "corrected mode is the accepted form" in text
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_latitude_scenario_integrates_once(self, seed, monkeypatch):
+        # both thm5 modes are compared against one orbit, and the literal
+        # finding reads as from a comparison that integrates its own
+        runs = []
+
+        def keep(*args):
+            runs.append(args)
+            return integrate(*args)
+
+        monkeypatch.setattr(verify, "integrate", keep)
+        report = run_scenario("thm5", seed)
+        assert len(runs) == 1
+        consts, params = seeded_family("thm5", seed)
+        corrected = compare_numeric_analytic(consts, params)
+        literal = compare_numeric_analytic(consts, params, mode="literal")
+        lit_dev = max(literal["max_coordinate_deviation"].values())
+        corr_dev = max(corrected["max_coordinate_deviation"].values())
+        assert report["findings"][0] == (
+            "literal-mode prefactors scale the swept angles by r1*sqrt(2n) = "
+            f"{consts.r1 * math.sqrt(2 * params.n)!r} and t by r1/sqrt(2n) = "
+            f"{consts.r1 / math.sqrt(2 * params.n)!r}; max literal-mode deviation "
+            f"{lit_dev!r} vs corrected {corr_dev!r}")
+
+    @pytest.mark.parametrize("seed,rhs_calls", [(42, 3122), (7, 2957)])
+    def test_work_counts_of_all(self, seed, rhs_calls, monkeypatch):
+        # machine-independent counts of one verify op's integrator work: a
+        # duplicated orbit or a changed step sequence moves them
+        counts = {"rhs": 0, "integrate": 0}
+
+        def counting_rhs(*args):
+            counts["rhs"] += 1
+            return geodesic_rhs(*args)
+
+        def counting_integrate(*args):
+            counts["integrate"] += 1
+            return integrate(*args)
+
+        monkeypatch.setattr(integrator, "geodesic_rhs", counting_rhs)
+        monkeypatch.setattr(verify, "integrate", counting_integrate)
+        run_scenario("all", seed)
+        assert counts == {"rhs": rhs_calls, "integrate": 7}
 
     def test_all_aggregates(self):
         doc = run_scenario("all", seed=42)
