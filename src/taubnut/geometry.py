@@ -14,6 +14,13 @@ oracles for the Christoffels and for curvature (Ricci residual, self-duality
 residual in the orthonormal frame). The metric and Christoffel closed forms
 written here are the package's only copies; the integrator reads both.
 
+The integrator steps in the regular radial coordinate s = sqrt(r - n), so
+the connection is also written there (_connection_s): with r = n + s**2 the
+metric is smooth through the nut s = 0 (g_ss = 4(s**2 + 2n); with
+rho = r - n it is in Gibbons-Hawking form, Gibbons & Hawking 1978), and
+only three symbols keep a 1/s, as in flat polar coordinates. The r-chart
+closed forms of christoffel_at are its independent route.
+
 All functions are pure; coordinate index order is fixed by COORDS throughout.
 """
 
@@ -188,8 +195,8 @@ def _any_array(n, r, ct, st) -> bool:
             or isinstance(ct, np.ndarray) or isinstance(st, np.ndarray))
 
 
-def _overflow(n, r) -> DomainError:
-    return DomainError(f"a power of n = {n} or r = {r} overflows a float")
+def _overflow(n, x, name="r") -> DomainError:
+    return DomainError(f"a power of n = {n} or {name} = {x} overflows a float")
 
 
 def _connection_regular(n, r, ct, st) -> tuple:
@@ -225,6 +232,37 @@ def _connection_singular(n, r, ct, st) -> tuple:
     return (2 * n2 * ct / (rp2 * st),
             (4 * n3 * ct2 - n * st2 * rp2 - 2 * n * rp2 * ct2) / (rp2 * st),
             -n / (rp2 * st), -2 * n2 * ct / (rp2 * st) + ct / st)
+
+
+# positions, in _connection_s's tuple, of the three s-chart symbols that
+# carry 1/s and come times s: Gamma^tau_{tau s}, Gamma^theta_{s theta},
+# Gamma^phi_{phi s}
+_S_POLAR = (0, 8, 10)
+
+
+def _connection_s(n, s, ct, st) -> tuple:
+    """The s-chart counterparts of _connection_regular's eleven symbols, in
+    _CONNECTION order with s = sqrt(r - n) in place of r.
+
+    With r = n + s**2 and q = r + n = s**2 + 2n, r - n = s**2 cancels by
+    hand: Gamma^s_{ss} = s/q (the r-chart's -n/(r**2 - n**2) is a chart
+    artefact), each Gamma^s_{xy} with x, y angular is Gamma^r_{xy}/(2s),
+    whose factor r - n leaves one s, and Gamma^x_{ys} = 2s Gamma^x_{yr}.
+    Only the three at _S_POLAR carry 1/s, as the angular symbols of flat
+    polar coordinates do, and the geodesic equations multiply each by ds/dt;
+    they are returned times s, so every value is finite at the nut s = 0.
+    The four 1/sin(theta) symbols are _connection_singular's at r = n + s**2.
+    Python floats only: their ** raises where a power overflows."""
+    try:
+        ct2, st2, n2, n3, s2 = ct**2, st**2, n**2, n**3, s**2
+        q = s2 + 2 * n
+        q2, q3 = q**2, q**3
+    except OverflowError:
+        raise _overflow(n, s, "s") from None
+    r = n + s2
+    return (2 * n / q, -4 * n * s * ct / q, -n * s / (2 * q3), -n2 * s * ct / q3, s / q,
+            -r * s / (2 * q), -(4 * n3 * ct2 / q2 + r * st2) * s / (2 * q), n * st / q2,
+            2 * r / q, 4 * n2 * ct * st / q2 - st * ct, 2 * r / q)
 
 
 def _christoffel(n, theta, r) -> np.ndarray:

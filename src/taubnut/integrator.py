@@ -2,12 +2,16 @@
 
 The equations of motion contract the geometry module's closed-form
 connection coefficients with the velocity; no coefficient is written here.
-State layout is the 8-vector (tau, theta, phi, r, dtau, dtheta, dphi, dr)
-in the fixed coordinate order; geodesic_rhs takes it flat. The stepper is
-scipy's DOP853 (the explicit Runge-Kutta 8(5,3) code of Hairer, Norsett &
-Wanner, Solving ODEs I, sections II.5-6), driven one step at a time; its
-7th-order dense output feeds event detection for the removable singularity
-r = n and the polar axis, and the fixed-grid samples each step reads before
+Callers and rows use the 8-vector (tau, theta, phi, r, dtau, dtheta, dphi,
+dr) in the fixed coordinate order. The stepper runs on the flat state
+(tau, theta, phi, s, dtau, dtheta, dphi, ds) in the regular radial
+coordinate s = sqrt(r - n): r = n is the nut, a regular point of the
+manifold, where r(t) has a square-root singularity that DOP853 resolves
+only by rejecting step after step, while s(t) passes it linearly. The
+stepper is scipy's DOP853 (the explicit Runge-Kutta 8(5,3) code of Hairer,
+Norsett & Wanner, Solving ODEs I, sections II.5-6), driven one step at a
+time; its 7th-order dense output feeds event detection for the r floor near
+the nut and the polar axis, and the fixed-grid samples each step reads before
 its interpolant is dropped. The interpolant costs three extra rhs calls, so
 it is built only for a step that can reach the floor, the axis band or a
 grid time, and evaluated once there for every event within reach.
@@ -42,8 +46,9 @@ from .geometry import (
     THETA,
     ModelParams,
     Point,
-    _connection_regular,
+    _connection_s,
     _connection_singular,
+    _ipow,
     _metric,
     metric_at,  # noqa: F401  (bench/tracing.py wraps integrator.metric_at)
 )
@@ -126,9 +131,11 @@ class Trajectory:
 
     stats holds the run's deterministic counters when `integrate` built it
     (empty otherwise): nfev (rhs calls of every stepper, chart-exit restarts
-    included), accepted (steps), chart_retries, interpolants (dense outputs
-    built), root_solves (brentq calls), and h_min, h_max over the accepted
-    steps (inf and 0.0 when none was taken)."""
+    included), accepted (steps), rejected (attempts the step control
+    refused: a DOP853 attempt costs exactly 12 rhs calls, so each completed
+    stepper call adds its rhs calls / 12 - 1), chart_retries, interpolants
+    (dense outputs built), root_solves (brentq calls), and h_min, h_max over
+    the accepted steps (inf and 0.0 when none was taken)."""
 
     COLUMNS = ("t", "tau", "theta", "phi", "r", "dtau", "dtheta", "dphi", "dr",
                "p_tau", "p_phi", "norm")
@@ -173,37 +180,49 @@ class Trajectory:
 
 def geodesic_rhs(params: ModelParams, y: np.ndarray) -> np.ndarray:
     """Velocity-and-acceleration 8-vector of the geodesic system,
-    x''^lam = -Gamma^lam_{mu nu} x'^mu x'^nu, at the flat state y (a
-    PhaseState passes s.as_array()), with the connection from geometry's
-    closed forms contracted by explicit velocity products. The 1/sin(theta)
-    coefficients are evaluated only when their velocity product dtau*dtheta
-    or dphi*dtheta is nonzero, so radial/meridional motion evaluates cleanly
-    arbitrarily close to (and across) the axis. r <= n, and radii whose
-    powers overflow a float, raise DomainError."""
-    _, theta, _, r, dtau, dth, dphi, dr = y.tolist()
+    x''^lam = -Gamma^lam_{mu nu} x'^mu x'^nu, at the flat stepper state
+    y = (tau, theta, phi, s, dtau, dtheta, dphi, ds) in the regular radial
+    coordinate s = sqrt(r - n) (r = n + s**2, ds = dr/(2s)), with the
+    s-chart connection from geometry's closed forms contracted by explicit
+    velocity products. The metric is smooth through the nut s = 0, so purely
+    radial motion passes it like any other point. The three 1/s coefficients
+    multiply ds*dtau, ds*dtheta and ds*dphi and are evaluated only when one
+    of those products is nonzero; such a state exactly at s = 0 raises
+    DomainError (the angles are undefined at the nut), as do coordinates
+    whose powers overflow a float. Likewise the 1/sin(theta) coefficients
+    are evaluated only when dtau*dtheta or dphi*dtheta is nonzero, so
+    radial/meridional motion evaluates cleanly arbitrarily close to (and
+    across) the axis."""
+    _, theta, _, s, dtau, dth, dphi, ds = y.tolist()
     n = params.n
-    if not r > n:
-        raise DomainError(f"r = {r} must exceed n = {n}")
     # numpy's cos and sin (the C library's differ in the last bit) as Python
     # floats, whose arithmetic costs less than numpy scalars'
     ct, st = float(np.cos(theta)), float(np.sin(theta))
-    # Gamma^lam_{mu nu} is named lam_mu nu, with h standing for theta
-    (t_tr, t_pr, r_tt, r_tp, r_rr, r_hh, r_pp, h_tp, h_rh, h_pp,
-     p_pr) = _connection_regular(n, r, ct, st)
-    acc_tau = -2 * (t_tr * dtau + t_pr * dphi) * dr
-    acc_theta = -(2 * (h_tp * dtau * dphi + h_rh * dr * dth) + h_pp * dphi * dphi)
-    acc_phi = -2 * p_pr * dphi * dr
-    acc_r = -(r_tt * dtau * dtau + 2 * r_tp * dtau * dphi + r_rr * dr * dr
-              + r_hh * dth * dth + r_pp * dphi * dphi)
+    # Gamma^lam_{mu nu} is named lam_mu nu, with h standing for theta; the
+    # three polar ones come times s
+    (t_ts, t_ps, s_tt, s_tp, s_ss, s_hh, s_pp, h_tp, h_sh, h_pp,
+     p_ps) = _connection_s(n, s, ct, st)
+    acc_tau = -2 * t_ps * dphi * ds
+    acc_theta = -(2 * h_tp * dtau * dphi + h_pp * dphi * dphi)
+    acc_phi = 0.0
+    acc_s = -(s_tt * dtau * dtau + 2 * s_tp * dtau * dphi + s_ss * ds * ds
+              + s_hh * dth * dth + s_pp * dphi * dphi)
+    if ds != 0.0 and (dtau != 0.0 or dth != 0.0 or dphi != 0.0):
+        if s == 0.0:
+            raise DomainError("1/s term activated exactly at the nut s = 0")
+        w = ds / s
+        acc_tau -= 2 * t_ts * dtau * w
+        acc_theta -= 2 * h_sh * dth * w
+        acc_phi -= 2 * p_ps * dphi * w
     tau_theta = dtau * dth
     phi_theta = dphi * dth
     if tau_theta != 0.0 or phi_theta != 0.0:
         if st == 0.0:
             raise AxisError("1/sin(theta) term activated exactly on the axis")
-        t_th, t_ph, p_th, p_ph = _connection_singular(n, r, ct, st)
+        t_th, t_ph, p_th, p_ph = _connection_singular(n, n + s**2, ct, st)
         acc_tau -= 2 * (t_th * tau_theta + t_ph * phi_theta)
         acc_phi -= 2 * (p_th * tau_theta + p_ph * phi_theta)
-    return np.array([dtau, dth, dphi, dr, acc_tau, acc_theta, acc_phi, acc_r])
+    return np.array([dtau, dth, dphi, ds, acc_tau, acc_theta, acc_phi, acc_s])
 
 
 def _rows(params: ModelParams, ts, ys) -> np.ndarray:
@@ -253,6 +272,11 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
     t_end, the r floor n*(1 + r_floor_rel), an armed axis crossing, or the
     step budget, whichever comes first.
 
+    The stepper runs on (tau, theta, phi, s, dtau, dtheta, dphi, ds) with
+    s = sqrt(r - n) > 0 and ds = dr/(2s) (see geodesic_rhs), where the r
+    floor is the s level sqrt(r_floor - n); rows carry r = n + s**2 and
+    dr = 2s*ds, and a row at t = 0 is the caller's state itself.
+
     Sampling is one pass: each accepted step appends its start state or,
     with cfg.sample_grid set, its grid times up to its end or event time,
     read by one call of its interpolant, which is not kept. An event level
@@ -265,35 +289,38 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
     armed only when the initial state has dtau/dt != 0 or dphi/dt != 0;
     unarmed motion may pass through the axis.
 
-    A stage that leaves the chart (r <= n, a radius whose powers overflow,
-    or an active 1/sin(theta) term exactly on the axis) restarts the stepper
-    from the last accepted state with a quarter of the step it tried;
-    cfg.max_steps counts these cut-short stepper calls too. The stepper
-    giving up on a step too small to advance t also ends in StepBudget. The
-    run's counters are in the returned Trajectory's stats."""
+    A stage that leaves the chart (a coordinate whose powers overflow, or an
+    active 1/sin(theta) or 1/s term exactly on the axis or at the nut)
+    restarts the stepper from the last accepted state with a quarter of the
+    step it tried; cfg.max_steps counts these cut-short stepper calls too.
+    The stepper giving up on a step too small to advance t also ends in
+    StepBudget. The run's counters are in the returned Trajectory's stats."""
     n = params.n
-    y = state.as_array()
-    if not np.all(np.isfinite(y)):
+    y0 = state.as_array()
+    if not np.all(np.isfinite(y0)):
         raise ConfigError("state coordinates and velocity must be finite")
     r_floor = n * (1.0 + cfg.r_floor_rel)
-    if y[R] <= r_floor and not y[R] > n:
-        raise DomainError(f"initial r = {y[R]} must exceed n = {n}")
+    if y0[R] <= r_floor and not y0[R] > n:
+        raise DomainError(f"initial r = {y0[R]} must exceed n = {n}")
 
     armed = state.velocity[0] != 0.0 or state.velocity[2] != 0.0
     guard = params.axis_guard
-    event_table = [(r_floor, R, +1.0, SINGULARITY_APPROACH)]
+    event_table = [(math.sqrt(r_floor - n), R, +1.0, SINGULARITY_APPROACH)]
     if armed:
         event_table += [(guard, THETA, +1.0, AXIS_APPROACH),
                         (np.pi - guard, THETA, -1.0, AXIS_APPROACH)]
 
-    stats = {"nfev": 0, "accepted": 0, "chart_retries": 0, "interpolants": 0,
+    stats = {"nfev": 0, "accepted": 0, "rejected": 0, "chart_retries": 0, "interpolants": 0,
              "root_solves": 0, "h_min": math.inf, "h_max": 0.0}
-    if y[R] <= r_floor:
-        return Trajectory(_rows(params, [0.0], [y]), SINGULARITY_APPROACH, stats)
-    if armed and not guard < y[THETA] < np.pi - guard and state.velocity[1] != 0.0:
-        return Trajectory(_rows(params, [0.0], [y]), AXIS_APPROACH, stats)
+    if y0[R] <= r_floor:
+        return Trajectory(_rows(params, [0.0], [y0]), SINGULARITY_APPROACH, stats)
+    if armed and not guard < y0[THETA] < np.pi - guard and state.velocity[1] != 0.0:
+        return Trajectory(_rows(params, [0.0], [y0]), AXIS_APPROACH, stats)
     if all(v == 0.0 for v in state.velocity):
-        return Trajectory(_rows(params, [0.0], [y]), HORIZON, stats)
+        return Trajectory(_rows(params, [0.0], [y0]), HORIZON, stats)
+    y = y0.copy()
+    y[R] = math.sqrt(y0[R] - n)
+    y[7] = y0[7] / (2 * y[R])
 
     def rhs(_, yy):
         stats["nfev"] += 1
@@ -321,8 +348,12 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
             break
         calls += 1
         h_try = min(solver.h_abs, cfg.t_end - t)
+        nfev = stats["nfev"]
         try:
             solver.step()
+            # every attempt costs 12 rhs calls (11 stages and the end point);
+            # all but the accepted one were rejected
+            stats["rejected"] += (stats["nfev"] - nfev) // 12 - (solver.status != "failed")
             if solver.status == "failed":
                 continue
             t1, y1 = solver.t, solver.y
@@ -333,9 +364,8 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
                     if min(sign * (y[index] - value), sign * (y1[index] - value)) <= reach[index]]
             interp = solver.dense_output() if near or grid is not None else None
         except (DomainError, AxisError):
-            # a stage left the chart (past the floor or onto the axis): retry
-            # shorter from the last accepted state; the event machinery stops
-            # us once a step lands inside
+            # a stage left the chart (past the float range, or onto the axis
+            # or the nut): retry shorter from the last accepted state
             if 0.25 * h_try <= 10 * np.spacing(t):
                 termination, t_stop, y_stop = STEP_BUDGET, t, y
                 break
@@ -375,7 +405,11 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
     if not sample_t or sample_t[-1] < t_stop:
         sample_t.append(t_stop)
         sample_y.append(y_stop)
-    return Trajectory(_rows(params, sample_t, sample_y), termination, stats)
+    ys = np.array(sample_y)
+    ys[:, 7] *= 2 * ys[:, R]  # dr = 2s ds
+    ys[:, R] = n + _ipow(ys[:, R], 2)
+    ys[np.array(sample_t) == 0.0] = y0
+    return Trajectory(_rows(params, sample_t, ys), termination, stats)
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:

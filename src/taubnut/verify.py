@@ -4,6 +4,9 @@ and curvature audits (vacuum property, duality orientation) at seeded points.
 
 Reports are plain dicts with schema version 1 and a fixed key order, built
 only from the inputs and the seed, so serialized output is byte-reproducible.
+Their work section carries each integration's deterministic counters (rhs
+calls, accepted and rejected steps, interpolants, root solves); wall times
+never enter a report.
 A report's verdict is a pure function of its deviations and tolerances.
 
 The two-route rule: every comparison pits one computation route against an
@@ -61,7 +64,10 @@ ANTI_SELF_DUAL_MIN_RATIO = 0.1
 _REPORT_KEYS = ("schema", "scenario", "family", "params", "tolerances",
                 "max_coordinate_deviation", "conservation_drift",
                 "derivative_max_rel_error", "passthrough", "curvature",
-                "duality_sign", "findings", "passed")
+                "duality_sign", "work", "findings", "passed")
+
+# the deterministic counters of Trajectory.stats that reports carry
+_WORK_KEYS = ("nfev", "accepted", "rejected", "interpolants", "root_solves")
 
 
 def _plain(value):
@@ -177,7 +183,13 @@ def _compare_orbit(consts: FamilyConstants, params: ModelParams, orbit: tuple,
                    tolerances=tolerances,
                    max_coordinate_deviation=deviation,
                    conservation_drift=drift,
+                   work={"orbit": _work(traj)},
                    findings=findings, passed=passed)
+
+
+def _work(traj) -> dict:
+    """The deterministic counters of one integration, for a report."""
+    return {key: traj.stats[key] for key in _WORK_KEYS}
 
 
 def derivative_sweep(consts: FamilyConstants, params: ModelParams,
@@ -277,15 +289,17 @@ def seeded_family(family: str, seed: int) -> tuple:
 def _radial_passthrough_check(consts: FamilyConstants,
                               params: ModelParams) -> tuple:
     """Stitched two-branch radial curve against two one-sided integrations
-    (outgoing and ingoing), compared in r(t). Returns (max deviation, rows)."""
+    (outgoing and ingoing), compared in r(t). Returns (max deviation, rows,
+    work counters of each integration by branch name)."""
     n = params.n
     r_a = 1.5 * n
     worst = 0.0
     rows = 0
+    work = {}
     out_consts = replace(consts, eps=1)
     span = (curves(params, out_consts, 3 * n, "aligned")["t"]
             - curves(params, out_consts, r_a, "aligned")["t"])
-    for branch in (1, -1):
+    for branch, name in ((1, "passthrough_outgoing"), (-1, "passthrough_ingoing")):
         start = replace(consts, eps=branch)
         state = PhaseState(Point(0.0, 1.0, 0.0, r_a),
                            family_velocities(start, params, r_a))
@@ -297,7 +311,8 @@ def _radial_passthrough_check(consts: FamilyConstants,
         worst = max(worst,
                     float(np.max(np.abs(curve["r"] - traj.coords[:, 3]))))
         rows += len(traj)
-    return worst, rows
+        work[name] = _work(traj)
+    return worst, rows, work
 
 
 def run_scenario(name: str, seed: int = 0) -> dict:
@@ -328,7 +343,8 @@ def run_scenario(name: str, seed: int = 0) -> dict:
     report["passed"] = report["passed"] and sweep["passed"]
 
     if name == "thm1":
-        deviation, rows = _radial_passthrough_check(consts, params)
+        deviation, rows, work = _radial_passthrough_check(consts, params)
+        report["work"].update(work)
         ok = deviation <= PASSTHROUGH_TOL
         report["tolerances"]["passthrough"] = PASSTHROUGH_TOL
         report["passthrough"] = {"max_r_deviation": deviation, "rows": rows,

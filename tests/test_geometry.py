@@ -17,8 +17,12 @@ from taubnut.geometry import (
     TAU,
     THETA,
     ModelParams,
+    MetricTensor,
     Point,
+    _CONNECTION,
+    _S_POLAR,
     _connection_regular,
+    _connection_s,
     _connection_singular,
     christoffel_at,
     christoffel_fd_oracle,
@@ -182,6 +186,62 @@ class TestChristoffel:
             scalar = np.array(part(n, r, ct, sn))
             array = np.concatenate(part(*one))
             assert np.array_equal(scalar.view(np.uint64), array.view(np.uint64))
+
+
+def s_chart_table(n, theta, s):
+    """The s-chart Christoffel table, s = sqrt(r - n), from _connection_s
+    (its _S_POLAR entries divided by s) and _connection_singular at
+    r = n + s**2, with _CONNECTION's index table; s must be nonzero."""
+    ct, sn = float(np.cos(theta)), float(np.sin(theta))
+    values = list(_connection_s(n, s, ct, sn))
+    for i in _S_POLAR:
+        values[i] /= s
+    values += _connection_singular(n, n + s**2, ct, sn)
+    G = np.zeros((4, 4, 4))
+    for (lam, mu, nu), value in zip(_CONNECTION, values):
+        G[lam, mu, nu] = G[lam, nu, mu] = value
+    return G
+
+
+def shifted_s_chart_metric(params, p):
+    """The metric in (tau, theta, phi, u) with u = n + s, from metric_at
+    pulled back through r = n + s**2 (g_uu = 4 s**2 g_rr). The shift by n
+    leaves every Christoffel symbol as in the s-chart, but puts the nut s = 0
+    at christoffel_fd_oracle's chart edge u = n, so its interior check and
+    its radial step h*(u - n) = h*s apply as they stand."""
+    s = p.r - params.n
+    g = metric_at(params, Point(p.tau, p.theta, p.phi, params.n + s**2)).components
+    g[R, R] *= 4 * s**2
+    return MetricTensor(g)
+
+
+class TestSChartConnection:
+    """The connection in the regular radial coordinate s = sqrt(r - n)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.floats(0.5, 2.0), theta=st.floats(0.2, math.pi - 0.2),
+           s_over_root_n=st.floats(0.05, 3.0))
+    def test_entries_match_fd_oracle(self, n, theta, s_over_root_n):
+        # the independent route: central differences of the pulled-back metric
+        params = ModelParams(n=n)
+        s = s_over_root_n * math.sqrt(n)
+        G = s_chart_table(n, theta, s)
+        F = christoffel_fd_oracle(params, Point(0.3, theta, 0.2, n + s),
+                                  metric_fn=shifted_s_chart_metric).components
+        assert np.abs(G - F).max() <= 1e-6 * max(1.0, np.abs(G).max())
+
+    def test_radial_entries_at_the_nut(self):
+        # Gamma^s_ss = s/(s**2 + 2n) vanishes at s = 0, and the three 1/s
+        # entries come times s: 2n/q, 2r/q and 2r/q with q = 2n, r = n
+        values = _connection_s(1.5, 0.0, 0.6, 0.8)
+        assert all(math.isfinite(v) for v in values)
+        assert values[4] == 0.0
+        assert [values[i] for i in _S_POLAR] == [1.0, 1.0, 1.0]
+
+    def test_domain_error_where_powers_overflow(self):
+        # (s**2 + 2n)**3 overflows where the r-chart's (r + n)**3 does
+        with pytest.raises(DomainError):
+            _connection_s(1.0, 1e52, 0.6, 0.8)
 
 
 class TestChristoffelOracle:

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
-from taubnut import integrator, radial_passthrough
+from taubnut import integrator, radial_passthrough, verify
 from taubnut.analytic import FamilyConstants, curves, family_velocities
 from taubnut.errors import AxisError, ConfigError, DegenerateError, DomainError
 from taubnut.geometry import (
@@ -37,6 +38,22 @@ from taubnut.integrator import (
 )
 
 P1 = ModelParams(n=1.0)
+# an outgoing radial orbit that runs until (s**2 + 2n)**3 overflows a float
+ESCAPE = PhaseState(Point(0.0, 1.0, 0.0, 1e100), (0.0, 0.0, 0.0, 1.0))
+ESCAPE_CFG = IntegrationConfig(abs_tol=1e-12, rel_tol=1e-12, t_end=1e308)
+
+
+def r_chart_rhs(params, state):
+    """geodesic_rhs at an r-chart PhaseState, mapped through r = n + s**2
+    both ways: the state goes in as s = sqrt(r - n), ds = dr/(2s), and the
+    result comes out as (velocities, accelerations) in the r-chart, with
+    dr = 2s*ds and d2r = 2*ds**2 + 2s*d2s."""
+    y = state.as_array()
+    s = math.sqrt(y[3] - params.n)
+    y[3], y[7] = s, y[7] / (2 * s)
+    out = geodesic_rhs(params, y)
+    out[3], out[7] = 2 * s * out[3], 2 * y[7] ** 2 + 2 * s * out[7]
+    return out
 
 
 def equatorial_state():
@@ -114,13 +131,13 @@ class TestGeodesicRhs:
     def test_radial_acceleration(self):
         # only dr/dt nonzero: d2r/dt2 = n/(r^2-n^2) = 1/3, everything else 0
         s = PhaseState(Point(0.0, np.pi / 3, 0.0, 2.0), (0.0, 0.0, 0.0, 1.0))
-        out = geodesic_rhs(P1, s.as_array())
+        out = r_chart_rhs(P1, s)
         assert out[7] == pytest.approx(1 / 3, abs=1e-15)
         assert np.max(np.abs(out[4:7])) == 0.0
 
     def test_equator_azimuthal_state(self):
         s = PhaseState(Point(0.0, np.pi / 2, 0.0, 2.0), (0.0, 0.0, 1.0, 0.0))
-        out = geodesic_rhs(P1, s.as_array())
+        out = r_chart_rhs(P1, s)
         assert out[7] == pytest.approx(2 / 3, abs=1e-15)
         # sin*cos vanishes at the equator up to the cos(pi/2) rounding residue
         assert abs(out[5]) < 1e-15
@@ -128,7 +145,7 @@ class TestGeodesicRhs:
 
     def test_theta_acceleration_from_charge_coupling(self):
         s = PhaseState(Point(0.0, np.pi / 2, 0.0, 2.0), (1.0, 0.0, 1.0, 0.0))
-        assert geodesic_rhs(P1, s.as_array())[5] == pytest.approx(-2 / 9, abs=1e-14)
+        assert r_chart_rhs(P1, s)[5] == pytest.approx(-2 / 9, abs=1e-14)
 
     def test_matches_christoffel_contraction(self):
         params = ModelParams(n=0.7)
@@ -136,7 +153,7 @@ class TestGeodesicRhs:
         v = np.array([0.3, -0.2, 0.4, 0.1])
         G = christoffel_at(params, p).components
         acc = -np.einsum("lmn,m,n->l", G, v, v)
-        out = geodesic_rhs(params, PhaseState(p, tuple(v)).as_array())
+        out = r_chart_rhs(params, PhaseState(p, tuple(v)))
         assert np.allclose(out[:4], v, atol=0)
         assert np.allclose(out[4:], acc, atol=1e-13)
 
@@ -154,36 +171,102 @@ class TestGeodesicRhs:
         p = Point(0.0, theta, 0.0, r_over_n * n)
         v = np.array(speeds) * np.array(signs)
         terms = np.einsum("lmn,m,n->lmn", christoffel_fd_oracle(params, p).components, v, v)
-        acc = geodesic_rhs(params, PhaseState(p, tuple(v)).as_array())[4:]
+        acc = r_chart_rhs(params, PhaseState(p, tuple(v)))[4:]
         scale = np.abs(terms).sum(axis=(1, 2))
         assert np.all(np.abs(acc + terms.sum(axis=(1, 2))) <= 1e-6 * scale)
 
-    def test_rejects_r_at_or_below_n(self):
+    @pytest.mark.parametrize("velocity", [(0.5, 0.0, 0.0, 1.0), (0.0, 0.5, 0.0, -1.0),
+                                          (0.0, 0.0, 0.5, 1.0)])
+    def test_rejects_angular_motion_at_the_nut(self, velocity):
+        # the stepper state in s = sqrt(r - n): the angles are undefined at
+        # s = 0, where each 1/s term multiplies ds and an angular velocity
         with pytest.raises(DomainError):
-            geodesic_rhs(P1, PhaseState(Point(0.0, 1.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0)).as_array())
+            geodesic_rhs(P1, PhaseState(Point(0.0, 1.0, 0.0, 0.0), velocity).as_array())
 
     def test_domain_error_where_powers_overflow(self):
         # (r + n)**3 overflows a float beyond r ~ 5.6e102
         s = PhaseState(Point(0.0, 1.0, 0.0, 1e103), (0.0, 0.0, 0.0, 1.0))
         with pytest.raises(DomainError):
-            geodesic_rhs(P1, s.as_array())
+            r_chart_rhs(P1, s)
 
     def test_axis_error_when_singular_term_active(self):
         s = PhaseState(Point(0.0, 0.0, 0.0, 2.0), (1.0, 1.0, 0.0, 0.0))
         with pytest.raises(AxisError):
-            geodesic_rhs(P1, s.as_array())
+            r_chart_rhs(P1, s)
 
     def test_meridional_clean_arbitrarily_near_axis(self):
         # no 1/sin term is activated when dtau/dt = dphi/dt = 0
         s = PhaseState(Point(0.0, 1e-9, 0.0, 2.0), (0.0, 1.0, 0.0, 0.0))
-        out = geodesic_rhs(P1, s.as_array())
+        out = r_chart_rhs(P1, s)
         assert np.all(np.isfinite(out))
         assert out[7] == pytest.approx(2 / 3, abs=1e-15)
 
     def test_holding_r_fixed_requires_zero_velocity(self):
         # dr/dt = 0 with dphi/dt != 0 gives d2r/dt2 != 0: r cannot stay constant
         s = PhaseState(Point(0.0, np.pi / 2, 0.0, 2.0), (0.0, 0.0, 1.0, 0.0))
-        assert geodesic_rhs(P1, s.as_array())[7] > 0.1
+        assert r_chart_rhs(P1, s)[7] > 0.1
+
+
+class TestSChart:
+    """The stepper's regular radial coordinate s = sqrt(r - n)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.floats(0.5, 2.0), theta=st.floats(0.2, math.pi - 0.2),
+           s_over_root_n=st.floats(0.03, 3.0),
+           speeds=st.tuples(*[st.floats(0.1, 1.0)] * 4),
+           signs=st.tuples(*[st.sampled_from((-1.0, 1.0))] * 4))
+    def test_rhs_matches_r_chart_contraction(self, n, theta, s_over_root_n, speeds, signs):
+        # the independent route: -Gamma(v, v) with christoffel_at's r-chart
+        # table, against the s-chart rhs mapped back through r = n + s**2;
+        # every velocity component is nonzero, so every term is active. Each
+        # acceleration is compared relative to the sum of its terms'
+        # magnitudes. Nearer the nut the r-chart route itself loses digits
+        # (r**2 - n**2 cancels): about eps*n/(r - n), 1e-10 at s = 1e-3*sqrt(n).
+        params = ModelParams(n=n)
+        p = Point(0.0, theta, 0.0, n + (s_over_root_n * math.sqrt(n)) ** 2)
+        v = np.array(speeds) * np.array(signs)
+        terms = np.einsum("lmn,m,n->lmn", christoffel_at(params, p).components, v, v)
+        acc = r_chart_rhs(params, PhaseState(p, tuple(v)))[4:]
+        scale = np.abs(terms).sum(axis=(1, 2))
+        assert np.all(np.abs(acc + terms.sum(axis=(1, 2))) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("ds", [0.7, -0.7, 0.0])
+    def test_radial_state_at_the_nut(self, ds):
+        # the r-chart's d2r/dt2 = n/(r**2 - n**2) dr**2 is singular here;
+        # in s the radial motion has no acceleration at the nut
+        y = PhaseState(Point(0.3, 1.0, 0.2, 0.0), (0.0, 0.0, 0.0, ds)).as_array()
+        out = geodesic_rhs(ModelParams(n=0.8), y)
+        assert out.tolist() == [0.0, 0.0, 0.0, ds, 0.0, 0.0, 0.0, 0.0]
+
+    def test_radial_orbit_through_the_nut(self):
+        # from s = 0, forward and backward in t: r(t) = n + s(t)**2 against
+        # radial_passthrough's stitched closed form, and the norm
+        # g_ss ds**2 = 4 (s**2 + 2n) ds**2 = r1**2 conserved
+        params, r1 = ModelParams(n=0.8), 1.1
+        y0 = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, r1 / (2 * math.sqrt(2 * params.n))])
+        exact = radial_passthrough(params, 0.0, r1, +1)
+        T = exact.t[-1]
+        halves = [solve_ivp(lambda t, y: geodesic_rhs(params, y), (0.0, end), y0,
+                            method="DOP853", rtol=1e-12, atol=1e-12, dense_output=True)
+                  for end in (T, -T)]
+        s = np.where(exact.t >= 0, halves[0].sol(np.abs(exact.t))[3],
+                     halves[1].sol(-np.abs(exact.t))[3])
+        assert s[0] < 0.0 < s[-1]  # through the nut, not bounced off it
+        assert np.max(np.abs(params.n + s**2 - exact.coords[:, 3])) <= 1e-8
+        for half in halves:
+            s, ds = half.y[3], half.y[7]
+            assert np.max(np.abs(4 * (s**2 + 2 * params.n) * ds**2 - r1**2)) <= 1e-8
+
+    @pytest.mark.parametrize("grid", [None, (0.0, 0.5, 1.0)])
+    def test_start_row_is_the_callers_state(self, grid):
+        # r -> s -> r would move the last bits of r and dr here
+        n, r, dr = 0.5, 1.7, 0.3
+        s = math.sqrt(r - n)
+        assert (n + s**2, 2 * s * (dr / (2 * s))) != (r, dr)
+        state = PhaseState(Point(0.1, 1.2, 0.3, r), (0.2, -0.1, 0.3, dr))
+        traj = integrate(ModelParams(n=n), state, IntegrationConfig(t_end=1.0, sample_grid=grid))
+        assert traj.t[0] == 0.0
+        assert traj.data[0, 1:9].tobytes() == state.as_array().tobytes()
 
 
 class TestKillingCharges:
@@ -377,30 +460,22 @@ class TestIntegrate:
         assert np.signbit(gridded.data[0, 1:9]).tolist() == np.signbit(s.as_array()).tolist()
         assert gridded.data.tobytes() == plain.data.tobytes()
 
-    def test_chart_exit_retries_then_floor_stop(self, monkeypatch):
-        # at a loose tolerance the stepper's stages overshoot r = n; each
-        # overshoot restarts from the last accepted state with a shorter step
-        raised = []
-
-        def counting_rhs(params, y):
-            try:
-                return geodesic_rhs(params, y)
-            except DomainError:
-                raised.append(y[3])
-                raise
-
-        monkeypatch.setattr(integrator, "geodesic_rhs", counting_rhs)
-        s = PhaseState(Point(0.0, np.pi / 2, 0.0, 3.0), (0.0, 0.0, 0.0, -1.0))
-        traj = integrate(P1, s, IntegrationConfig(abs_tol=1e-3, rel_tol=1e-3, t_end=50.0))
-        assert raised
-        assert traj.termination == "SingularityApproach"
-        assert traj.coords[-1, 3] == pytest.approx(1.0 + 1e-6, rel=1e-9)
+    def test_chart_exit_retries_count_against_the_budget(self, monkeypatch):
+        # the escaping radial orbit exits the chart where its powers overflow;
+        # each exit restarts from the last accepted state with a shorter step
+        _, raised = counting(monkeypatch)
+        full = integrate(P1, ESCAPE, ESCAPE_CFG)
+        stats = full.stats
+        assert full.termination == "StepBudget" and stats["chart_retries"] > 0
+        assert len(raised) == stats["chart_retries"] + 1
         # the step budget counts every stepper call, the cut-short ones too:
-        # one per row after the first (the last row ends the event step)
-        calls = len(traj) - 1 + len(raised)
-        for budget, cause in ((calls, "SingularityApproach"), (calls - 1, "StepBudget")):
-            cfg = IntegrationConfig(abs_tol=1e-3, rel_tol=1e-3, t_end=50.0, max_steps=budget)
-            assert integrate(P1, s, cfg).termination == cause
+        # one per accepted step, one per retry, and the last exit
+        calls = stats["accepted"] + stats["chart_retries"] + 1
+        same = integrate(P1, ESCAPE, replace(ESCAPE_CFG, max_steps=calls))
+        assert same.data.tobytes() == full.data.tobytes() and same.stats == stats
+        cut = integrate(P1, ESCAPE, replace(ESCAPE_CFG, max_steps=stats["accepted"]))
+        assert cut.termination == "StepBudget" and cut.stats["chart_retries"] > 0
+        assert cut.stats["accepted"] + cut.stats["chart_retries"] == stats["accepted"]
 
     def test_initial_step_probe_past_floor(self):
         # the stepper's initial-step guess probes beyond r = n here
@@ -555,37 +630,94 @@ class TestFloorGraze:
         assert traj.termination == "Horizon"
 
 
+def counting(monkeypatch):
+    """Patch integrator.geodesic_rhs to record the s of every call, and of
+    every call that raised DomainError; returns (calls, raised)."""
+    calls, raised = [], []
+
+    def counting_rhs(params, y):
+        calls.append(y[3])
+        try:
+            return geodesic_rhs(params, y)
+        except DomainError:
+            raised.append(y[3])
+            raise
+
+    monkeypatch.setattr(integrator, "geodesic_rhs", counting_rhs)
+    return calls, raised
+
+
+def attempt_calls(stats):
+    """rhs calls of a run without chart exits, from its step counts: the
+    2-call initial-step probe, 12 per attempt (11 stages and the end point),
+    accepted or rejected, and 3 per interpolant."""
+    return 2 + 12 * (stats["accepted"] + stats["rejected"]) + 3 * stats["interpolants"]
+
+
+WORK = ("nfev", "accepted", "rejected", "chart_retries", "interpolants", "root_solves")
+
+
 class TestStats:
-    CHART_EXIT = PhaseState(Point(0.0, np.pi / 2, 0.0, 3.0), (0.0, 0.0, 0.0, -1.0))
+    RADIAL_FLOOR = PhaseState(Point(0.0, np.pi / 2, 0.0, 3.0), (0.0, 0.0, 0.0, -1.0))
 
-    def test_counts_of_a_chart_exit_orbit(self, monkeypatch):
-        calls, raised = [], []
-
-        def counting_rhs(params, y):
-            calls.append(y[3])
-            try:
-                return geodesic_rhs(params, y)
-            except DomainError:
-                raised.append(y[3])
-                raise
-
-        monkeypatch.setattr(integrator, "geodesic_rhs", counting_rhs)
-        traj = integrate(P1, self.CHART_EXIT,
+    def test_counts_of_the_radial_floor_orbit(self, monkeypatch):
+        # s = sqrt(r - n) is regular at the nut, so the stages of this loose
+        # radial infall stay in the chart: no retries
+        calls, raised = counting(monkeypatch)
+        traj = integrate(P1, self.RADIAL_FLOOR,
                          IntegrationConfig(abs_tol=1e-3, rel_tol=1e-3, t_end=50.0))
         stats = traj.stats
-        assert {k: stats[k] for k in ("nfev", "accepted", "chart_retries", "interpolants",
-                                      "root_solves")} == {
-            "nfev": 199, "accepted": 8, "chart_retries": 9, "interpolants": 7,
+        assert traj.termination == "SingularityApproach"
+        assert {k: stats[k] for k in WORK} == {
+            "nfev": 29, "accepted": 2, "rejected": 0, "chart_retries": 0, "interpolants": 1,
             "root_solves": 1}
-        assert stats["h_min"] == pytest.approx(8.806766795070864e-4, rel=1e-9)
-        assert stats["h_max"] == pytest.approx(1.5165185634204172, rel=1e-9)
-        # second routes: every rhs call is counted, every chart exit is one
-        # retry, and without a grid each accepted step leaves its start row
-        assert stats["nfev"] == len(calls) and stats["chart_retries"] == len(raised)
+        assert stats["h_min"] == pytest.approx(0.3423075232191457, rel=1e-9)
+        assert stats["h_max"] == pytest.approx(3.423075232191457, rel=1e-9)
+        # second routes: every rhs call is counted and made by an attempt, an
+        # interpolant or the probe; without a grid each accepted step leaves
+        # its start row
+        assert stats["nfev"] == len(calls) == attempt_calls(stats) and not raised
         assert stats["accepted"] == len(traj) - 1
-        # rows are the step starts, then the event time inside the last step
-        steps = np.diff(traj.t[:-1])
-        assert stats["h_min"] <= steps.min() and stats["h_max"] == steps.max()
+        # rows are the step starts, then the event time inside the last step,
+        # the longer one here
+        assert np.diff(traj.t[:-1]).tolist() == [stats["h_min"]]
+        assert traj.t[-1] - traj.t[-2] < stats["h_max"]
+
+    def test_counts_of_a_chart_exit_orbit(self, monkeypatch):
+        calls, raised = counting(monkeypatch)
+        traj = integrate(P1, ESCAPE, ESCAPE_CFG)
+        stats = traj.stats
+        assert traj.termination == "StepBudget"
+        assert {k: stats[k] for k in WORK} == {
+            "nfev": 2785, "accepted": 198, "rejected": 0, "chart_retries": 69,
+            "interpolants": 0, "root_solves": 0}
+        # every chart exit is one retry, except the last, whose quarter step
+        # would not advance t
+        assert stats["nfev"] == len(calls) and stats["chart_retries"] == len(raised) - 1
+        assert stats["accepted"] == len(traj) - 1
+
+    def test_rejected_attempts_of_the_ingoing_passthrough(self, monkeypatch):
+        # verify's ingoing thm1 orbit at seed 42 (the r-chart rejected 39
+        # attempts of it); its rhs calls are counted per integration
+        calls, _ = counting(monkeypatch)
+        runs = []
+
+        def keep(*args):
+            start = len(calls)
+            traj = integrate(*args)
+            runs.append((traj, len(calls) - start))
+            return traj
+
+        monkeypatch.setattr(verify, "integrate", keep)
+        verify._radial_passthrough_check(*verify.seeded_family("thm1", 42))
+        (outgoing, _), (ingoing, _) = runs
+        assert ingoing.termination == "SingularityApproach"
+        assert {k: ingoing.stats[k] for k in WORK} == {
+            "nfev": 119, "accepted": 7, "rejected": 2, "chart_retries": 0, "interpolants": 3,
+            "root_solves": 1}
+        assert outgoing.stats["rejected"] == 0
+        for traj, counted in runs:
+            assert traj.stats["nfev"] == counted == attempt_calls(traj.stats)
 
     def test_interpolants_only_near_events_or_with_grid(self):
         # the equatorial orbit turns at r = sqrt(2), far from the floor, and
@@ -605,8 +737,8 @@ class TestStats:
     def test_no_step_taken(self):
         s = PhaseState(Point(0.0, 1.0, 0.0, 2.0), (0.0, 0.0, 0.0, 0.0))
         stats = integrate(P1, s, IntegrationConfig()).stats
-        assert stats == {"nfev": 0, "accepted": 0, "chart_retries": 0, "interpolants": 0,
-                         "root_solves": 0, "h_min": math.inf, "h_max": 0.0}
+        assert stats == {"nfev": 0, "accepted": 0, "rejected": 0, "chart_retries": 0,
+                         "interpolants": 0, "root_solves": 0, "h_min": math.inf, "h_max": 0.0}
 
     def test_closed_form_and_parsed_trajectories_carry_none(self):
         assert radial_passthrough(P1, 1.5, 0.8, +1).stats == {}
@@ -673,7 +805,8 @@ class TestEventGate:
             s = PhaseState(Point(0.2, theta, 0.1, r0),
                            (r1 * (r0 + n) / (r0 - n) - 2 * n * ct * dphi, -swing, dphi, -0.1))
         guard = params.axis_guard
-        levels = [(params.n * (1.0 + cfg.r_floor_rel), 3, +1.0),
+        # the r floor as a level of the stepper's radial coordinate s = sqrt(r - n)
+        levels = [(math.sqrt(params.n * (1.0 + cfg.r_floor_rel) - params.n), 3, +1.0),
                   (guard, 1, +1.0), (np.pi - guard, 1, -1.0)]
         reached, built = set(), set()
         with mock.patch.object(integrator, "DOP853", scanning_dop853(levels, reached, built)):

@@ -108,8 +108,8 @@ class TestCompareNumericAnalytic:
                                 "tolerances", "max_coordinate_deviation",
                                 "conservation_drift",
                                 "derivative_max_rel_error", "passthrough",
-                                "curvature", "duality_sign", "findings",
-                                "passed"]
+                                "curvature", "duality_sign", "work",
+                                "findings", "passed"]
         drift = report["conservation_drift"]
         assert set(drift) == {"p_tau", "p_phi", "norm"}
         assert all(v >= 0 for v in drift.values())
@@ -314,7 +314,7 @@ class TestScenarios:
             f"{consts.r1 / math.sqrt(2 * params.n)!r}; max literal-mode deviation "
             f"{lit_dev!r} vs corrected {corr_dev!r}")
 
-    @pytest.mark.parametrize("seed,rhs_calls", [(42, 3122), (7, 2957)])
+    @pytest.mark.parametrize("seed,rhs_calls", [(42, 2036), (7, 1844)])
     def test_work_counts_of_all(self, seed, rhs_calls, monkeypatch):
         # machine-independent counts of one verify op's integrator work: a
         # duplicated orbit or a changed step sequence moves them
@@ -330,8 +330,27 @@ class TestScenarios:
 
         monkeypatch.setattr(integrator, "geodesic_rhs", counting_rhs)
         monkeypatch.setattr(verify, "integrate", counting_integrate)
-        run_scenario("all", seed)
+        doc = run_scenario("all", seed)
         assert counts == {"rhs": rhs_calls, "integrate": 7}
+        # the reports' work sections name each integration once
+        work = [w for r in doc["reports"] if r["work"] for w in r["work"].values()]
+        assert len(work) == 7 and sum(w["nfev"] for w in work) == rhs_calls
+
+    def test_reports_carry_each_integrations_counters(self, monkeypatch):
+        runs = []
+
+        def keep(*args):
+            runs.append(integrate(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(verify, "integrate", keep)
+        report = run_scenario("thm1", 42)
+        assert list(report["work"]) == ["orbit", "passthrough_outgoing", "passthrough_ingoing"]
+        assert len(runs) == 3
+        for traj, counters in zip(runs, report["work"].values()):
+            assert counters == {key: traj.stats[key] for key in
+                                ("nfev", "accepted", "rejected", "interpolants", "root_solves")}
+        assert run_scenario("curvature", 42)["work"] is None
 
     def test_all_aggregates(self):
         doc = run_scenario("all", seed=42)
