@@ -21,7 +21,9 @@ are no degree flags. ``--init`` takes the coordinates in the fixed order
 
 Any long option may instead be supplied in a JSON ``--config`` file under its
 flag name with dashes replaced by underscores (e.g. ``{"t_end": 10}``);
-explicit flags override file values, and unknown keys are rejected. No color
+explicit flags override file values, and unknown keys, non-integral or
+non-finite values of integer options and non-string values of string options
+are rejected. No color
 is ever emitted, so the only recognized environment variable, NO_COLOR, is
 honored trivially.
 """
@@ -112,8 +114,13 @@ class _Options:
             value = self._file.get(name)
         if value is None:
             return default
-        if cast is not None:
-            if cast in (float, int) and isinstance(value, bool):
+        if cast is str:
+            if not isinstance(value, str):
+                raise ConfigError(f"{name} must be a string, got {value!r}")
+        elif cast is not None:
+            # JSON true is an int; int() would truncate 2.7 or overflow on Infinity
+            if isinstance(value, bool) or (
+                    cast is int and isinstance(value, float) and not value.is_integer()):
                 raise ConfigError(f"invalid value for {name}: {value!r}")
             try:
                 value = cast(value)
@@ -149,7 +156,7 @@ def _parse_floats(value, count: int, name: str) -> list:
 
 
 def _parse_r_range(value) -> tuple:
-    if not isinstance(value, str) or value.count(":") != 1:
+    if value.count(":") != 1:
         raise ConfigError("r-range must have the form a:b")
     lo_s, hi_s = value.split(":")
     try:
@@ -163,7 +170,9 @@ def _parse_r_range(value) -> tuple:
     return lo, hi
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, opts: _Options) -> None:
+    """Write text to the out option's file, or to stdout without one."""
+    out = opts.get("out", None, str)
     if out is None:
         sys.stdout.write(text)
         return
@@ -197,12 +206,12 @@ def _cmd_integrate(opts: _Options) -> int:
     params = ModelParams(n=n)
     state = PhaseState(Point(*init[:4]), tuple(init[4:]))
     traj = integrate(params, state, cfg)
-    _emit(trajectory_to_csv(traj), opts.get("out"))
+    _emit(trajectory_to_csv(traj), opts)
     return 0 if traj.termination == HORIZON else 2
 
 
 def _cmd_analytic(opts: _Options) -> int:
-    family = opts.require("family")
+    family = opts.require("family", str)
     if family not in _REGISTRY:
         raise ConfigError(f"family must be one of {', '.join(_REGISTRY)}")
     params = ModelParams(n=opts.require("n", float))
@@ -220,7 +229,7 @@ def _cmd_analytic(opts: _Options) -> int:
         kwargs.setdefault(anchor, 0.0)
     consts = FamilyConstants(family=family, **kwargs)
 
-    lo, hi = _parse_r_range(opts.require("r_range"))
+    lo, hi = _parse_r_range(opts.require("r_range", str))
     samples = opts.get("samples", 50, int)
     if samples < 1:
         raise ConfigError("samples must be at least 1")
@@ -238,22 +247,22 @@ def _cmd_analytic(opts: _Options) -> int:
         lines.append("# turning_limit=used")
     if "theta" in values and theta_range_exit(params, consts):
         lines.append("# theta_range_exit=true")
-    _emit("\n".join(lines) + "\n", opts.get("out"))
+    _emit("\n".join(lines) + "\n", opts)
     return 0
 
 
 def _cmd_verify(opts: _Options) -> int:
-    scenario = opts.require("scenario")
+    scenario = opts.require("scenario", str)
     seed = opts.get("seed", 0, int)
     report = run_scenario(scenario, seed=seed)
-    _emit(report_to_json(report), opts.get("out"))
+    _emit(report_to_json(report), opts)
     return 0 if report["passed"] else 3
 
 
 def _cmd_christoffel(opts: _Options) -> int:
     params, p = _point_of(opts)
-    closed = christoffel_at(params, p).components
-    oracle = christoffel_fd_oracle(params, p).components
+    closed = christoffel_at(params, p)
+    oracle = christoffel_fd_oracle(params, p)
     entries = {}
     max_diff = 0.0
     for lam in range(4):
@@ -271,7 +280,7 @@ def _cmd_christoffel(opts: _Options) -> int:
         "entries": entries,
         "max_abs_difference": max_diff,
     }
-    _emit(json.dumps(doc, indent=2) + "\n", opts.get("out"))
+    _emit(json.dumps(doc, indent=2) + "\n", opts)
     return 0
 
 
@@ -287,7 +296,7 @@ def _cmd_curvature(opts: _Options) -> int:
         "riemann_frame_max_abs": float(np.max(np.abs(Rfr))),
         "duality_sign": DUALITY_SIGN,
     }
-    _emit(json.dumps(doc, indent=2) + "\n", opts.get("out"))
+    _emit(json.dumps(doc, indent=2) + "\n", opts)
     return 0
 
 

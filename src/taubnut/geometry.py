@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from typing import ClassVar
 
 import numpy as np
 
@@ -46,27 +47,23 @@ DUALITY_SIGN = -1.0
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Geometry knobs: NUT parameter n plus numerical guard settings.
+    """The NUT parameter n, the only field, and two fixed numerical guards.
 
     n sets the removable-singularity radius r = n (same length unit as r).
-    fd_step is the relative step of the finite-difference oracles; axis_guard
-    is the half-width of the excluded band around the polar axis where
-    1/sin(theta) terms are considered unsafe.
+    The class constant fd_step is the relative step of the finite-difference
+    oracles; axis_guard is the half-width of the excluded band around the
+    polar axis where 1/sin(theta) terms are considered unsafe.
     """
 
     n: float
-    fd_step: float = 1e-4
-    axis_guard: float = 1e-3
+    fd_step: ClassVar[float] = 1e-4
+    axis_guard: ClassVar[float] = 1e-3
 
     def __post_init__(self):
         if not self.n > 0:
             raise ConfigError(f"n must be positive, got {self.n}")
         if not np.isfinite(self.n):
             raise ConfigError(f"n must be finite, got {self.n}")
-        if not 0 < self.fd_step < 1e-2:
-            raise ConfigError(f"fd_step must be in (0, 1e-2), got {self.fd_step}")
-        if not 0 < self.axis_guard < np.pi / 4:
-            raise ConfigError(f"axis_guard must be in (0, pi/4), got {self.axis_guard}")
 
 
 @dataclass(frozen=True)
@@ -85,28 +82,6 @@ class Point:
     @staticmethod
     def from_array(a) -> "Point":
         return Point(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
-
-
-@dataclass(frozen=True)
-class MetricTensor:
-    """Symmetric 4x4 component array in COORDS order."""
-
-    components: np.ndarray
-
-
-@dataclass(frozen=True)
-class ChristoffelTable:
-    """Rank-3 array components[lam, mu, nu] = Gamma^lam_{mu nu}, symmetric in (mu, nu)."""
-
-    components: np.ndarray
-
-
-@dataclass(frozen=True)
-class FrameBasis:
-    """Orthonormal coframe rows[a, mu]: omega^a = rows[a, mu] dx^mu, with
-    sum_a omega^a (x) omega^a = g at the evaluation point."""
-
-    rows: np.ndarray
 
 
 def _require_interior(params: ModelParams, p: Point) -> None:
@@ -135,16 +110,18 @@ def _metric(n, theta, r) -> np.ndarray:
     return g
 
 
-def metric_at(params: ModelParams, p: Point) -> MetricTensor:
-    """Metric components at p, the one-point case of _metric. Defined for all
-    theta; the (tau, phi) block degenerates on the axis (det ~ sin^2 theta)."""
+def metric_at(params: ModelParams, p: Point) -> np.ndarray:
+    """Metric components g[mu, nu] at p in COORDS order, a symmetric 4x4
+    array: the one-point case of _metric. Defined for all theta; the
+    (tau, phi) block degenerates on the axis (det ~ sin^2 theta)."""
     _require_interior(params, p)
-    return MetricTensor(_metric(params.n, p.theta, p.r))
+    return _metric(params.n, p.theta, p.r)
 
 
-def inverse_metric_at(params: ModelParams, p: Point) -> MetricTensor:
-    """Closed-form inverse metric; needs theta outside the axis guard band
-    because g^{tautau}, g^{tauphi}, g^{phiphi} carry 1/sin^2(theta)."""
+def inverse_metric_at(params: ModelParams, p: Point) -> np.ndarray:
+    """Closed-form inverse metric g^{mu nu}, a symmetric 4x4 array in COORDS
+    order; needs theta outside the axis guard band because g^{tautau},
+    g^{tauphi}, g^{phiphi} carry 1/sin^2(theta)."""
     _require_interior(params, p)
     _require_off_axis(params, p.theta)
     n, r, th = params.n, p.r, p.theta
@@ -156,7 +133,7 @@ def inverse_metric_at(params: ModelParams, p: Point) -> MetricTensor:
     ginv[PHI, PHI] = 1.0 / (rho2 * st**2)
     ginv[R, R] = (r - n) / (r + n)
     ginv[THETA, THETA] = 1.0 / rho2
-    return MetricTensor(ginv)
+    return ginv
 
 
 _libm_pow = np.frompyfunc(pow, 2, 1)
@@ -186,31 +163,11 @@ _CONNECTION = ((TAU, TAU, R), (TAU, PHI, R), (R, TAU, TAU), (R, TAU, PHI), (R, R
                (TAU, TAU, THETA), (TAU, PHI, THETA), (PHI, TAU, THETA), (PHI, PHI, THETA))
 
 
-def _any_array(n, r, ct, st) -> bool:
-    """Whether a connection call takes the array route. Each call picks its
-    power routine once: with an array argument, _ipow on every base; with
-    scalars only, Python's ** (what _ipow does to a scalar: the C library's
-    pow) inside one try, without _ipow's per-power dispatch."""
-    return (isinstance(n, np.ndarray) or isinstance(r, np.ndarray)
-            or isinstance(ct, np.ndarray) or isinstance(st, np.ndarray))
-
-
-def _overflow(n, x, name="r") -> DomainError:
-    return DomainError(f"a power of n = {n} or {name} = {x} overflows a float")
-
-
 def _connection_regular(n, r, ct, st) -> tuple:
     """The eleven Christoffel symbols free of 1/sin(theta), in _CONNECTION
     order, from n, r, cos(theta) and sin(theta) (scalars or arrays)."""
     rp = r + n
-    if _any_array(n, r, ct, st):
-        ct2, st2, n2, n3, r2, rp2, rp3 = map(_ipow, (ct, st, n, n, r, rp, rp),
-                                              (2, 2, 2, 3, 2, 2, 3))
-    else:
-        try:
-            ct2, st2, n2, n3, r2, rp2, rp3 = ct**2, st**2, n**2, n**3, r**2, rp**2, rp**3
-        except OverflowError:
-            raise _overflow(n, r) from None
+    ct2, st2, n2, n3, r2, rp2, rp3 = map(_ipow, (ct, st, n, n, r, rp, rp), (2, 2, 2, 3, 2, 2, 3))
     rho2 = r2 - n2
     rm = r - n
     return (n / rho2, -2 * n * ct / rp, -n * rm / rp3, -2 * n2 * rm * ct / rp3, -n / rho2,
@@ -222,13 +179,7 @@ def _connection_singular(n, r, ct, st) -> tuple:
     """The four Christoffel symbols that carry 1/sin(theta), in _CONNECTION
     order after the regular ones; st must be nonzero."""
     rp = r + n
-    if _any_array(n, r, ct, st):
-        ct2, st2, n2, n3, rp2 = map(_ipow, (ct, st, n, n, rp), (2, 2, 2, 3, 2))
-    else:
-        try:
-            ct2, st2, n2, n3, rp2 = ct**2, st**2, n**2, n**3, rp**2
-        except OverflowError:
-            raise _overflow(n, r) from None
+    ct2, st2, n2, n3, rp2 = map(_ipow, (ct, st, n, n, rp), (2, 2, 2, 3, 2))
     return (2 * n2 * ct / (rp2 * st),
             (4 * n3 * ct2 - n * st2 * rp2 - 2 * n * rp2 * ct2) / (rp2 * st),
             -n / (rp2 * st), -2 * n2 * ct / (rp2 * st) + ct / st)
@@ -258,7 +209,7 @@ def _connection_s(n, s, ct, st) -> tuple:
         q = s2 + 2 * n
         q2, q3 = q**2, q**3
     except OverflowError:
-        raise _overflow(n, s, "s") from None
+        raise DomainError(f"a power of n = {n} or s = {s} overflows a float") from None
     r = n + s2
     return (2 * n / q, -4 * n * s * ct / q, -n * s / (2 * q3), -n2 * s * ct / q3, s / q,
             -r * s / (2 * q), -(4 * n3 * ct2 / q2 + r * st2) * s / (2 * q), n * st / q2,
@@ -279,9 +230,10 @@ def _christoffel(n, theta, r) -> np.ndarray:
     return G.transpose(*range(3, 3 + len(shape)), 0, 1, 2)
 
 
-def christoffel_at(params: ModelParams, p: Point) -> ChristoffelTable:
+def christoffel_at(params: ModelParams, p: Point) -> np.ndarray:
     """The fifteen independent nonzero Christoffel symbols (plus lower-index
-    symmetry images) at p, from their closed forms.
+    symmetry images) at p, from their closed forms: a 4x4x4 array
+    G[lam, mu, nu] = Gamma^lam_{mu nu} in COORDS order, symmetric in (mu, nu).
 
     Whole-table axis policy: several entries carry 1/sin(theta), so the entire
     table is refused inside the guard band rather than returning a partially
@@ -289,31 +241,34 @@ def christoffel_at(params: ModelParams, p: Point) -> ChristoffelTable:
     """
     _require_interior(params, p)
     _require_off_axis(params, p.theta)
-    return ChristoffelTable(_christoffel(params.n, p.theta, p.r))
+    return _christoffel(params.n, p.theta, p.r)
 
 
-def _fd_steps(fd_step, n, r) -> np.ndarray:
-    """Per-coordinate central-difference steps, shape (..., 4), for
-    fd_step, n and r of one shape. The radial
-    step follows the distance r - n to the chart edge, where metric
-    derivatives grow like inverse powers of that distance; tau scales with n
-    (its period is 4*pi*n); plain angles use fd_step directly."""
-    h = fd_step
-    return np.stack([h * np.maximum(1.0, n), h, h, h * (r - n)], axis=-1)
+def _fd_steps(n, r) -> np.ndarray:
+    """Per-coordinate central-difference steps, shape (..., 4), for n and r
+    of one shape. The radial step follows the distance r - n to the chart
+    edge, where metric derivatives grow like inverse powers of that
+    distance; tau scales with n (its period is 4*pi*n); plain angles use
+    ModelParams.fd_step directly."""
+    h = ModelParams.fd_step
+    tau_step, angle_step = np.broadcast_arrays(h * np.maximum(1.0, n), h)
+    return np.stack([tau_step, angle_step, angle_step, h * (r - n)], axis=-1)
 
 
-def christoffel_fd_oracle(params: ModelParams, p: Point, metric_fn=metric_at) -> ChristoffelTable:
-    """Independent Christoffel oracle: central differences of the metric in
+def christoffel_fd_oracle(params: ModelParams, p: Point, metric_fn=metric_at) -> np.ndarray:
+    """Independent Christoffel oracle, an array laid out as christoffel_at's:
+    central differences of the metric in
 
         Gamma^lam_{mu nu} = 1/2 g^{lam sig} (d_mu g_{sig nu} + d_nu g_{sig mu}
                                              - d_sig g_{mu nu}),
 
     with the inverse taken by generic matrix inversion of metric_fn's output.
-    metric_fn is pluggable so perturbed metrics can be probed.
+    metric_fn is pluggable so perturbed metrics can be probed; it returns
+    the 4x4 metric array as metric_at does.
     """
     _require_interior(params, p)
     _require_off_axis(params, p.theta)
-    steps = _fd_steps(params.fd_step, params.n, p.r)
+    steps = _fd_steps(params.n, p.r)
     x0 = p.as_array()
     # the proportional radial step never crosses r = n, but this close to the
     # edge the stencil would sit below float placement accuracy
@@ -326,13 +281,12 @@ def christoffel_fd_oracle(params: ModelParams, p: Point, metric_fn=metric_at) ->
         xp, xm = x0.copy(), x0.copy()
         xp[k] += steps[k]
         xm[k] -= steps[k]
-        gp = metric_fn(params, Point.from_array(xp)).components
-        gm = metric_fn(params, Point.from_array(xm)).components
+        gp = metric_fn(params, Point.from_array(xp))
+        gm = metric_fn(params, Point.from_array(xm))
         dg[k] = (gp - gm) / (2 * steps[k])
-    ginv = np.linalg.inv(metric_fn(params, p).components)
+    ginv = np.linalg.inv(metric_fn(params, p))
     # 1/2 g^{ls} (dg[m, s, n] + dg[n, s, m] - dg[s, m, n])
-    G = 0.5 * np.einsum("ls,smn->lmn", ginv, dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg)
-    return ChristoffelTable(G)
+    return 0.5 * np.einsum("ls,smn->lmn", ginv, dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg)
 
 
 def _frame(n, theta, tau, r) -> np.ndarray:
@@ -353,13 +307,14 @@ def _frame(n, theta, tau, r) -> np.ndarray:
     return W
 
 
-def frame_at(params: ModelParams, p: Point) -> FrameBasis:
-    """Positively oriented orthonormal coframe; rows are omega^0..omega^3 in
-    coordinate components. Valid for all theta (no 1/sin terms), though the
-    matrix is singular where sin(theta) = 0. r**2 overflowing raises DomainError."""
+def frame_at(params: ModelParams, p: Point) -> np.ndarray:
+    """Positively oriented orthonormal coframe, a 4x4 array W[a, mu]:
+    omega^a = W[a, mu] dx^mu, with sum_a omega^a (x) omega^a = g at p. Valid
+    for all theta (no 1/sin terms), though the matrix is singular where
+    sin(theta) = 0. r**2 overflowing raises DomainError."""
     _require_interior(params, p)
     _ipow(p.r, 2)  # raises DomainError where _frame's r**2 would overflow
-    return FrameBasis(_frame(params.n, p.theta, p.tau, p.r))
+    return _frame(params.n, p.theta, p.tau, p.r)
 
 
 # Finite-difference stencil of the curvature path: +/- one step along each
@@ -370,8 +325,8 @@ _STENCIL = np.vstack([sign * np.eye(4)[k] for k in range(4) for sign in (1.0, -1
 
 
 class _Stack:
-    """N (params, point) pairs as arrays: n, fd_step and axis_guard of shape
-    (N,), coordinates x of shape (N, 4)."""
+    """N (params, point) pairs as arrays: n of shape (N,), coordinates x of
+    shape (N, 4)."""
 
     def __init__(self, params, points):
         self.params = tuple(params)
@@ -379,8 +334,6 @@ class _Stack:
         if len(self.params) != len(points):
             raise ConfigError("params and points must have the same length")
         self.n = np.array([q.n for q in self.params], dtype=float)
-        self.fd_step = np.array([q.fd_step for q in self.params], dtype=float)
-        self.axis_guard = np.array([q.axis_guard for q in self.params], dtype=float)
         self.x = np.array([p.as_array() for p in points], dtype=float).reshape(-1, 4)
 
 
@@ -389,12 +342,12 @@ def _stencil_christoffels(stack: _Stack, christoffel_fn) -> tuple:
     the steps, shape (N, 4). The closed form is evaluated on the whole stack
     at once after a chart check of every stencil point; any other
     christoffel_fn is called point by point and applies its own guards."""
-    steps = _fd_steps(stack.fd_step, stack.n, stack.x[:, R])
+    steps = _fd_steps(stack.n, stack.x[:, R])
     S = stack.x[:, None, :] + _STENCIL * steps[:, None, :]
     if christoffel_fn is not christoffel_at:
-        return np.array([[christoffel_fn(q, Point.from_array(x)).components for x in row]
+        return np.array([[christoffel_fn(q, Point.from_array(x)) for x in row]
                          for q, row in zip(stack.params, S)]), steps
-    n, guard = stack.n[:, None], stack.axis_guard[:, None]
+    n, guard = stack.n[:, None], ModelParams.axis_guard
     theta, r = S[..., THETA], S[..., R]
     ok = (r > n) & (guard < theta) & (theta < np.pi - guard)
     if not ok.all():

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.integrate import DOP853
@@ -86,21 +87,21 @@ class PhaseState:
 
 @dataclass(frozen=True)
 class IntegrationConfig:
-    """Step-control tolerances, affine horizon, budgets and stop margins.
+    """Step-control tolerances, affine horizon, step budget and sample grid.
 
     rel_tol must be at least REL_TOL_FLOOR (100 machine epsilons, about
-    2.2e-14). r_floor_rel must survive the addition in 1 + r_floor_rel
-    (exceed half a machine epsilon, about 1.1e-16), so that the r floor
-    n*(1 + r_floor_rel) sits above n. max_steps bounds the stepper calls of
-    `integrate`, counting the ones a chart exit cut short; one call may
-    reject and shrink its step internally before it accepts one."""
+    2.2e-14). max_steps bounds the stepper calls of `integrate`, counting
+    the ones a chart exit cut short; one call may reject and shrink its step
+    internally before it accepts one. The class constant r_floor_rel puts
+    the r floor, where a run stops with SingularityApproach, at
+    n*(1 + r_floor_rel)."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     t_end: float = 10.0
     max_steps: int = 1_000_000
-    r_floor_rel: float = 1e-6
     sample_grid: tuple | None = None
+    r_floor_rel: ClassVar[float] = 1e-6
 
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
@@ -111,11 +112,6 @@ class IntegrationConfig:
             raise ConfigError("abs_tol, rel_tol and t_end must be finite")
         if self.rel_tol < REL_TOL_FLOOR:
             raise ConfigError(f"rel_tol must be at least 100*eps = {REL_TOL_FLOOR:.6g}")
-        if not 0 < self.r_floor_rel < 0.5:
-            raise ConfigError("r_floor_rel must be in (0, 0.5)")
-        if not 1.0 + self.r_floor_rel > 1.0:
-            raise ConfigError(f"r_floor_rel = {self.r_floor_rel!r} is lost in 1 + r_floor_rel, "
-                              "which would put the r floor at n")
         if self.max_steps < 1:
             raise ConfigError("max_steps must be at least 1")
         if self.sample_grid is not None:
@@ -423,7 +419,8 @@ def trajectory_to_csv(traj: Trajectory) -> str:
 
 
 def trajectory_from_csv(text: str) -> Trajectory:
-    """Parse the CSV form back; re-emitting the result is byte-stable."""
+    """Parse the CSV form back; re-emitting the result is byte-stable. A
+    non-numeric or non-finite field raises ConfigError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != ",".join(Trajectory.COLUMNS):
         raise ConfigError("trajectory CSV must start with the standard header")
@@ -438,7 +435,13 @@ def trajectory_from_csv(text: str) -> Trajectory:
         parts = ln.split(",")
         if len(parts) != 12:
             raise ConfigError(f"trajectory CSV row has {len(parts)} fields, expected 12")
-        rows.append([float(v) for v in parts])
+        try:
+            rows.append([float(v) for v in parts])
+        except ValueError:
+            raise ConfigError(f"trajectory CSV row {ln!r} has a non-numeric field") from None
     if termination is None:
         raise ConfigError("trajectory CSV missing '# termination=' comment")
-    return Trajectory(np.asarray(rows, dtype=float).reshape(-1, 12), termination)
+    data = np.asarray(rows, dtype=float).reshape(-1, 12)
+    if not np.all(np.isfinite(data)):
+        raise ConfigError("trajectory CSV has a non-finite field")
+    return Trajectory(data, termination)

@@ -231,15 +231,14 @@ def derivative_sweep(consts: FamilyConstants, params: ModelParams,
                    findings=findings, passed=passed)
 
 
-def curvature_audit(params: ModelParams, sample_count: int = 100,
-                    seed: int = 0) -> dict:
+def curvature_audit(sample_count: int = 100, seed: int = 0) -> dict:
     """Vacuum and duality audit at seeded pseudo-random interior points:
     finite-difference Ricci residual, duality residual with the one frozen
     orientation sign, and the opposite-chirality projection (which must stay
     comparable to the curvature scale; both chiralities vanishing would mean
-    the check is vacuous). Each point draws its own n; params gives fd_step
-    and axis_guard. The points are drawn first, then evaluated as one stack
-    with one Riemann build each (geometry.curvature_fd)."""
+    the check is vacuous). Each point draws its own n. The points are drawn
+    first, then evaluated as one stack with one Riemann build each
+    (geometry.curvature_fd)."""
     if sample_count < 1:
         raise ConfigError("sample_count must be at least 1")
     # per point, rng.uniform(lo, hi) of n, tau, theta, phi and r in turn:
@@ -249,8 +248,7 @@ def curvature_audit(params: ModelParams, sample_count: int = 100,
     bounds = ((0.0, 4 * math.pi * n), (0.2, math.pi - 0.2), (0.0, 2 * math.pi),
               (1.1 * n, 10 * n))
     coords = np.column_stack([lo + (hi - lo) * v for (lo, hi), v in zip(bounds, u[1:])])
-    pt_params = [ModelParams(n=v, fd_step=params.fd_step, axis_guard=params.axis_guard)
-                 for v in n.tolist()]
+    pt_params = [ModelParams(n=v) for v in n.tolist()]
     points = [Point(*c) for c in coords.tolist()]
     ricci, Rfr = curvature_fd(pt_params, points)
     ricci_max = float(np.max(np.abs(ricci)))
@@ -328,7 +326,7 @@ def run_scenario(name: str, seed: int = 0) -> dict:
                 "passed": all(r["passed"] for r in reports),
                 "reports": reports}
     if name == "curvature":
-        report = curvature_audit(ModelParams(n=1.0), 100, seed=seed)
+        report = curvature_audit(100, seed=seed)
         report["scenario"] = "curvature"
         return report
 

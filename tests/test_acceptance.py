@@ -71,8 +71,8 @@ def interior_points():
 def test_01_connection_matches_fd_oracle(interior_points):
     worst = 0.0
     for params, p in interior_points:
-        closed = christoffel_at(params, p).components
-        oracle = christoffel_fd_oracle(params, p).components
+        closed = christoffel_at(params, p)
+        oracle = christoffel_fd_oracle(params, p)
         worst = max(worst, float(np.max(np.abs(closed - oracle))))
     assert worst <= 1e-6, f"max connection deviation {worst}"
 

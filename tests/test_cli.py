@@ -335,6 +335,41 @@ class TestConfigFile:
                            "--init", "0,1,0,2,0,0,0,0", "--t-end", "1")
         assert code == 1 and "invalid value for n" in err
 
+    @pytest.mark.parametrize("values", [{"eps": -1.9}, {"samples": 2.7},
+                                        {"samples": math.inf}, {"samples": math.nan}])
+    def test_non_integral_value_rejected_for_integer_key(self, capsys, tmp_path, values):
+        # int() would truncate -1.9 to -1 and 2.7 to 2, and overflow on Infinity
+        cfg = tmp_path / "fam.json"
+        cfg.write_text(json.dumps({
+            "family": "thm3", "n": 1.0, "r1": 1.0, "phi0": 1.0, "r_range": "2:3",
+            **values}))
+        code, out, err = run(capsys, "analytic", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ConfigError:") and err.count("\n") == 1
+
+    def test_integral_float_accepted_for_integer_key(self, capsys, tmp_path):
+        cfg = tmp_path / "fam.json"
+        base = {"family": "thm3", "n": 1.0, "r1": 1.0, "phi0": 1.0, "r_range": "2:3"}
+        cfg.write_text(json.dumps({**base, "samples": 3.0, "eps": -1.0}))
+        code, out, _ = run(capsys, "analytic", "--config", str(cfg))
+        cfg.write_text(json.dumps({**base, "samples": 3, "eps": -1}))
+        assert code == 0 and run(capsys, "analytic", "--config", str(cfg)) == (0, out, "")
+
+    @pytest.mark.parametrize("command, values", [
+        ("christoffel", {"n": 1.0, "point": "0,1,0,2", "out": 1}),
+        ("analytic", {"family": ["thm3"]}),
+        ("analytic", {"family": "thm3", "mode": 1}),
+        ("analytic", {"family": "thm3", "n": 1.0, "r1": 1.0, "phi0": 1.0, "r_range": 2}),
+        ("verify", {"scenario": 3}),
+    ])
+    def test_non_string_rejected_for_string_key(self, capsys, tmp_path, command, values):
+        # an integer out would be taken as a file descriptor and close stdout
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(values))
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ConfigError:") and err.count("\n") == 1
+
 
 class TestParsing:
     def test_no_subcommand(self, capsys):

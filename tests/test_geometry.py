@@ -17,7 +17,6 @@ from taubnut.geometry import (
     TAU,
     THETA,
     ModelParams,
-    MetricTensor,
     Point,
     _CONNECTION,
     _S_POLAR,
@@ -59,18 +58,10 @@ class TestModelParams:
         with pytest.raises(ConfigError):
             ModelParams(n=0.0)
 
-    def test_rejects_bad_fd_step(self):
-        with pytest.raises(ConfigError):
-            ModelParams(n=1.0, fd_step=0.5)
-
-    def test_rejects_bad_axis_guard(self):
-        with pytest.raises(ConfigError):
-            ModelParams(n=1.0, axis_guard=2.0)
-
 
 class TestMetric:
     def test_equator_values(self):
-        g = metric_at(P1, Point(0.0, np.pi / 2, 0.0, 3.0)).components
+        g = metric_at(P1, Point(0.0, np.pi / 2, 0.0, 3.0))
         assert g[TAU, TAU] == pytest.approx(0.5, abs=1e-15)
         assert g[TAU, PHI] == pytest.approx(0.0, abs=1e-15)
         assert g[PHI, PHI] == pytest.approx(8.0, abs=1e-14)
@@ -78,26 +69,26 @@ class TestMetric:
         assert g[THETA, THETA] == pytest.approx(8.0, abs=1e-14)
 
     def test_axis_degeneracy(self):
-        g = metric_at(P1, Point(0.0, 0.0, 0.0, 3.0)).components
+        g = metric_at(P1, Point(0.0, 0.0, 0.0, 3.0))
         assert g[PHI, PHI] == pytest.approx(2.0, abs=1e-14)
         det_block = g[TAU, TAU] * g[PHI, PHI] - g[TAU, PHI] ** 2
         assert det_block == pytest.approx(0.0, abs=1e-14)
 
     def test_axis_block_det_scales_like_sin_squared(self):
         for th in [1e-2, 1e-3, 1e-4]:
-            g = metric_at(P1, Point(0.0, th, 0.0, 3.0)).components
+            g = metric_at(P1, Point(0.0, th, 0.0, 3.0))
             det_block = g[TAU, TAU] * g[PHI, PHI] - g[TAU, PHI] ** 2
             expected = g[TAU, TAU] * 8.0 * np.sin(th) ** 2
             assert det_block == pytest.approx(expected, rel=1e-10)
 
     def test_flat_limit(self):
-        g = metric_at(P1, Point(0.0, 1.0, 0.0, 1e6)).components
+        g = metric_at(P1, Point(0.0, 1.0, 0.0, 1e6))
         assert abs(g[TAU, TAU] - 1.0) <= 3.0 / 1e6
         assert abs(g[R, R] - 1.0) <= 3.0 / 1e6
 
     def test_symmetry_and_positive_definite(self):
         for params, p in interior_points(10):
-            g = metric_at(params, p).components
+            g = metric_at(params, p)
             assert np.array_equal(g, g.T)
             assert np.linalg.eigvalsh(g).min() > 0
 
@@ -117,7 +108,7 @@ class TestMetric:
 
 class TestInverseMetric:
     def test_equator_values(self):
-        gi = inverse_metric_at(P1, Point(0.0, np.pi / 2, 0.0, 3.0)).components
+        gi = inverse_metric_at(P1, Point(0.0, np.pi / 2, 0.0, 3.0))
         assert gi[TAU, TAU] == pytest.approx(2.0, abs=1e-14)
         assert gi[TAU, PHI] == pytest.approx(0.0, abs=1e-15)
         assert gi[PHI, PHI] == pytest.approx(1 / 8, abs=1e-15)
@@ -125,13 +116,13 @@ class TestInverseMetric:
         assert gi[THETA, THETA] == pytest.approx(1 / 8, abs=1e-15)
 
     def test_cross_component(self):
-        gi = inverse_metric_at(P1, Point(0.0, np.pi / 3, 0.0, 2.0)).components
+        gi = inverse_metric_at(P1, Point(0.0, np.pi / 3, 0.0, 2.0))
         assert gi[TAU, PHI] == pytest.approx(-4.0 / 9.0, rel=1e-14)
 
     def test_identity_contract(self):
         for params, p in interior_points(10):
-            g = metric_at(params, p).components
-            gi = inverse_metric_at(params, p).components
+            g = metric_at(params, p)
+            gi = inverse_metric_at(params, p)
             assert np.abs(g @ gi - np.eye(4)).max() <= 1e-12
 
     def test_axis_error(self):
@@ -143,26 +134,26 @@ class TestInverseMetric:
 
 class TestChristoffel:
     def test_substitution_values(self):
-        G = christoffel_at(P1, Point(0.0, np.pi / 3, 0.0, 2.0)).components
+        G = christoffel_at(P1, Point(0.0, np.pi / 3, 0.0, 2.0))
         assert G[TAU, TAU, R] == pytest.approx(1 / 3, rel=1e-14)
-        G2 = christoffel_at(P1, Point(0.0, np.pi / 2, 0.0, 3.0)).components
+        G2 = christoffel_at(P1, Point(0.0, np.pi / 2, 0.0, 3.0))
         assert G2[THETA, TAU, PHI] == pytest.approx(1 / 16, rel=1e-14)
 
     def test_lower_index_symmetry(self):
         for params, p in interior_points(10):
-            G = christoffel_at(params, p).components
+            G = christoffel_at(params, p)
             assert np.array_equal(G, G.transpose(0, 2, 1))
 
     def test_sparsity_pattern(self):
         # exactly 15 independent nonzero entries at a generic point
-        G = christoffel_at(P1, Point(0.3, 1.1, 0.2, 2.7)).components
+        G = christoffel_at(P1, Point(0.3, 1.1, 0.2, 2.7))
         independent = [(l, m, k) for l in range(4) for m in range(4) for k in range(m, 4)]
         nonzero = [idx for idx in independent if G[idx] != 0.0]
         assert len(nonzero) == 15
 
     def test_oracle_agreement_all_entries(self):
-        G = christoffel_at(P1, Point(0.0, np.pi / 3, 0.0, 2.0)).components
-        F = christoffel_fd_oracle(P1, Point(0.0, np.pi / 3, 0.0, 2.0)).components
+        G = christoffel_at(P1, Point(0.0, np.pi / 3, 0.0, 2.0))
+        F = christoffel_fd_oracle(P1, Point(0.0, np.pi / 3, 0.0, 2.0))
         assert np.abs(G - F).max() <= 1e-6
 
     def test_axis_error_whole_table(self):
@@ -210,9 +201,9 @@ def shifted_s_chart_metric(params, p):
     at christoffel_fd_oracle's chart edge u = n, so its interior check and
     its radial step h*(u - n) = h*s apply as they stand."""
     s = p.r - params.n
-    g = metric_at(params, Point(p.tau, p.theta, p.phi, params.n + s**2)).components
+    g = metric_at(params, Point(p.tau, p.theta, p.phi, params.n + s**2))
     g[R, R] *= 4 * s**2
-    return MetricTensor(g)
+    return g
 
 
 class TestSChartConnection:
@@ -227,7 +218,7 @@ class TestSChartConnection:
         s = s_over_root_n * math.sqrt(n)
         G = s_chart_table(n, theta, s)
         F = christoffel_fd_oracle(params, Point(0.3, theta, 0.2, n + s),
-                                  metric_fn=shifted_s_chart_metric).components
+                                  metric_fn=shifted_s_chart_metric)
         assert np.abs(G - F).max() <= 1e-6 * max(1.0, np.abs(G).max())
 
     def test_radial_entries_at_the_nut(self):
@@ -246,18 +237,17 @@ class TestSChartConnection:
 
 class TestChristoffelOracle:
     def test_tight_step_value(self):
-        params = ModelParams(n=1.0, fd_step=1e-5)
-        F = christoffel_fd_oracle(params, Point(0.0, np.pi / 2, 0.0, 2.0)).components
+        F = christoffel_fd_oracle(P1, Point(0.0, np.pi / 2, 0.0, 2.0))
         assert abs(F[TAU, TAU, R] - 1 / 3) <= 1e-8
 
     def test_angular_entry(self):
-        F = christoffel_fd_oracle(P1, Point(0.0, np.pi / 2, 0.0, 5.0)).components
+        F = christoffel_fd_oracle(P1, Point(0.0, np.pi / 2, 0.0, 5.0))
         assert abs(F[R, THETA, THETA] - (-10 / 3)) <= 1e-6
 
     def test_flat_limit_sphere_values(self):
         # far from the core the angular Christoffels approach round-sphere ones
         th = 1.1
-        F = christoffel_fd_oracle(P1, Point(0.0, th, 0.0, 1e4)).components
+        F = christoffel_fd_oracle(P1, Point(0.0, th, 0.0, 1e4))
         assert F[PHI, PHI, THETA] == pytest.approx(1 / np.tan(th), rel=1e-3)
 
     def test_stencil_domain_error(self):
@@ -268,13 +258,13 @@ class TestChristoffelOracle:
 class TestFrame:
     def test_reconstruction(self):
         for params, p in interior_points(10):
-            W = frame_at(params, p).rows
-            g = metric_at(params, p).components
+            W = frame_at(params, p)
+            g = metric_at(params, p)
             scale = np.abs(g).max()
             assert np.abs(W.T @ W - g).max() <= 1e-12 * scale
 
     def test_component_values(self):
-        W = frame_at(P1, Point(0.0, np.pi / 2, 0.0, 3.0)).rows
+        W = frame_at(P1, Point(0.0, np.pi / 2, 0.0, 3.0))
         assert W[1, THETA] == pytest.approx(np.sqrt(8), rel=1e-15)
         assert W[1, PHI] == pytest.approx(0.0, abs=1e-15)
         assert W[0, R] == pytest.approx(np.sqrt(2), rel=1e-15)
@@ -295,9 +285,8 @@ class TestCurvature:
         # oracle sensitivity: scaling g_rr by 1.01 must be loudly non-Ricci-flat
         def perturbed(params, p):
             g = metric_at(params, p)
-            c = g.components.copy()
-            c[R, R] *= 1.01
-            return type(g)(c)
+            g[R, R] *= 1.01
+            return g
 
         def gamma_from_perturbed(params, p):
             return christoffel_fd_oracle(params, p, metric_fn=perturbed)
@@ -346,8 +335,8 @@ class TestCurvature:
 def frame_riemann_oracle(params, p):
     """The frame rotation as one 5-operand einsum over the metric-lowered
     FD Riemann tensor: a second route beside the staged contraction."""
-    Rlow = np.einsum("al,lbcd->abcd", metric_at(params, p).components, riemann_fd(params, p))
-    E = np.linalg.inv(frame_at(params, p).rows)
+    Rlow = np.einsum("al,lbcd->abcd", metric_at(params, p), riemann_fd(params, p))
+    E = np.linalg.inv(frame_at(params, p))
     return np.einsum("ma,nb,pc,qd,mnpq->abcd", E, E, E, E, Rlow)
 
 
