@@ -36,7 +36,7 @@ Throughout, eps = +1/-1 selects the outgoing/ingoing radial branch and r1 > 0
 is the energy-like constant of each family's first integral.
 
 A family is one entry of the private registry _REGISTRY: its constants and
-swept coordinates, default and inversion modes, turning radius, evaluator,
+swept coordinates, default and inversion modes, turning radius, curve kernel,
 first-integral velocity field (which also gives the exact curve
 derivatives), classifier extraction and seeded verify draw. Every function
 here that depends on the family, the CLI's choices and the verify scenarios
@@ -118,14 +118,6 @@ class TurningRadius:
     r_minus: float | None = None
 
 
-def _check_mode(family: str, mode: str) -> str:
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}")
-    if mode == "corrected" and family != "thm5":
-        raise ConfigError("corrected mode exists only for thm5")
-    return mode
-
-
 def _spec(family: str, lacks: str) -> _Family:
     """The registry entry of a closed-form family; ConfigError otherwise."""
     if family not in _REGISTRY:
@@ -157,16 +149,16 @@ def F_eval(params: ModelParams, r, r1: float, phi0: float, theta: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _as_radii(r, lower: float, label: str):
-    """Validate r >= lower elementwise and return it as a float array."""
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr < lower):
-        raise DomainError(f"r must be >= {label} = {lower}")
-    return arr
-
-
 def _scalar_like(template, value):
     return float(value) if np.ndim(template) == 0 else value
+
+
+def _finite_radii(r):
+    """r as a float array; ConfigError unless every radius is finite."""
+    arr = np.asarray(r, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError("radii must be finite")
+    return arr
 
 
 # radial bracket: antiderivative of sqrt((r+n)/(r-n)), finite down to r = n
@@ -176,20 +168,20 @@ def _radial_bracket(n: float, r):
     return rp * rm + 2 * n * np.log(rp + rm)
 
 
-def thm1_t_of_r(params: ModelParams, consts: FamilyConstants, r, mode: str = "literal"):
+# Curve kernels: (n, c, tr, r, mode) -> curves in ("t", *swept) order, on an
+# array r already checked to be finite and >= tr.value, and a checked mode.
+
+def _thm1_curves(n, c, tr, r, mode):
     """Radial family time curve t(r) = t1 + (eps/r1) * [sqrt(r^2-n^2)
     + 2n ln(sqrt(r+n)+sqrt(r-n))]; aligned mode subtracts the bracket's value
     at r = n (equal to 2n ln sqrt(2n)) so t(n) = t1 exactly."""
-    _check_mode("thm1", mode)
-    n = params.n
-    arr = _as_radii(r, n, "n")
-    bracket = _radial_bracket(n, arr)
+    bracket = _radial_bracket(n, r)
     if mode == "aligned":
         bracket = bracket - 2 * n * np.log(np.sqrt(2 * n))
-    return _scalar_like(r, consts.t1 + consts.eps / consts.r1 * bracket)
+    return (c.t1 + c.eps / c.r1 * bracket,)
 
 
-def thm2_curves(params: ModelParams, consts: FamilyConstants, r, mode: str = "literal"):
+def _thm2_curves(n, c, tr, r, mode):
     """Tau-charged radial curves (t, tau) for r >= R1 > n.
 
     t(r)   = t1 + (eps/r1)[sqrt(r-R1)sqrt(r+n) + (n+R1) ln(sqrt(r-R1)+sqrt(r+n))]
@@ -200,14 +192,11 @@ def thm2_curves(params: ModelParams, consts: FamilyConstants, r, mode: str = "li
 
     Differentiating gives back dt/dr = (eps/r1) sqrt((r+n)/(r-R1)) and
     dtau/dr = (eps tau0/r1)(r+n)^{3/2}/((r-n)sqrt(r-R1)) identically."""
-    _check_mode("thm2", mode)
-    n = params.n
-    R1 = turning_radius(consts, params).value
+    R1 = tr.value
     if R1 == n:
         raise DegenerateError("tau0 = 0 collapses to the radial family (R1 = n)")
-    arr = _as_radii(r, R1, "R1")
-    sp = np.sqrt(arr + n)
-    sm = np.sqrt(np.maximum(arr - R1, 0.0))
+    sp = np.sqrt(r + n)
+    sm = np.sqrt(np.maximum(r - R1, 0.0))
     prod = sm * sp
     logterm = np.log(sm + sp)
     atan = np.arctan(np.sqrt(2 * n) * sm / (np.sqrt(R1 - n) * sp))
@@ -217,60 +206,39 @@ def thm2_curves(params: ModelParams, consts: FamilyConstants, r, mode: str = "li
         off = np.log(np.sqrt(R1 + n))
         bt = bt - (n + R1) * off
         btau = btau - (5 * n + R1) * off
-    t = consts.t1 + consts.eps / consts.r1 * bt
-    tau = consts.tau1 + consts.eps * consts.tau0 / consts.r1 * btau
-    return _scalar_like(r, t), _scalar_like(r, tau)
+    return c.t1 + c.eps / c.r1 * bt, c.tau1 + c.eps * c.tau0 / c.r1 * btau
 
 
-def _sweep_kernel(params, eps, r1, c0, anchor_t, anchor_x, R, r, mode):
-    """Shared thm3/thm4 evaluation: the two families print identical formulas
-    under (phi0, R2) <-> (theta0, R3) relabeling.
+def _sweep_curves(n, c, tr, r, mode):
+    """Equatorial (thm3) and meridional (thm4) curves (t, x) for r >= R, with
+    x the family's one swept coordinate (phi or theta) and (c0, x1) its
+    (phi0, phi1) or (theta0, theta1): the two families print identical
+    formulas under (phi0, R2) <-> (theta0, R3) relabeling.
 
     t(r) = t1 + (eps/r1)[sqrt(r^2-R^2) + n ln(r + sqrt(r^2-R^2))]
     x(r) = x1 + eps arctan(r1(rn - R^2)/(c0 sqrt(r^2-R^2)))
 
     At r = R the arctan argument diverges; the one-sided limit
     -sign(c0) pi/2 is used there (turning_limit_used reports it)."""
-    n = params.n
-    arr = _as_radii(r, R, "R")
-    rootsq = np.sqrt(np.maximum(arr * arr - R * R, 0.0))
-    bt = rootsq + n * np.log(arr + rootsq)
+    (key,) = _REGISTRY[c.family].swept
+    c0 = getattr(c, f"{key}0")
+    if c0 == 0:
+        raise DegenerateError(f"{key}0 = 0 collapses to the radial family (R = n)")
+    R = tr.value
+    rootsq = np.sqrt(np.maximum(r * r - R * R, 0.0))
+    bt = rootsq + n * np.log(r + rootsq)
     if mode == "aligned":
         bt = bt - n * np.log(R)
-    t = anchor_t + eps / r1 * bt
-    at_turn = arr == R
+    at_turn = r == R
     denom = np.where(at_turn, 1.0, c0 * rootsq)
     angle = np.where(
         at_turn,
         -np.sign(c0) * np.pi / 2,
-        np.arctan(r1 * (arr * n - R * R) / denom),
+        np.arctan(c.r1 * (r * n - R * R) / denom),
     )
     if mode == "aligned":
         angle = angle + np.sign(c0) * np.pi / 2
-    x = anchor_x + eps * angle
-    return _scalar_like(r, t), _scalar_like(r, x)
-
-
-def thm3_curves(params: ModelParams, consts: FamilyConstants, r, mode: str = "literal"):
-    """Equatorial curves (t, phi) for r >= R2; phi uses the one-sided limit
-    at the turning radius (see turning_limit_used)."""
-    _check_mode("thm3", mode)
-    if consts.phi0 == 0:
-        raise DegenerateError("phi0 = 0 collapses to the radial family (R2 = n)")
-    R2 = turning_radius(consts, params).value
-    return _sweep_kernel(params, consts.eps, consts.r1, consts.phi0,
-                         consts.t1, consts.phi1, R2, r, mode)
-
-
-def thm4_curves(params: ModelParams, consts: FamilyConstants, r, mode: str = "literal"):
-    """Meridional curves (t, theta) for r >= R3; identical kernel to thm3
-    under (phi0, phi1, R2) -> (theta0, theta1, R3)."""
-    _check_mode("thm4", mode)
-    if consts.theta0 == 0:
-        raise DegenerateError("theta0 = 0 collapses to the radial family (R3 = n)")
-    R3 = turning_radius(consts, params).value
-    return _sweep_kernel(params, consts.eps, consts.r1, consts.theta0,
-                         consts.t1, consts.theta1, R3, r, mode)
+    return c.t1 + c.eps / c.r1 * bt, getattr(c, f"{key}1") + c.eps * angle
 
 
 def turning_limit_used(consts: FamilyConstants, params: ModelParams, r) -> bool:
@@ -293,7 +261,7 @@ def theta_range_exit(params: ModelParams, consts: FamilyConstants) -> bool:
     return not (0.0 < lo and hi < math.pi)
 
 
-def thm5_curves(params: ModelParams, consts: FamilyConstants, r, mode: str = "corrected"):
+def _thm5_curves(n, c, tr, r, mode):
     """Constant-latitude curves (t, phi, tau) for r >= R+.
 
     literal brackets (S := phi0^2 cos^2(theta)/(2n r1^2) = R+ + R-):
@@ -306,35 +274,28 @@ def thm5_curves(params: ModelParams, consts: FamilyConstants, r, mode: str = "co
     every d/dr match the first-integral field dr/dt = eps sqrt(F)/(sqrt(2n)(r+n))
     exactly. All brackets vanish at R+, so no alignment offset exists and
     aligned mode coincides with literal."""
-    _check_mode("thm5", mode)
-    n = params.n
-    tr = turning_radius(consts, params)
     Rp, Rm = tr.value, tr.r_minus
     if Rp == n:
         raise DegenerateError("phi0 = 0 collapses to the radial family (R+ = n)")
-    arr = _as_radii(r, Rp, "R+")
-    ct = math.cos(consts.theta_const)
-    sqrtP = np.sqrt(np.maximum(arr - Rp, 0.0)) * np.sqrt(arr - Rm)
-    ash = np.arcsinh(np.sqrt(np.maximum(arr - Rp, 0.0) / (Rp - Rm)))
-    S = consts.phi0**2 * ct * ct / (2 * n * consts.r1**2)
+    ct = math.cos(c.theta_const)
+    sqrtP = np.sqrt(np.maximum(r - Rp, 0.0)) * np.sqrt(r - Rm)
+    ash = np.arcsinh(np.sqrt(np.maximum(r - Rp, 0.0) / (Rp - Rm)))
+    S = c.phi0**2 * ct * ct / (2 * n * c.r1**2)
     bt = sqrtP + (S + 2 * n) * ash
     btau = sqrtP + (S + 6 * n) * ash
-    atn = np.arctan(np.sqrt(np.maximum(arr - Rp, 0.0) * (n - Rm)
-                            / ((arr - Rm) * (Rp - n))))
+    atn = np.arctan(np.sqrt(np.maximum(r - Rp, 0.0) * (n - Rm)
+                            / ((r - Rm) * (Rp - n))))
     root_pm = math.sqrt((Rp - n) * (n - Rm))
     if mode == "corrected":
-        coef_t = consts.eps / consts.r1
-        coef_phi = 2 * consts.eps * consts.phi0 / (consts.r1 * root_pm)
-        coef_tau = consts.eps * consts.phi0 * ct / (2 * n * consts.r1)
+        coef_t = c.eps / c.r1
+        coef_phi = 2 * c.eps * c.phi0 / (c.r1 * root_pm)
+        coef_tau = c.eps * c.phi0 * ct / (2 * n * c.r1)
     else:
         root2n = math.sqrt(2 * n)
-        coef_t = consts.eps / root2n
-        coef_phi = 2 * consts.eps * root2n * consts.phi0 / root_pm
-        coef_tau = consts.eps * consts.phi0 * ct / root2n
-    t = consts.t1 + coef_t * bt
-    phi = consts.phi1 + coef_phi * atn
-    tau = consts.tau1 + coef_tau * btau
-    return _scalar_like(r, t), _scalar_like(r, phi), _scalar_like(r, tau)
+        coef_t = c.eps / root2n
+        coef_phi = 2 * c.eps * root2n * c.phi0 / root_pm
+        coef_tau = c.eps * c.phi0 * ct / root2n
+    return c.t1 + coef_t * bt, c.phi1 + coef_phi * atn, c.tau1 + coef_tau * btau
 
 
 # Per-family pieces of the registry below. Velocity fields take a radius or
@@ -434,7 +395,7 @@ class _Family:
     invert_mode: str      # mode whose t(r) starts exactly at t1 at R
     start_theta: Callable  # c -> latitude a numeric orbit of the family starts at
     turning: Callable     # (c, n, r1^2) -> (R, R- or None)
-    evaluate: Callable    # public evaluator (params, c, r, mode) -> curves
+    kernel: Callable      # (n, c, tr, r, mode) -> curves, unchecked
     velocity: Callable    # (c, params, r) -> v from the first integrals
     extract: Callable     # (n, r, theta, v, radial_sq, tol) -> {r1, constants},
                           # or None when the state is off the family
@@ -458,7 +419,7 @@ _REGISTRY = {
         constants=(), swept=(), mode="literal", invert_mode="aligned",
         start_theta=lambda c: 1.0,
         turning=lambda c, n, r1sq: (n, None),
-        evaluate=lambda *args: (thm1_t_of_r(*args),),
+        kernel=_thm1_curves,
         velocity=lambda c, params, r: (0.0, 0.0, 0.0, _dr(c, params.n, r, c.r1 * c.r1)),
         extract=lambda n, r, theta, v, radial_sq, tol: {"r1": math.sqrt(radial_sq)},
         draw=lambda rng, n, r1, sign: {},
@@ -467,7 +428,7 @@ _REGISTRY = {
         constants=("tau0",), swept=("tau",), mode="literal", invert_mode="aligned",
         start_theta=lambda c: 1.0,
         turning=lambda c, n, r1sq: (n + 2 * c.tau0**2 * n / r1sq, None),
-        evaluate=thm2_curves,
+        kernel=_thm2_curves,
         velocity=_thm2_velocity,
         extract=_thm2_extract,
         draw=lambda rng, n, r1, sign: {"tau0": sign * rng.uniform(0.3, 0.8) * r1},
@@ -476,7 +437,7 @@ _REGISTRY = {
         constants=("phi0",), swept=("phi",), mode="literal", invert_mode="aligned",
         start_theta=lambda c: math.pi / 2,
         turning=lambda c, n, r1sq: (math.sqrt(n * n + c.phi0**2 / r1sq), None),
-        evaluate=thm3_curves,
+        kernel=_sweep_curves,
         velocity=_thm3_velocity,
         extract=_thm3_extract,
         draw=lambda rng, n, r1, sign: {"phi0": sign * rng.uniform(0.3, 0.8) * n},
@@ -485,7 +446,7 @@ _REGISTRY = {
         constants=("theta0",), swept=("theta",), mode="literal", invert_mode="aligned",
         start_theta=lambda c: 1.0,
         turning=lambda c, n, r1sq: (math.sqrt(n * n + c.theta0**2 / r1sq), None),
-        evaluate=thm4_curves,
+        kernel=_sweep_curves,
         velocity=_thm4_velocity,
         extract=_thm4_extract,
         draw=lambda rng, n, r1, sign: {
@@ -498,7 +459,7 @@ _REGISTRY = {
         invert_mode="corrected",
         start_theta=lambda c: c.theta_const,
         turning=_thm5_turning,
-        evaluate=thm5_curves,
+        kernel=_thm5_curves,
         velocity=_thm5_velocity,
         extract=_thm5_extract,
         draw=lambda rng, n, r1, sign: {
@@ -516,14 +477,36 @@ def default_mode(family: str) -> str:
     return _spec(family, "has no curve mode").mode
 
 
-def curves(params: ModelParams, consts: FamilyConstants, r, mode: str | None = None):
-    """Dispatch to the family's curve evaluator; returns a dict keyed by
-    coordinate name ('t' plus whichever of tau/phi/theta the family sweeps).
-    mode=None picks default_mode(family)."""
+def _curve_fn(params: ModelParams, consts: FamilyConstants, mode: str | None):
+    """The checked part of a curve evaluation: the family's registry entry,
+    its turning radius R, and its kernel bound to consts and mode (mode=None
+    picks default_mode(family)), which takes a checked array of radii."""
     spec = _spec(consts.family, "has no closed-form curves")
     if mode is None:
         mode = spec.mode
-    return dict(zip(("t", *spec.swept), spec.evaluate(params, consts, r, mode)))
+    if mode not in MODES:
+        raise ConfigError(f"unknown mode {mode!r}")
+    if mode == "corrected" and consts.family != "thm5":
+        raise ConfigError("corrected mode exists only for thm5")
+    tr = turning_radius(consts, params)
+    return spec, tr.value, lambda r: spec.kernel(params.n, consts, tr, r, mode)
+
+
+def curves(params: ModelParams, consts: FamilyConstants, r, mode: str | None = None):
+    """The family's closed-form curves at radii r >= its turning radius, as a
+    dict keyed by coordinate name ('t' plus whichever of tau/phi/theta the
+    family sweeps). mode=None picks default_mode(family)."""
+    spec, R, kernel = _curve_fn(params, consts, mode)
+    arr = _finite_radii(r)
+    if np.any(arr < R):
+        raise DomainError(f"r must be >= the turning radius {R}")
+    return {key: _scalar_like(r, v) for key, v in zip(("t", *spec.swept), kernel(arr))}
+
+
+def thm1_t_of_r(params: ModelParams, consts: FamilyConstants, r, mode: str = "literal"):
+    """The radial family's time curve t(r), curves(...)["t"] in literal mode
+    by default."""
+    return curves(params, consts, r, mode)["t"]
 
 
 def curve_derivatives(params: ModelParams, consts: FamilyConstants, r):
@@ -533,7 +516,7 @@ def curve_derivatives(params: ModelParams, consts: FamilyConstants, r):
     must sit strictly above the turning radius."""
     spec = _spec(consts.family, "has no closed-form curves")
     R = turning_radius(consts, params).value
-    arr = np.asarray(r, dtype=float)
+    arr = _finite_radii(r)
     if np.any(arr <= R):
         raise DomainError(f"derivatives need r > turning radius {R}")
     v = dict(zip(COORDS, spec.velocity(consts, params, arr)))
@@ -545,7 +528,7 @@ def family_velocities(consts: FamilyConstants, params: ModelParams, r) -> tuple:
     """Velocity components at radius r (a float or an array of radii)
     rebuilt from the family's first integrals, on the branch selected by eps."""
     n = params.n
-    if np.any(np.asarray(r) <= n):
+    if np.any(_finite_radii(r) <= n):
         raise DomainError(f"r must exceed n = {n}")
     spec = _spec(consts.family, "has no first-integral velocity field")
     return spec.velocity(consts, params, r)
@@ -618,16 +601,14 @@ def invert_t_of_r(params: ModelParams, consts: FamilyConstants, t: float,
     The curve is strictly monotone (increasing for eps = +1, decreasing for
     eps = -1), so the inverse exists on one side of the curve's value at the
     turning radius; times on the other side raise RangeError."""
-    spec = _spec(consts.family, "has no closed-form curves")
+    if mode is None:
+        mode = default_invert_mode(consts.family)
     if not math.isfinite(t):
         raise ConfigError(f"t must be finite, got {t}")
-    if mode is None:
-        mode = spec.invert_mode
-    _check_mode(consts.family, mode)
-    R = turning_radius(consts, params).value
+    _, R, kernel = _curve_fn(params, consts, mode)
 
     def t_of(rr: float) -> float:
-        return curves(params, consts, rr, mode)["t"]
+        return float(kernel(np.asarray(rr, dtype=float))[0])
 
     t_turn = t_of(R)
     gap = consts.eps * (t - t_turn)

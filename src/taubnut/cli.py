@@ -146,6 +146,8 @@ def _parse_floats(value, count: int, name: str) -> list:
     if len(parts) != count:
         raise ConfigError(
             f"{name} must have exactly {count} values, got {len(parts)}")
+    if any(isinstance(p, bool) for p in parts):
+        raise ConfigError(f"{name} values must be numbers, not booleans")
     try:
         values = [float(p) for p in parts]
     except (TypeError, ValueError) as exc:

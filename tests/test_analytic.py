@@ -2,6 +2,7 @@
 frozen quadrature oracles, boundary and limit behavior, mode semantics, the
 classifier, t(r) inversion, two-branch stitching, and the JSON record format."""
 
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import taubnut.analytic as analytic
 from taubnut.analytic import (
     _REGISTRY,
     FAMILIES,
@@ -29,10 +31,6 @@ from taubnut.analytic import (
     stitched_coords,
     theta_range_exit,
     thm1_t_of_r,
-    thm2_curves,
-    thm3_curves,
-    thm4_curves,
-    thm5_curves,
     turning_limit_used,
     turning_radius,
 )
@@ -259,31 +257,31 @@ class TestThm1:
 
 class TestThm2:
     def test_frozen_differences(self):
-        t3, u3 = thm2_curves(P1, c_thm2(), 3.0)
-        t2, u2 = thm2_curves(P1, c_thm2(), 2.0)
+        t3, u3 = tuple(curves(P1, c_thm2(), 3.0).values())
+        t2, u2 = tuple(curves(P1, c_thm2(), 2.0).values())
         assert t3 - t2 == pytest.approx(THM2_DT, rel=0, abs=1e-12)
         assert u3 - u2 == pytest.approx(THM2_DTAU, rel=0, abs=1e-12)
 
     def test_frozen_from_turning_radius(self):
-        ta, ua = thm2_curves(P1, c_thm2(), 2.0, "aligned")
+        ta, ua = tuple(curves(P1, c_thm2(), 2.0, "aligned").values())
         assert ta == pytest.approx(THM2_T_FROM_R1, rel=0, abs=1e-12)
         assert ua == pytest.approx(THM2_TAU_FROM_R1, rel=0, abs=1e-12)
 
     def test_aligned_anchors_exact(self):
-        t, tau = thm2_curves(P1, c_thm2(t1=0.3, tau1=-0.2), 1.5, "aligned")
+        t, tau = tuple(curves(P1, c_thm2(t1=0.3, tau1=-0.2), 1.5, "aligned").values())
         assert t == 0.3 and tau == -0.2
 
     def test_literal_boundary_offsets(self):
-        t, tau = thm2_curves(P1, c_thm2(), 1.5, "literal")
+        t, tau = tuple(curves(P1, c_thm2(), 1.5, "literal").values())
         log_term = math.log(math.sqrt(2.5))
         assert t == pytest.approx((1 + 1.5) * log_term / 2.0, rel=1e-14)
         assert tau == pytest.approx((5 + 1.5) * log_term / 2.0, rel=1e-14)
 
     def test_mode_agreement_on_differences(self):
-        lit = thm2_curves(P1, c_thm2(), 4.0)
-        lit0 = thm2_curves(P1, c_thm2(), 2.0)
-        ali = thm2_curves(P1, c_thm2(), 4.0, "aligned")
-        ali0 = thm2_curves(P1, c_thm2(), 2.0, "aligned")
+        lit = tuple(curves(P1, c_thm2(), 4.0).values())
+        lit0 = tuple(curves(P1, c_thm2(), 2.0).values())
+        ali = tuple(curves(P1, c_thm2(), 4.0, "aligned").values())
+        ali0 = tuple(curves(P1, c_thm2(), 2.0, "aligned").values())
         assert lit[0] - lit0[0] == pytest.approx(ali[0] - ali0[0], abs=1e-13)
         assert lit[1] - lit0[1] == pytest.approx(ali[1] - ali0[1], abs=1e-13)
 
@@ -295,58 +293,58 @@ class TestThm2:
 
     def test_degenerate_without_charge(self):
         with pytest.raises(DegenerateError):
-            thm2_curves(P1, c_thm2(tau0=0.0), 2.0)
+            tuple(curves(P1, c_thm2(tau0=0.0), 2.0).values())
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            thm2_curves(P1, c_thm2(), 1.4)
+            tuple(curves(P1, c_thm2(), 1.4).values())
 
     def test_ingoing_branch(self):
-        t3, u3 = thm2_curves(P1, c_thm2(eps=-1), 3.0, "aligned")
+        t3, u3 = tuple(curves(P1, c_thm2(eps=-1), 3.0, "aligned").values())
         assert t3 == pytest.approx(-(THM2_T_FROM_R1 + THM2_DT), abs=1e-12)
         assert u3 == pytest.approx(-(THM2_TAU_FROM_R1 + THM2_DTAU), abs=1e-12)
 
 
 class TestThm3:
     def test_frozen_differences(self):
-        t3, f3 = thm3_curves(P1, c_thm3(), 3.0)
-        t2, f2 = thm3_curves(P1, c_thm3(), 2.0)
+        t3, f3 = tuple(curves(P1, c_thm3(), 3.0).values())
+        t2, f2 = tuple(curves(P1, c_thm3(), 2.0).values())
         assert t3 - t2 == pytest.approx(THM3_DT, rel=0, abs=1e-12)
         assert f3 - f2 == pytest.approx(THM3_DPHI, rel=0, abs=1e-12)
 
     def test_frozen_from_turning_radius(self):
-        t3, _ = thm3_curves(P1, c_thm3(), 3.0, "aligned")
+        t3, _ = tuple(curves(P1, c_thm3(), 3.0, "aligned").values())
         assert t3 == pytest.approx(THM3_T_FROM_R2, rel=0, abs=1e-12)
 
     def test_turning_limit_phi(self):
         r2 = math.sqrt(2)
-        _, f_lit = thm3_curves(P1, c_thm3(), r2, "literal")
+        _, f_lit = tuple(curves(P1, c_thm3(), r2, "literal").values())
         assert f_lit == pytest.approx(-math.pi / 2, rel=1e-15)
-        _, f_ali = thm3_curves(P1, c_thm3(phi1=0.4), r2, "aligned")
+        _, f_ali = tuple(curves(P1, c_thm3(phi1=0.4), r2, "aligned").values())
         assert f_ali == pytest.approx(0.4, rel=1e-15)
         assert turning_limit_used(c_thm3(), P1, r2)
         assert not turning_limit_used(c_thm3(), P1, 2.0)
 
     def test_asymptotic_swing(self):
-        _, f_far = thm3_curves(P1, c_thm3(), 1e8, "literal")
+        _, f_far = tuple(curves(P1, c_thm3(), 1e8, "literal").values())
         assert f_far == pytest.approx(math.atan(1.0), abs=1e-7)
-        _, f_far_neg = thm3_curves(P1, c_thm3(eps=-1, phi0=-1.0), 1e8, "literal")
+        _, f_far_neg = tuple(curves(P1, c_thm3(eps=-1, phi0=-1.0), 1e8, "literal").values())
         assert f_far_neg == pytest.approx(math.atan(1.0), abs=1e-7)
 
     def test_degenerate_without_charge(self):
         with pytest.raises(DegenerateError):
-            thm3_curves(P1, c_thm3(phi0=0.0), 2.0)
+            tuple(curves(P1, c_thm3(phi0=0.0), 2.0).values())
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            thm3_curves(P1, c_thm3(), 1.2)
+            tuple(curves(P1, c_thm3(), 1.2).values())
 
 
 class TestThm4:
     def test_same_kernel_as_thm3(self):
         for r in (math.sqrt(2), 1.7, 3.0, 10.0):
-            assert (thm4_curves(P1, c_thm4(), r, "aligned")
-                    == thm3_curves(P1, c_thm3(), r, "aligned"))
+            assert (tuple(curves(P1, c_thm4(), r, "aligned").values())
+                    == tuple(curves(P1, c_thm3(), r, "aligned").values()))
 
     def test_swing_exit_flag(self):
         # the asymptotic swing is always at least pi/2 in magnitude; a large
@@ -364,24 +362,24 @@ class TestThm4:
 
 class TestThm5:
     def test_frozen_corrected_differences(self):
-        t3, f3, u3 = thm5_curves(P1, c_thm5(), 3.0)
-        t2, f2, u2 = thm5_curves(P1, c_thm5(), 2.0)
+        t3, f3, u3 = tuple(curves(P1, c_thm5(), 3.0).values())
+        t2, f2, u2 = tuple(curves(P1, c_thm5(), 2.0).values())
         assert t3 - t2 == pytest.approx(THM5_DT, rel=0, abs=1e-12)
         assert f3 - f2 == pytest.approx(THM5_DPHI, rel=0, abs=1e-12)
         assert u3 - u2 == pytest.approx(THM5_DTAU, rel=0, abs=1e-12)
 
     def test_default_mode_is_corrected(self):
         assert default_mode("thm5") == "corrected"
-        assert thm5_curves(P1, c_thm5(), 2.5) == thm5_curves(
-            P1, c_thm5(), 2.5, "corrected")
+        assert tuple(curves(P1, c_thm5(), 2.5).values()) == tuple(curves(
+            P1, c_thm5(), 2.5, "corrected").values())
 
     def test_literal_scale_ratios(self):
         # literal brackets carry prefactors off by r1/sqrt(2n) on t and
         # r1*sqrt(2n) on phi and tau; here n=1, r1=1
-        tc3, fc3, uc3 = thm5_curves(P1, c_thm5(), 3.0, "corrected")
-        tc2, fc2, uc2 = thm5_curves(P1, c_thm5(), 2.0, "corrected")
-        tl3, fl3, ul3 = thm5_curves(P1, c_thm5(), 3.0, "literal")
-        tl2, fl2, ul2 = thm5_curves(P1, c_thm5(), 2.0, "literal")
+        tc3, fc3, uc3 = tuple(curves(P1, c_thm5(), 3.0, "corrected").values())
+        tc2, fc2, uc2 = tuple(curves(P1, c_thm5(), 2.0, "corrected").values())
+        tl3, fl3, ul3 = tuple(curves(P1, c_thm5(), 3.0, "literal").values())
+        tl2, fl2, ul2 = tuple(curves(P1, c_thm5(), 2.0, "literal").values())
         assert (tl3 - tl2) / (tc3 - tc2) == pytest.approx(
             1 / math.sqrt(2), rel=1e-13)
         assert (fl3 - fl2) / (fc3 - fc2) == pytest.approx(
@@ -390,14 +388,14 @@ class TestThm5:
             math.sqrt(2), rel=1e-13)
 
     def test_aligned_equals_literal(self):
-        assert thm5_curves(P1, c_thm5(), 2.5, "aligned") == thm5_curves(
-            P1, c_thm5(), 2.5, "literal")
+        assert tuple(curves(P1, c_thm5(), 2.5, "aligned").values()) == tuple(curves(
+            P1, c_thm5(), 2.5, "literal").values())
 
     def test_anchors_at_turning_radius(self):
         consts = c_thm5(t1=0.1, tau1=0.2, phi1=0.3)
         rp = turning_radius(consts, P1).value
         for mode in ("literal", "corrected"):
-            t, f, u = thm5_curves(P1, consts, rp, mode)
+            t, f, u = tuple(curves(P1, consts, rp, mode).values())
             assert (t, f, u) == (0.1, 0.3, 0.2)
 
     def test_velocity_field_frozen(self):
@@ -410,21 +408,21 @@ class TestThm5:
         c5 = c_thm5(theta=math.pi / 2)
         c3 = c_thm3()
         for r in (1.8, 2.5, 4.0):
-            t5, f5, u5 = thm5_curves(P1, c5, r, "corrected")
-            t5b, f5b, u5b = thm5_curves(P1, c5, 1.5, "corrected")
-            t3, f3 = thm3_curves(P1, c3, r, "aligned")
-            t3b, f3b = thm3_curves(P1, c3, 1.5, "aligned")
+            t5, f5, u5 = tuple(curves(P1, c5, r, "corrected").values())
+            t5b, f5b, u5b = tuple(curves(P1, c5, 1.5, "corrected").values())
+            t3, f3 = tuple(curves(P1, c3, r, "aligned").values())
+            t3b, f3b = tuple(curves(P1, c3, 1.5, "aligned").values())
             assert (t5 - t5b) == pytest.approx(t3 - t3b, abs=1e-10)
             assert (f5 - f5b) == pytest.approx(f3 - f3b, abs=1e-10)
             assert abs(u5 - u5b) < 1e-10
 
     def test_degenerate_without_charge(self):
         with pytest.raises(DegenerateError):
-            thm5_curves(P1, c_thm5(phi0=0.0), 2.0)
+            tuple(curves(P1, c_thm5(phi0=0.0), 2.0).values())
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            thm5_curves(P1, c_thm5(), 1.4)
+            tuple(curves(P1, c_thm5(), 1.4).values())
 
 
 class TestCurveDerivatives:
@@ -480,11 +478,21 @@ class TestCurvesDispatch:
         assert default_invert_mode("thm1") == "aligned"
         assert default_invert_mode("thm5") == "corrected"
         assert curves(P1, c_thm3(), 2.0) == dict(
-            zip(("t", "phi"), thm3_curves(P1, c_thm3(), 2.0, "literal")))
+            zip(("t", "phi"), tuple(curves(P1, c_thm3(), 2.0, "literal").values())))
 
     def test_rejects_special_tags(self):
         with pytest.raises(ConfigError):
             curves(P1, FamilyConstants(family="generic", eps=1, r1=1.0), 2.0)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("call", [
+        lambda r: curves(P1, c_thm3(), np.array([2.0, r])),
+        lambda r: curve_derivatives(P1, c_thm3(), r),
+        lambda r: family_velocities(c_thm3(), P1, np.array([r, 2.0])),
+    ], ids=["curves", "curve_derivatives", "family_velocities"])
+    def test_rejects_non_finite_radius(self, call, r):
+        with pytest.raises(ConfigError):
+            call(r)
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ConfigError):
@@ -658,6 +666,19 @@ class TestInvert:
         assert invert_t_of_r(P1, c_thm1(), t, mode="literal") == pytest.approx(
             2.2, abs=1e-10)
 
+    def test_checks_once_per_inversion(self, monkeypatch):
+        # the root solve runs on the unchecked kernel: one turning radius
+        # per inversion, and no trip through curves per iteration
+        calls = dict.fromkeys(("turning_radius", "curves"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(analytic, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(analytic, name, counted)
+        consts, params = seeded_family("thm5", 42)
+        invert_t_of_r(params, consts, consts.t1 + 1.0)
+        assert calls == {"turning_radius": 1, "curves": 0}
+
 
 class TestStitched:
     def test_mirror_symmetry(self):
@@ -705,6 +726,40 @@ class TestStitched:
         for key, values in out.items():
             one = [stitched_coords(P1, consts, t)[key][0] for t in ts]
             assert values.tobytes() == np.array(one).tobytes(), key
+
+
+class TestClosedFormBytes:
+    # sha256 of the curves in every valid mode on 257 radii from just above
+    # the turning radius to 10n, stitched_coords at 65 times symmetric about
+    # t1 and invert_t_of_r at 5 times, for the seeded thm1-thm5 families. A
+    # deliberate re-baseline updates the hash here and lists the moved
+    # values in CHANGES.md.
+    SHA256 = {
+        42: "ddaf02ab50ea9e5df64c381063b1af7d6103020b458a1822bb57f727c68b146c",
+        7: "31a561d7ed3382fc5b79c44c87c77207a4d4be9d07e915cf2573899e12bb7051",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(SHA256))
+    def test_outputs_are_pinned(self, seed):
+        digest = hashlib.sha256()
+
+        def feed(label, values):
+            digest.update(label.encode())
+            digest.update(np.asarray(values, dtype="<f8").tobytes())
+
+        for fam in ("thm1", "thm2", "thm3", "thm4", "thm5"):
+            consts, params = seeded_family(fam, seed)
+            R = turning_radius(consts, params).value
+            grid = np.geomspace(R * 1.001, 10 * params.n, 257)
+            for mode in MODES if fam == "thm5" else MODES[:2]:
+                for key, values in curves(params, consts, grid, mode).items():
+                    feed(f"{fam} {mode} {key}", values)
+            ts = consts.t1 + np.linspace(-3.0, 3.0, 65)
+            for key, values in stitched_coords(params, consts, ts).items():
+                feed(f"{fam} stitched {key}", values)
+            feed(f"{fam} invert", [invert_t_of_r(params, consts, consts.t1 + dt)
+                                   for dt in (0.0, 0.1, 0.5, 1.0, 3.0)])
+        assert digest.hexdigest() == self.SHA256[seed]
 
 
 class TestJsonRecords:

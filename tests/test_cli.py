@@ -335,6 +335,18 @@ class TestConfigFile:
                            "--init", "0,1,0,2,0,0,0,0", "--t-end", "1")
         assert code == 1 and "invalid value for n" in err
 
+    @pytest.mark.parametrize("command, values", [
+        ("christoffel", {"n": 1, "point": [False, True, 0, 2]}),
+        ("integrate", {"n": 1, "t_end": 1, "init": [0, 1, 0, 2, 0, 0, 0, True]}),
+    ])
+    def test_boolean_rejected_in_list_option(self, capsys, tmp_path, command, values):
+        # float(True) is 1.0; a JSON boolean is not a coordinate
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(values))
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ConfigError:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("values", [{"eps": -1.9}, {"samples": 2.7},
                                         {"samples": math.inf}, {"samples": math.nan}])
     def test_non_integral_value_rejected_for_integer_key(self, capsys, tmp_path, values):
