@@ -50,7 +50,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConfigError, DegenerateError, DomainError, NotAGeodesic, RangeError
 from .geometry import COORDS, ModelParams
@@ -594,35 +593,123 @@ def default_invert_mode(family: str) -> str:
     return _spec(family, "has no curve mode").invert_mode
 
 
-def invert_t_of_r(params: ModelParams, consts: FamilyConstants, t: float,
-                  mode: str | None = None) -> float:
-    """Solve t_curve(r) = t on the monotone branch r >= turning radius.
+def _brentq(f, a, b):
+    """Roots of f in the brackets [a, b], one per element, by the iteration
+    of scipy's Zeros/brentq.c with xtol = 1e-14, rtol = 4 machine epsilons
+    and at most 100 iterations, so each root is bit for bit the one scipy's
+    brentq returns for that element alone.
+
+    f(x, idx) evaluates the function of the elements idx (indices into a
+    and b) at x. Every element runs its own state machine; np.where makes
+    each one's choice between inverse quadratic extrapolation, secant
+    interpolation and bisection. An element that converges is written out
+    and dropped, so f sees only the elements still iterating. A NaN from f
+    raises DomainError, equal signs at an element's bracket ends
+    DomainError, and an element still iterating after 100 steps
+    RangeError."""
+    xtol, rtol = 1e-14, 4 * np.finfo(float).eps
+    xpre, xcur = (np.array(v, dtype=float).reshape(-1) for v in np.broadcast_arrays(a, b))
+    out = np.empty_like(xcur)
+    idx = np.arange(out.size)
+    fpre, fcur = f(xpre, idx), f(xcur, idx)
+    if np.any(np.isnan(fpre)) or np.any(np.isnan(fcur)):
+        raise DomainError("root solve met a NaN function value")
+    ends = (fpre == 0) | (fcur == 0)
+    out[ends] = np.where(fpre == 0, xpre, xcur)[ends]
+    if np.any(~ends & (np.signbit(fpre) == np.signbit(fcur))):
+        raise DomainError("root solve needs f(a) and f(b) of different signs")
+    xpre, xcur, fpre, fcur, idx = (v[~ends] for v in (xpre, xcur, fpre, fcur, idx))
+    xblk, fblk, spre, scur = (np.zeros_like(xcur) for _ in range(4))
+    if idx.size == 0:
+        return out
+    for _ in range(100):
+        # a sign change between pre and cur makes pre the new contrapoint
+        flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+        spre, scur = np.where(flip, xcur - xpre, spre), np.where(flip, xcur - xpre, scur)
+        # cur is always the end with the smaller |f|
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                            np.where(swap, xcur, xblk))
+        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                            np.where(swap, fcur, fblk))
+        delta = (xtol + rtol * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0) | (np.abs(sbis) < delta)
+        if done.any():
+            out[idx[done]] = xcur[done]
+            live = ~done
+            xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis, idx = (
+                v[live] for v in (xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis, idx))
+            if idx.size == 0:
+                return out
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            interpolated = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            extrapolated = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        stry = np.where(xpre == xblk, interpolated, extrapolated)
+        short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                 & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
+        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+        xpre, fpre = xcur, fcur
+        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        fcur = f(xcur, idx)
+        if np.any(np.isnan(fcur)):
+            raise DomainError("root solve met a NaN function value")
+    raise RangeError(f"root solve did not converge in 100 iterations ({idx.size} left)")
+
+
+def invert_t_of_r(params: ModelParams, consts: FamilyConstants, t,
+                  mode: str | None = None):
+    """Solve t_curve(r) = t on the monotone branch r >= turning radius, for
+    a time or a 1-d array of times (a float for a float, like curves).
 
     The curve is strictly monotone (increasing for eps = +1, decreasing for
     eps = -1), so the inverse exists on one side of the curve's value at the
-    turning radius; times on the other side raise RangeError."""
+    turning radius; times on the other side raise RangeError, and so do
+    times beyond the largest radius where the curve is finite. Each time
+    gets the bracket [R, hi] with hi doubled from max(2R, R + n) until it
+    passes the time, and all brackets are solved in one array root solve
+    that gives each root bit for bit as scipy's brentq would
+    (xtol = 1e-14)."""
     if mode is None:
         mode = default_invert_mode(consts.family)
-    if not math.isfinite(t):
-        raise ConfigError(f"t must be finite, got {t}")
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise ConfigError(f"times must be a number or a 1-d array, got shape {ts.shape}")
+    flat = ts.reshape(-1)
+    bad = ~np.isfinite(flat)
+    if np.any(bad):
+        raise ConfigError(f"t must be finite, got {float(flat[bad][0])}")
     _, R, kernel = _curve_fn(params, consts, mode)
-
-    def t_of(rr: float) -> float:
-        return float(kernel(np.asarray(rr, dtype=float))[0])
-
-    t_turn = t_of(R)
-    gap = consts.eps * (t - t_turn)
-    if gap < 0:
-        raise RangeError(
-            f"t = {t} lies before the turning time {t_turn} on this branch")
-    if gap == 0:
-        return R
-    hi = max(2 * R, R + params.n)
-    while consts.eps * (t_of(hi) - t) < 0:
-        hi *= 2
-        if hi > 1e300:
-            raise RangeError(f"t = {t} not reachable on this branch")
-    return float(brentq(lambda rr: t_of(rr) - t, R, hi, xtol=1e-14))
+    eps = consts.eps
+    t_turn = float(kernel(np.asarray(R))[0])
+    gap = eps * (flat - t_turn)
+    if np.any(gap < 0):
+        raise RangeError(f"t = {float(flat[gap < 0][0])} lies before the turning time "
+                         f"{t_turn} on this branch")
+    r = np.full_like(flat, R)
+    todo = np.flatnonzero(gap > 0)
+    target = flat[todo]
+    hi = np.full_like(target, max(2 * R, R + params.n))
+    # past the float range the curve reads inf or NaN; the check below
+    # reports it instead of a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_hi = kernel(hi)[0]
+        low = eps * (t_hi - target) < 0
+        while np.any(low):
+            hi[low] *= 2
+            if np.any(hi > 1e300):
+                raise RangeError(f"t = {float(target[hi > 1e300][0])} not reachable "
+                                 f"on this branch")
+            t_hi[low] = kernel(hi[low])[0]
+            low = eps * (t_hi - target) < 0
+    if not np.all(np.isfinite(t_hi)):
+        raise RangeError(f"t = {float(target[~np.isfinite(t_hi)][0])} not reachable "
+                         f"on this branch: the curve overflows first")
+    r[todo] = _brentq(lambda x, i: kernel(x)[0] - target[i], R, hi)
+    return _scalar_like(t, r.reshape(ts.shape))
 
 
 def stitched_coords(params: ModelParams, consts: FamilyConstants, ts):
@@ -632,17 +719,19 @@ def stitched_coords(params: ModelParams, consts: FamilyConstants, ts):
     runs the branch in reverse down to the turning radius at time t1 and back
     out, with r even about t1 and each swept coordinate odd about its anchor:
     x(t1 - d) = 2 x1 - x(t1 + d). Returns a dict of arrays keyed 't', 'r',
-    plus the family's swept coordinates. Inversion uses the family's default
-    invert mode, so anchors hold exactly at t1."""
+    plus the family's swept coordinates. All times are inverted in one
+    invert_t_of_r call, in the family's default invert mode, so anchors hold
+    exactly at t1."""
     mode = _spec(consts.family, "has no closed-form curves").invert_mode
     outgoing = replace(consts, eps=1)
     anchors = {"tau": consts.tau1, "phi": consts.phi1, "theta": consts.theta1}
     ts = np.asarray(ts, dtype=float)
+    if ts.ndim > 1:
+        raise ConfigError(f"times must be a number or a 1-d array, got shape {ts.shape}")
     if not np.all(np.isfinite(ts)):
         raise ConfigError("times must be finite")
     flat = np.atleast_1d(ts)
-    r = np.array([invert_t_of_r(params, outgoing, consts.t1 + abs(t - consts.t1), mode)
-                  for t in flat])
+    r = invert_t_of_r(params, outgoing, consts.t1 + np.abs(flat - consts.t1), mode)
     vals = curves(params, outgoing, r, mode)
     out = {"t": flat.copy(), "r": r}
     for key in ("tau", "theta", "phi"):

@@ -23,6 +23,11 @@ array pass over geometry's broadcast metric; they are monitored, never
 enforced. The exact radial passthrough of r = n is a closed form in the
 analytic module.
 
+scipy is imported on the first integration, not with this module (see
+_scipy), so closed-form callers never load scipy.integrate or
+scipy.optimize; integrator.DOP853 and integrator.brentq resolve as module
+attributes either way.
+
 Axis semantics: every 1/sin(theta) term of the equations multiplies
 dtau/dt*dtheta/dt or dphi/dt*dtheta/dt, so motion with dtau/dt = dphi/dt = 0
 (radial or meridional) activates no singular term and is allowed through the
@@ -36,8 +41,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.integrate import DOP853
-from scipy.optimize import brentq
 
 from .errors import AxisError, ConfigError, DomainError
 from .geometry import (
@@ -67,6 +70,28 @@ REL_TOL_FLOOR = 100 * np.finfo(float).eps
 
 # fractions of each accepted step at which the event scan reads the interpolant
 _PROBES = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+def _scipy(name: str):
+    """scipy's DOP853 or brentq. Both are imported on the first call and
+    bound as module globals, so a caller that never integrates never loads
+    scipy.integrate or scipy.optimize, and a global rebound by the caller
+    (a wrapped brentq, a DOP853 subclass) is the one used."""
+    scope = globals()
+    if name not in scope:
+        from scipy.integrate import DOP853
+        from scipy.optimize import brentq
+
+        scope.setdefault("DOP853", DOP853)
+        scope.setdefault("brentq", brentq)
+    return scope[name]
+
+
+def __getattr__(name: str):
+    # integrator.DOP853 and integrator.brentq resolve before first use too
+    if name in ("DOP853", "brentq"):
+        return _scipy(name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -259,6 +284,7 @@ def _first_crossing(interp, ts, ys, value, index, sign, stats):
     if k == 0:
         return float(ts[0])
     stats["root_solves"] += 1
+    brentq = _scipy("brentq")
     return float(brentq(lambda t: sign * (interp(t)[index] - value), ts[k - 1], ts[k],
                         xtol=1e-14, rtol=8.9e-16))
 
@@ -322,8 +348,10 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
         stats["nfev"] += 1
         return geodesic_rhs(params, yy)
 
+    dop853 = _scipy("DOP853")
+
     def start(t, y, first_step=None):
-        return DOP853(rhs, t, y, cfg.t_end, rtol=cfg.rel_tol, atol=cfg.abs_tol,
+        return dop853(rhs, t, y, cfg.t_end, rtol=cfg.rel_tol, atol=cfg.abs_tol,
                       first_step=first_step)
 
     try:

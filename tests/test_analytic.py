@@ -5,10 +5,12 @@ classifier, t(r) inversion, two-branch stitching, and the JSON record format."""
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,6 +42,7 @@ from taubnut.errors import (
     DomainError,
     NotAGeodesic,
     RangeError,
+    TaubnutError,
 )
 from taubnut.geometry import ModelParams, Point
 from taubnut.integrator import IntegrationConfig, PhaseState, integrate
@@ -668,8 +671,9 @@ class TestInvert:
 
     def test_checks_once_per_inversion(self, monkeypatch):
         # the root solve runs on the unchecked kernel: one turning radius
-        # per inversion, and no trip through curves per iteration
-        calls = dict.fromkeys(("turning_radius", "curves"), 0)
+        # per inversion, and no trip through curves per iteration; one
+        # stitched_coords call inverts all of its times at once
+        calls = dict.fromkeys(("turning_radius", "curves", "invert_t_of_r"), 0)
         for name in calls:
             def counted(*args, _name=name, _fn=getattr(analytic, name), **kwargs):
                 calls[_name] += 1
@@ -677,7 +681,131 @@ class TestInvert:
             monkeypatch.setattr(analytic, name, counted)
         consts, params = seeded_family("thm5", 42)
         invert_t_of_r(params, consts, consts.t1 + 1.0)
-        assert calls == {"turning_radius": 1, "curves": 0}
+        assert calls == {"turning_radius": 1, "curves": 0, "invert_t_of_r": 0}
+        calls.update(dict.fromkeys(calls, 0))
+        stitched_coords(params, consts, consts.t1 + np.linspace(-3.0, 3.0, 256))
+        # one turning radius for the inversion, one for curves
+        assert calls == {"turning_radius": 2, "curves": 1, "invert_t_of_r": 1}
+
+    @pytest.mark.parametrize("family", ["thm1", "thm2", "thm3", "thm4", "thm5"])
+    def test_time_past_float_range_is_range_error(self, family):
+        # thm3/thm4 square r, so their t(r) overflows to inf above
+        # r ~ 1.34e154; the root must not converge onto that edge
+        consts, params = seeded_family(family, 42)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError, match="not reachable"):
+                invert_t_of_r(params, consts, consts.t1 + 1e308)
+
+    def test_array_in_array_out(self):
+        consts = c_thm3()
+        ts = np.array([0.0, 0.5, 2.0])
+        rs = invert_t_of_r(P1, consts, ts)
+        assert isinstance(rs, np.ndarray) and rs.shape == (3,)
+        assert isinstance(invert_t_of_r(P1, consts, np.float64(0.5)), float)
+        assert rs.tolist() == [invert_t_of_r(P1, consts, t) for t in ts.tolist()]
+        assert rs[0] == math.sqrt(2)
+
+    def test_empty_times_give_empty_arrays(self):
+        assert invert_t_of_r(P1, c_thm3(), np.array([])).shape == (0,)
+        out = stitched_coords(P1, c_thm3(), [])
+        assert sorted(out) == ["phi", "r", "t"]
+        assert all(v.shape == (0,) for v in out.values())
+
+    def test_rejects_two_dimensional_times(self):
+        with pytest.raises(ConfigError):
+            invert_t_of_r(P1, c_thm3(), np.zeros((2, 2)))
+        with pytest.raises(ConfigError):
+            stitched_coords(P1, c_thm3(), np.zeros((2, 2)))
+
+    def test_array_errors_name_the_first_bad_time(self):
+        with pytest.raises(ConfigError, match="got nan"):
+            invert_t_of_r(P1, c_thm1(), [0.5, math.nan, math.inf])
+        with pytest.raises(RangeError, match=r"t = -0\.25 lies before"):
+            invert_t_of_r(P1, c_thm1(), [0.5, -0.25, -1.0])
+
+
+def _scipy_inversion(params, consts, t):
+    """The scalar route: per-time bracket doubling and scipy's brentq on the
+    family's kernel, as invert_t_of_r solved one time before it took arrays."""
+    _, R, kernel = analytic._curve_fn(params, consts, default_invert_mode(consts.family))
+
+    def t_of(rr):
+        return float(kernel(np.asarray(rr, dtype=float))[0])
+
+    if consts.eps * (t - t_of(R)) == 0:
+        return R, R, R
+    hi = max(2 * R, R + params.n)
+    while consts.eps * (t_of(hi) - t) < 0:
+        hi *= 2
+    return scipy.optimize.brentq(lambda rr: t_of(rr) - t, R, hi, xtol=1e-14), R, hi
+
+
+# offsets from t1 that converge at different iterations, solved in one call
+DTS = np.concatenate([[0.0, 1e-13, 1e-9, 1e-6], np.geomspace(1e-12, 1e6, 37)])
+
+
+class TestArrayBrent:
+    """_brentq and the array invert_t_of_r against per-element
+    scipy.optimize.brentq on the same kernel, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bit_identical_to_scipy(self, seed):
+        for fam in ("thm1", "thm2", "thm3", "thm4", "thm5"):
+            base, params = seeded_family(fam, seed)
+            for eps in (1, -1):
+                consts = replace(base, eps=eps)
+                ts = consts.t1 + eps * DTS
+                ref = [_scipy_inversion(params, consts, t) for t in ts.tolist()]
+                expected = np.array([root for root, _, _ in ref])
+                got = invert_t_of_r(params, consts, ts)
+                assert got.tobytes() == expected.tobytes(), (fam, eps)
+                # the bare solver on the same brackets, skipping t = t1
+                _, _, kernel = analytic._curve_fn(params, consts,
+                                                  default_invert_mode(fam))
+                lo, hi = np.array([(a, b) for _, a, b in ref[1:]]).T
+                roots = analytic._brentq(lambda x, i: kernel(x)[0] - ts[1:][i], lo, hi)
+                assert roots.tobytes() == expected[1:].tobytes(), (fam, eps)
+
+    @settings(max_examples=200, deadline=None)
+    @given(family=st.sampled_from(("thm1", "thm2", "thm3", "thm4", "thm5")),
+           seed=st.integers(0, 10_000), log_dt=st.floats(-14.0, 6.0), eps=st.sampled_from((1, -1)))
+    def test_bit_identical_property(self, family, seed, log_dt, eps):
+        base, params = seeded_family(family, seed)
+        consts = replace(base, eps=eps)
+        ts = consts.t1 + eps * 10.0 ** np.array([log_dt, log_dt - 1.0, log_dt + 0.5])
+        expected = np.array([_scipy_inversion(params, consts, t)[0] for t in ts.tolist()])
+        assert invert_t_of_r(params, consts, ts).tobytes() == expected.tobytes()
+
+    def test_roots_at_bracket_ends(self):
+        roots = analytic._brentq(lambda x, i: x - np.array([0.0, 2.0])[i], [0.0, 1.0], [1.0, 2.0])
+        assert roots.tolist() == [0.0, 2.0]
+
+    def test_nan_is_domain_error(self):
+        with pytest.raises(DomainError, match="NaN"):
+            analytic._brentq(lambda x, i: np.where(x == 0.0, np.nan, x - 0.3), [0.0], [1.0])
+        # a NaN met inside the bracket, after the ends were finite
+        with pytest.raises(DomainError, match="NaN"):
+            analytic._brentq(lambda x, i: np.where((x > 0.1) & (x < 0.9), np.nan, x - 0.5),
+                             [0.0], [1.0])
+
+    def test_equal_signs_are_domain_error(self):
+        with pytest.raises(DomainError, match="different signs"):
+            analytic._brentq(lambda x, i: x + 1.0, [0.0], [1.0])
+
+    def test_iteration_limit_is_a_package_error(self):
+        # a unit step: every secant step is refused, and bisecting 1e300
+        # down to 1e-14 takes about 1040 halvings, past scipy's 100
+        def step(x, i=None):
+            return np.where(x < 1.0, -1.0, 1.0)
+
+        with pytest.raises(RuntimeError):
+            scipy.optimize.brentq(lambda x: float(step(x)), 0.0, 1e300, xtol=1e-14)
+        with pytest.raises(TaubnutError, match="did not converge"):
+            analytic._brentq(step, [0.0], [1e300])
+        # within reach of 100 halvings both converge, to the same float
+        root = analytic._brentq(step, [0.0], [3.0])[0]
+        assert root == scipy.optimize.brentq(lambda x: float(step(x)), 0.0, 3.0, xtol=1e-14)
 
 
 class TestStitched:

@@ -3,7 +3,12 @@ monitoring, event termination, the exact radial passthrough, and trajectory
 CSV round-tripping."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -729,6 +734,20 @@ class TestStats:
         assert stats == {"nfev": 0, "accepted": 0, "rejected": 0, "chart_retries": 0,
                          "interpolants": 0, "root_solves": 0, "h_min": math.inf, "h_max": 0.0}
 
+    def test_event_roots_use_the_module_brentq(self, monkeypatch):
+        # the bench tracer wraps integrator.brentq; a rebound global is the
+        # one _first_crossing calls
+        solves = []
+
+        def counted(*args, _fn=integrator.brentq, **kwargs):
+            solves.append(args[1:3])
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(integrator, "brentq", counted)
+        traj = integrate(P1, self.RADIAL_FLOOR,
+                         IntegrationConfig(abs_tol=1e-3, rel_tol=1e-3, t_end=50.0))
+        assert len(solves) == traj.stats["root_solves"] == 1
+
     def test_closed_form_and_parsed_trajectories_carry_none(self):
         assert radial_passthrough(P1, 1.5, 0.8, +1).stats == {}
         traj = integrate(P1, equatorial_state(), IntegrationConfig(t_end=1.0))
@@ -804,3 +823,59 @@ class TestEventGate:
             assert traj.termination == "AxisApproach"
         assert traj.stats["interpolants"] <= len(built)
         assert reached <= built, sorted(reached - built)
+
+
+def run_fresh(code: str) -> None:
+    """Run code in a fresh interpreter with the package on its path."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+class TestLazyScipy:
+    """Importing the package, or using only its closed forms, loads neither
+    scipy.integrate nor scipy.optimize; both arrive with the first use of
+    the integrator's scipy names."""
+
+    def test_import_and_closed_forms_load_no_scipy_solver(self):
+        run_fresh("""
+            import sys
+            import numpy as np
+            import taubnut
+            from taubnut import integrator
+
+            def loaded():
+                return [m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules]
+
+            assert loaded() == [], loaded()
+            consts, params = taubnut.seeded_family("thm3", 42)
+            taubnut.stitched_coords(params, consts, consts.t1 + np.linspace(-1.0, 1.0, 9))
+            taubnut.radial_passthrough(params, 0.0, 1.0, 1)
+            assert loaded() == [], loaded()
+            assert "DOP853" not in vars(integrator) and "brentq" not in vars(integrator)
+            from scipy.integrate import DOP853
+            from scipy.optimize import brentq
+            assert integrator.DOP853 is DOP853 and integrator.brentq is brentq
+            assert vars(integrator)["DOP853"] is DOP853
+            try:
+                integrator.no_such_name
+            except AttributeError:
+                pass
+            else:
+                raise AssertionError("unknown attribute resolved")
+        """)
+
+    def test_one_integration_binds_both_globals(self):
+        run_fresh("""
+            import numpy as np
+            from taubnut import IntegrationConfig, ModelParams, PhaseState, Point, integrate
+            from taubnut import integrator
+
+            state = PhaseState(Point(0.0, np.pi / 2, 0.0, 2.0), (0.0, 0.0, 0.3, 0.4))
+            integrate(ModelParams(n=1.0), state, IntegrationConfig(t_end=1.0))
+            from scipy.integrate import DOP853
+            from scipy.optimize import brentq
+            assert vars(integrator)["DOP853"] is DOP853
+            assert vars(integrator)["brentq"] is brentq
+        """)
