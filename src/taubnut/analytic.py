@@ -48,9 +48,11 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
+from ._solvers import brentq
 from .errors import ConfigError, DegenerateError, DomainError, NotAGeodesic, RangeError
 from .geometry import COORDS, ModelParams
 from .integrator import HORIZON, PhaseState, Trajectory, norm
@@ -400,7 +402,7 @@ class _Family:
                           # or None when the state is off the family
     draw: Callable        # (rng, n, r1, sign) -> seeded verify constants
 
-    @property
+    @cached_property
     def anchors(self) -> tuple:
         """Anchor fields (tau1, ...) of the swept coordinates, in COORDS order."""
         return tuple(f"{k}1" for k in COORDS if k in self.swept)
@@ -496,8 +498,15 @@ def curves(params: ModelParams, consts: FamilyConstants, r, mode: str | None = N
     dict keyed by coordinate name ('t' plus whichever of tau/phi/theta the
     family sweeps). mode=None picks default_mode(family)."""
     spec, R, kernel = _curve_fn(params, consts, mode)
-    arr = _finite_radii(r)
-    if np.any(arr < R):
+    if isinstance(r, float):
+        # one radius: plain float checks cost less than numpy's reductions
+        if not math.isfinite(r):
+            raise ConfigError("radii must be finite")
+        arr, below = np.asarray(r), r < R
+    else:
+        arr = _finite_radii(r)
+        below = np.any(arr < R)
+    if below:
         raise DomainError(f"r must be >= the turning radius {R}")
     return {key: _scalar_like(r, v) for key, v in zip(("t", *spec.swept), kernel(arr))}
 
@@ -578,10 +587,8 @@ def classify(params: ModelParams, state: PhaseState, tol: float = 1e-9) -> Famil
         trial = FamilyConstants(family=fam, eps=eps, **found,
                                 **dict.fromkeys(spec.anchors, 0.0))
         vals = curves(params, trial, r, spec.invert_mode)
-        shift = {"t1": -vals["t"]}
-        for key in spec.swept:
-            shift[f"{key}1"] = getattr(state.point, key) - vals[key]
-        return replace(trial, **shift)
+        return FamilyConstants(family=fam, eps=eps, **found, t1=-vals["t"],
+                               **{f"{key}1": getattr(p, key) - vals[key] for key in spec.swept})
     return FamilyConstants(family="generic", eps=eps,
                            r1=math.sqrt(norm(params, state)))
 
@@ -591,73 +598,6 @@ def default_invert_mode(family: str) -> str:
     starts exactly at t1) and corrected for thm5 (whose brackets already
     vanish at R+ and whose literal time scale is off by r1/sqrt(2n))."""
     return _spec(family, "has no curve mode").invert_mode
-
-
-def _brentq(f, a, b):
-    """Roots of f in the brackets [a, b], one per element, by the iteration
-    of scipy's Zeros/brentq.c with xtol = 1e-14, rtol = 4 machine epsilons
-    and at most 100 iterations, so each root is bit for bit the one scipy's
-    brentq returns for that element alone.
-
-    f(x, idx) evaluates the function of the elements idx (indices into a
-    and b) at x. Every element runs its own state machine; np.where makes
-    each one's choice between inverse quadratic extrapolation, secant
-    interpolation and bisection. An element that converges is written out
-    and dropped, so f sees only the elements still iterating. A NaN from f
-    raises DomainError, equal signs at an element's bracket ends
-    DomainError, and an element still iterating after 100 steps
-    RangeError."""
-    xtol, rtol = 1e-14, 4 * np.finfo(float).eps
-    xpre, xcur = (np.array(v, dtype=float).reshape(-1) for v in np.broadcast_arrays(a, b))
-    out = np.empty_like(xcur)
-    idx = np.arange(out.size)
-    fpre, fcur = f(xpre, idx), f(xcur, idx)
-    if np.any(np.isnan(fpre)) or np.any(np.isnan(fcur)):
-        raise DomainError("root solve met a NaN function value")
-    ends = (fpre == 0) | (fcur == 0)
-    out[ends] = np.where(fpre == 0, xpre, xcur)[ends]
-    if np.any(~ends & (np.signbit(fpre) == np.signbit(fcur))):
-        raise DomainError("root solve needs f(a) and f(b) of different signs")
-    xpre, xcur, fpre, fcur, idx = (v[~ends] for v in (xpre, xcur, fpre, fcur, idx))
-    xblk, fblk, spre, scur = (np.zeros_like(xcur) for _ in range(4))
-    if idx.size == 0:
-        return out
-    for _ in range(100):
-        # a sign change between pre and cur makes pre the new contrapoint
-        flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
-        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
-        spre, scur = np.where(flip, xcur - xpre, spre), np.where(flip, xcur - xpre, scur)
-        # cur is always the end with the smaller |f|
-        swap = np.abs(fblk) < np.abs(fcur)
-        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
-                            np.where(swap, xcur, xblk))
-        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
-                            np.where(swap, fcur, fblk))
-        delta = (xtol + rtol * np.abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        done = (fcur == 0) | (np.abs(sbis) < delta)
-        if done.any():
-            out[idx[done]] = xcur[done]
-            live = ~done
-            xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis, idx = (
-                v[live] for v in (xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis, idx))
-            if idx.size == 0:
-                return out
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            interpolated = -fcur * (xcur - xpre) / (fcur - fpre)
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            extrapolated = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-        stry = np.where(xpre == xblk, interpolated, extrapolated)
-        short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
-                 & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
-        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
-        xpre, fpre = xcur, fcur
-        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
-        fcur = f(xcur, idx)
-        if np.any(np.isnan(fcur)):
-            raise DomainError("root solve met a NaN function value")
-    raise RangeError(f"root solve did not converge in 100 iterations ({idx.size} left)")
 
 
 def invert_t_of_r(params: ModelParams, consts: FamilyConstants, t,
@@ -708,7 +648,7 @@ def invert_t_of_r(params: ModelParams, consts: FamilyConstants, t,
     if not np.all(np.isfinite(t_hi)):
         raise RangeError(f"t = {float(target[~np.isfinite(t_hi)][0])} not reachable "
                          f"on this branch: the curve overflows first")
-    r[todo] = _brentq(lambda x, i: kernel(x)[0] - target[i], R, hi)
+    r[todo] = brentq(lambda x, i: kernel(x)[0] - target[i], R, hi)
     return _scalar_like(t, r.reshape(ts.shape))
 
 

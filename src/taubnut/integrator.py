@@ -8,25 +8,21 @@ dr) in the fixed coordinate order. The stepper runs on the flat state
 coordinate s = sqrt(r - n): r = n is the nut, a regular point of the
 manifold, where r(t) has a square-root singularity that DOP853 resolves
 only by rejecting step after step, while s(t) passes it linearly. The
-stepper is scipy's DOP853 (the explicit Runge-Kutta 8(5,3) code of Hairer,
-Norsett & Wanner, Solving ODEs I, sections II.5-6), driven one step at a
-time; its 7th-order dense output feeds event detection for the r floor near
-the nut and the polar axis, and the fixed-grid samples each step reads before
-its interpolant is dropped. The interpolant costs three extra rhs calls, so
-it is built only for a step that can reach the floor, the axis band or a
-grid time, and evaluated once there for every event within reach.
-Integration also stops at the affine horizon t_end and at the step budget.
-Non-finite start states or grid entries, and relative tolerances below 100
-machine epsilons (which scipy would silently raise), are rejected. The two
-Killing charges p_tau, p_phi and the velocity norm of all rows come from one
-array pass over geometry's broadcast metric; they are monitored, never
-enforced. The exact radial passthrough of r = n is a closed form in the
-analytic module.
-
-scipy is imported on the first integration, not with this module (see
-_scipy), so closed-form callers never load scipy.integrate or
-scipy.optimize; integrator.DOP853 and integrator.brentq resolve as module
-attributes either way.
+stepper is DOP853, the explicit Runge-Kutta 8(5,3) code of Hairer, Norsett
+& Wanner (Solving ODEs I, sections II.5-6), in the package's port of
+scipy's (_solvers), which steps bit for bit as scipy's does; no scipy module
+is imported. It is driven one step at a time; its 7th-order dense output
+feeds event detection for the r floor near the nut and the polar axis, and
+the fixed-grid samples each step reads before its interpolant is dropped.
+The interpolant costs three extra rhs calls, so it is built only for a step
+that can reach the floor, the axis band or a grid time, and evaluated once
+there for every event within reach. Integration also stops at the affine
+horizon t_end and at the step budget. Non-finite start states or grid
+entries, and relative tolerances below 100 machine epsilons (which scipy's
+DOP853 would silently raise), are rejected. The two Killing charges p_tau,
+p_phi and the velocity norm of all rows come from one array pass over
+geometry's broadcast metric; they are monitored, never enforced. The exact
+radial passthrough of r = n is a closed form in the analytic module.
 
 Axis semantics: every 1/sin(theta) term of the equations multiplies
 dtau/dt*dtheta/dt or dphi/dt*dtheta/dt, so motion with dtau/dt = dphi/dt = 0
@@ -42,6 +38,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from ._solvers import DOP853, brentq
 from .errors import AxisError, ConfigError, DomainError
 from .geometry import (
     PHI,
@@ -64,34 +61,12 @@ SINGULARITY_APPROACH = "SingularityApproach"
 AXIS_APPROACH = "AxisApproach"
 STEP_BUDGET = "StepBudget"
 
-# smallest relative tolerance the stepper honours; below it scipy would
-# silently raise rel_tol to this value
+# smallest relative tolerance accepted: scipy's DOP853, which the stepper
+# reproduces, silently raises a smaller rel_tol to this value
 REL_TOL_FLOOR = 100 * np.finfo(float).eps
 
 # fractions of each accepted step at which the event scan reads the interpolant
 _PROBES = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-
-
-def _scipy(name: str):
-    """scipy's DOP853 or brentq. Both are imported on the first call and
-    bound as module globals, so a caller that never integrates never loads
-    scipy.integrate or scipy.optimize, and a global rebound by the caller
-    (a wrapped brentq, a DOP853 subclass) is the one used."""
-    scope = globals()
-    if name not in scope:
-        from scipy.integrate import DOP853
-        from scipy.optimize import brentq
-
-        scope.setdefault("DOP853", DOP853)
-        scope.setdefault("brentq", brentq)
-    return scope[name]
-
-
-def __getattr__(name: str):
-    # integrator.DOP853 and integrator.brentq resolve before first use too
-    if name in ("DOP853", "brentq"):
-        return _scipy(name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -284,9 +259,7 @@ def _first_crossing(interp, ts, ys, value, index, sign, stats):
     if k == 0:
         return float(ts[0])
     stats["root_solves"] += 1
-    brentq = _scipy("brentq")
-    return float(brentq(lambda t: sign * (interp(t)[index] - value), ts[k - 1], ts[k],
-                        xtol=1e-14, rtol=8.9e-16))
+    return float(brentq(lambda t, _: sign * (interp(t)[index] - value), ts[k - 1], ts[k])[0])
 
 
 def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) -> Trajectory:
@@ -348,10 +321,8 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
         stats["nfev"] += 1
         return geodesic_rhs(params, yy)
 
-    dop853 = _scipy("DOP853")
-
     def start(t, y, first_step=None):
-        return dop853(rhs, t, y, cfg.t_end, rtol=cfg.rel_tol, atol=cfg.abs_tol,
+        return DOP853(rhs, t, y, cfg.t_end, rtol=cfg.rel_tol, atol=cfg.abs_tol,
                       first_step=first_step)
 
     try:
@@ -366,7 +337,7 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
     while True:
         t, y = solver.t, solver.y
         if solver.status != "running" or calls >= cfg.max_steps:
-            # "failed" is scipy's "step size too small": no step advances t
+            # "failed" is the stepper's "step size too small": no step advances t
             termination = HORIZON if solver.status == "finished" else STEP_BUDGET
             t_stop, y_stop = t, y
             break

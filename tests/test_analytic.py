@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import taubnut.analytic as analytic
+from taubnut._solvers import brentq
 from taubnut.analytic import (
     _REGISTRY,
     FAMILIES,
@@ -746,7 +747,7 @@ DTS = np.concatenate([[0.0, 1e-13, 1e-9, 1e-6], np.geomspace(1e-12, 1e6, 37)])
 
 
 class TestArrayBrent:
-    """_brentq and the array invert_t_of_r against per-element
+    """The array brentq and invert_t_of_r against per-element
     scipy.optimize.brentq on the same kernel, bit for bit."""
 
     @pytest.mark.parametrize("seed", range(10))
@@ -764,7 +765,7 @@ class TestArrayBrent:
                 _, _, kernel = analytic._curve_fn(params, consts,
                                                   default_invert_mode(fam))
                 lo, hi = np.array([(a, b) for _, a, b in ref[1:]]).T
-                roots = analytic._brentq(lambda x, i: kernel(x)[0] - ts[1:][i], lo, hi)
+                roots = brentq(lambda x, i: kernel(x)[0] - ts[1:][i], lo, hi)
                 assert roots.tobytes() == expected[1:].tobytes(), (fam, eps)
 
     @settings(max_examples=200, deadline=None)
@@ -778,20 +779,20 @@ class TestArrayBrent:
         assert invert_t_of_r(params, consts, ts).tobytes() == expected.tobytes()
 
     def test_roots_at_bracket_ends(self):
-        roots = analytic._brentq(lambda x, i: x - np.array([0.0, 2.0])[i], [0.0, 1.0], [1.0, 2.0])
+        roots = brentq(lambda x, i: x - np.array([0.0, 2.0])[i], [0.0, 1.0], [1.0, 2.0])
         assert roots.tolist() == [0.0, 2.0]
 
     def test_nan_is_domain_error(self):
         with pytest.raises(DomainError, match="NaN"):
-            analytic._brentq(lambda x, i: np.where(x == 0.0, np.nan, x - 0.3), [0.0], [1.0])
+            brentq(lambda x, i: np.where(x == 0.0, np.nan, x - 0.3), [0.0], [1.0])
         # a NaN met inside the bracket, after the ends were finite
         with pytest.raises(DomainError, match="NaN"):
-            analytic._brentq(lambda x, i: np.where((x > 0.1) & (x < 0.9), np.nan, x - 0.5),
-                             [0.0], [1.0])
+            brentq(lambda x, i: np.where((x > 0.1) & (x < 0.9), np.nan, x - 0.5),
+                   [0.0], [1.0])
 
     def test_equal_signs_are_domain_error(self):
         with pytest.raises(DomainError, match="different signs"):
-            analytic._brentq(lambda x, i: x + 1.0, [0.0], [1.0])
+            brentq(lambda x, i: x + 1.0, [0.0], [1.0])
 
     def test_iteration_limit_is_a_package_error(self):
         # a unit step: every secant step is refused, and bisecting 1e300
@@ -802,9 +803,9 @@ class TestArrayBrent:
         with pytest.raises(RuntimeError):
             scipy.optimize.brentq(lambda x: float(step(x)), 0.0, 1e300, xtol=1e-14)
         with pytest.raises(TaubnutError, match="did not converge"):
-            analytic._brentq(step, [0.0], [1e300])
+            brentq(step, [0.0], [1e300])
         # within reach of 100 halvings both converge, to the same float
-        root = analytic._brentq(step, [0.0], [3.0])[0]
+        root = brentq(step, [0.0], [3.0])[0]
         assert root == scipy.optimize.brentq(lambda x: float(step(x)), 0.0, 3.0, xtol=1e-14)
 
 

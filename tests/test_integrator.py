@@ -13,6 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
@@ -92,15 +93,16 @@ class TestIntegrationConfig:
             make(**{field: value})
 
     def test_rel_tol_floor(self):
-        # the floor is the smallest rtol scipy's stepper keeps unchanged;
-        # below it scipy warns and silently raises rtol
+        # the floor is the smallest rtol scipy's DOP853, which the stepper
+        # reproduces, keeps unchanged; below it scipy warns and silently
+        # raises rtol
         below = np.nextafter(REL_TOL_FLOOR, 0.0)
         IntegrationConfig(rel_tol=REL_TOL_FLOOR)
         with pytest.raises(ConfigError, match="rel_tol"):
             IntegrationConfig(rel_tol=below)
-        integrator.DOP853(lambda t, y: -y, 0.0, np.ones(1), 1.0, rtol=REL_TOL_FLOOR)
+        scipy.integrate.DOP853(lambda t, y: -y, 0.0, np.ones(1), 1.0, rtol=REL_TOL_FLOOR)
         with pytest.warns(UserWarning, match="rtol"):
-            integrator.DOP853(lambda t, y: -y, 0.0, np.ones(1), 1.0, rtol=below)
+            scipy.integrate.DOP853(lambda t, y: -y, 0.0, np.ones(1), 1.0, rtol=below)
 
     def test_rejects_unordered_grid(self):
         with pytest.raises(ConfigError):
@@ -833,49 +835,20 @@ def run_fresh(code: str) -> None:
     assert done.returncode == 0, done.stderr
 
 
-class TestLazyScipy:
-    """Importing the package, or using only its closed forms, loads neither
-    scipy.integrate nor scipy.optimize; both arrive with the first use of
-    the integrator's scipy names."""
+class TestNoScipy:
+    """The package runs on numpy alone: importing it, integrating and a
+    whole verify run load no scipy module."""
 
-    def test_import_and_closed_forms_load_no_scipy_solver(self):
+    def test_import_integrate_and_verify_load_no_scipy(self):
         run_fresh("""
             import sys
             import numpy as np
-            import taubnut
-            from taubnut import integrator
-
-            def loaded():
-                return [m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules]
-
-            assert loaded() == [], loaded()
-            consts, params = taubnut.seeded_family("thm3", 42)
-            taubnut.stitched_coords(params, consts, consts.t1 + np.linspace(-1.0, 1.0, 9))
-            taubnut.radial_passthrough(params, 0.0, 1.0, 1)
-            assert loaded() == [], loaded()
-            assert "DOP853" not in vars(integrator) and "brentq" not in vars(integrator)
-            from scipy.integrate import DOP853
-            from scipy.optimize import brentq
-            assert integrator.DOP853 is DOP853 and integrator.brentq is brentq
-            assert vars(integrator)["DOP853"] is DOP853
-            try:
-                integrator.no_such_name
-            except AttributeError:
-                pass
-            else:
-                raise AssertionError("unknown attribute resolved")
-        """)
-
-    def test_one_integration_binds_both_globals(self):
-        run_fresh("""
-            import numpy as np
             from taubnut import IntegrationConfig, ModelParams, PhaseState, Point, integrate
-            from taubnut import integrator
+            from taubnut.verify import run_scenario
 
             state = PhaseState(Point(0.0, np.pi / 2, 0.0, 2.0), (0.0, 0.0, 0.3, 0.4))
             integrate(ModelParams(n=1.0), state, IntegrationConfig(t_end=1.0))
-            from scipy.integrate import DOP853
-            from scipy.optimize import brentq
-            assert vars(integrator)["DOP853"] is DOP853
-            assert vars(integrator)["brentq"] is brentq
+            run_scenario("all", 42)
+            loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+            assert loaded == [], loaded
         """)
