@@ -270,9 +270,10 @@ class DOP853:
     step at a time with scipy's solver interface: t, y, status ('running',
     'finished' or 'failed'), h_abs (the next step to try), K (the stage
     derivatives of the last attempt, end point included), nfev (calls of
-    fun), t_old, step() and dense_output(). fun returns a float array shaped
-    like y. first_step=None picks the first step as scipy does (Hairer's
-    algorithm, Solving ODEs I, section II.4)."""
+    fun), rejected (attempts the error test refused, added as step()
+    returns), t_old, step() and dense_output(). fun returns a float array
+    shaped like y. first_step=None picks the first step as scipy does
+    (Hairer's algorithm, Solving ODEs I, section II.4)."""
 
     TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
@@ -280,7 +281,7 @@ class DOP853:
         self._fun = fun
         self.t, self.y, self.t_bound = t0, np.asarray(y0, dtype=float), t_bound
         self.rtol, self.atol = rtol, atol
-        self.status, self.nfev = "running", 0
+        self.status, self.nfev, self.rejected = "running", 0, 0
         self.t_old = self.y_old = self.h_previous = None
         self.f = self.fun(t0, self.y)
         self.h_abs = self._initial_step() if first_step is None else first_step
@@ -330,14 +331,16 @@ class DOP853:
 
     def _step_impl(self):
         """Attempt steps from t until one passes the error test: (True,
-        None), or (False, TOO_SMALL_STEP) once the step would fall below ten
-        float spacings of t."""
+        None), or (False, TOO_SMALL_STEP) once the step is NaN or would fall
+        below ten float spacings of t; either adds the refused attempts to
+        rejected."""
         t, y = self.t, self.y
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = min_step if self.h_abs < min_step else self.h_abs
-        step_rejected = False
+        rejected = 0
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:  # NaN too, on which scipy loops forever
+                self.rejected += rejected
                 return False, self.TOO_SMALL_STEP
             t_new = t + h_abs
             if t_new - self.t_bound > 0:
@@ -350,13 +353,10 @@ class DOP853:
             if error_norm < 1:
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** (-1 / 8))
-            step_rejected = True
-        if error_norm == 0:
-            factor = MAX_FACTOR
-        else:
-            factor = min(MAX_FACTOR, SAFETY * error_norm ** (-1 / 8))
-        if step_rejected:
-            factor = min(1, factor)
+            rejected += 1
+        factor = MAX_FACTOR if error_norm == 0 else SAFETY * error_norm ** (-1 / 8)
+        factor = min(1 if rejected else MAX_FACTOR, factor)
+        self.rejected += rejected
         self.h_previous, self.y_old = h, y
         self.t, self.y, self.h_abs, self.f = t_new, y_new, h_abs * factor, f_new
         return True, None

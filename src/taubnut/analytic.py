@@ -133,7 +133,10 @@ def turning_radius(consts: FamilyConstants, params: ModelParams) -> TurningRadiu
     spec = _spec(consts.family, "has no turning radius")
     if consts.r1 * consts.r1 == 0:
         raise DegenerateError(f"turning radius needs r1*r1 != 0 (r1 = {consts.r1!r})")
-    value, r_minus = spec.turning(consts, params.n, consts.r1 * consts.r1)
+    try:
+        value, r_minus = spec.turning(consts, params.n, consts.r1 * consts.r1)
+    except OverflowError:
+        raise DomainError(f"the {consts.family} turning radius overflows a float") from None
     return TurningRadius(value, consts.family, r_minus=r_minus)
 
 

@@ -49,7 +49,8 @@ DUALITY_SIGN = -1.0
 class ModelParams:
     """The NUT parameter n, the only field, and two fixed numerical guards.
 
-    n sets the removable-singularity radius r = n (same length unit as r).
+    n sets the removable-singularity radius r = n (same length unit as r); it
+    must be finite and at least about 1.5e-154, so that n*n is a normal float.
     The class constant fd_step is the relative step of the finite-difference
     oracles; axis_guard is the half-width of the excluded band around the
     polar axis where 1/sin(theta) terms are considered unsafe.
@@ -62,14 +63,14 @@ class ModelParams:
     def __post_init__(self):
         if not self.n > 0:
             raise ConfigError(f"n must be positive, got {self.n}")
-        if not np.isfinite(self.n):
-            raise ConfigError(f"n must be finite, got {self.n}")
+        if not (np.isfinite(self.n) and self.n * self.n >= np.finfo(float).smallest_normal):
+            raise ConfigError(f"n must be finite and at least about 1.5e-154, got {self.n}")
 
 
 @dataclass(frozen=True)
 class Point:
-    """A point in (tau, theta, phi, r) coordinates. tau has period 4*pi*n on the
-    full manifold but is kept unreduced here."""
+    """A point in (tau, theta, phi, r) coordinates. tau has period 8*pi*n (the
+    Euler angle tau/2n of flat R^4 at r = n has period 4*pi); kept unreduced."""
 
     tau: float
     theta: float
@@ -248,7 +249,7 @@ def _fd_steps(n, r) -> np.ndarray:
     """Per-coordinate central-difference steps, shape (..., 4), for n and r
     of one shape. The radial step follows the distance r - n to the chart
     edge, where metric derivatives grow like inverse powers of that
-    distance; tau scales with n (its period is 4*pi*n); plain angles use
+    distance; tau scales with n (its period is 8*pi*n); plain angles use
     ModelParams.fd_step directly."""
     h = ModelParams.fd_step
     tau_step, angle_step = np.broadcast_arrays(h * np.maximum(1.0, n), h)

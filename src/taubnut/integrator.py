@@ -126,12 +126,11 @@ class Trajectory:
     cause. Row layout matches the CSV column order exactly.
 
     stats holds the run's deterministic counters when `integrate` built it
-    (empty otherwise): nfev (rhs calls of every stepper, chart-exit restarts
-    included), accepted (steps), rejected (attempts the step control
-    refused: a DOP853 attempt costs exactly 12 rhs calls, so each completed
-    stepper call adds its rhs calls / 12 - 1), chart_retries, interpolants
-    (dense outputs built), root_solves (brentq calls), and h_min, h_max over
-    the accepted steps (inf and 0.0 when none was taken)."""
+    (empty otherwise): nfev (rhs calls), accepted (steps), rejected
+    (attempts the stepper's error test refused; a call cut short by a chart
+    exit adds none), chart_retries, interpolants (dense outputs built),
+    root_solves (brentq calls), and h_min, h_max over the accepted steps
+    (inf and 0.0 when none was taken)."""
 
     COLUMNS = ("t", "tau", "theta", "phi", "r", "dtau", "dtheta", "dphi", "dr",
                "p_tau", "p_phi", "norm")
@@ -223,15 +222,20 @@ def geodesic_rhs(params: ModelParams, y: np.ndarray) -> np.ndarray:
 
 def _rows(params: ModelParams, ts, ys) -> np.ndarray:
     """Rows (t, state, p_tau, p_phi, norm) of sample times ts and flat states
-    ys from one broadcast metric evaluation; r <= n raises DomainError."""
+    ys from one broadcast metric evaluation; r <= n, or a charge or norm
+    past the float range, raises DomainError."""
     ys = np.reshape(ys, (-1, 8))
     n, r, v = params.n, ys[:, R], ys[:, 4:]
     if not np.all(r > n):
         raise DomainError(f"r = {np.min(r)} must exceed n = {n}")
     g = _metric(n, ys[:, THETA], r)
-    p_tau = g[:, TAU, TAU] * v[:, TAU] + g[:, TAU, PHI] * v[:, PHI]
-    p_phi = g[:, PHI, TAU] * v[:, TAU] + g[:, PHI, PHI] * v[:, PHI]
-    return np.column_stack([ts, ys, p_tau, p_phi, (v[:, None, :] @ g @ v[:, :, None])[:, 0, 0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_tau = g[:, TAU, TAU] * v[:, TAU] + g[:, TAU, PHI] * v[:, PHI]
+        p_phi = g[:, PHI, TAU] * v[:, TAU] + g[:, PHI, PHI] * v[:, PHI]
+        norms = (v[:, None, :] @ g @ v[:, :, None])[:, 0, 0]
+    if not np.all(np.isfinite([p_tau, p_phi, norms])):
+        raise DomainError("p_tau, p_phi or the norm of a row is not finite")
+    return np.column_stack([ts, ys, p_tau, p_phi, norms])
 
 
 def killing_charges(params: ModelParams, s: PhaseState) -> tuple:
@@ -285,18 +289,17 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
     unarmed motion may pass through the axis.
 
     A stage that leaves the chart (a coordinate whose powers overflow, or an
-    active 1/sin(theta) or 1/s term exactly on the axis or at the nut)
-    restarts the stepper from the last accepted state with a quarter of the
-    step it tried; cfg.max_steps counts these cut-short stepper calls too.
+    active 1/sin(theta) or 1/s term exactly on the axis or at the nut), in a
+    step or in its interpolant, sets the stepper back to that step's start
+    with a quarter of the step; cfg.max_steps counts these calls too.
     The stepper giving up on a step too small to advance t also ends in
     StepBudget. The run's counters are in the returned Trajectory's stats."""
     n = params.n
     y0 = state.as_array()
     if not np.all(np.isfinite(y0)):
         raise ConfigError("state coordinates and velocity must be finite")
+    start = _rows(params, [0.0], [y0])  # raises on r <= n or an overflowing charge or norm
     r_floor = n * (1.0 + cfg.r_floor_rel)
-    if y0[R] <= r_floor and not y0[R] > n:
-        raise DomainError(f"initial r = {y0[R]} must exceed n = {n}")
 
     armed = state.velocity[0] != 0.0 or state.velocity[2] != 0.0
     guard = params.axis_guard
@@ -308,11 +311,11 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
     stats = {"nfev": 0, "accepted": 0, "rejected": 0, "chart_retries": 0, "interpolants": 0,
              "root_solves": 0, "h_min": math.inf, "h_max": 0.0}
     if y0[R] <= r_floor:
-        return Trajectory(_rows(params, [0.0], [y0]), SINGULARITY_APPROACH, stats)
+        return Trajectory(start, SINGULARITY_APPROACH, stats)
     if armed and not guard < y0[THETA] < np.pi - guard and state.velocity[1] != 0.0:
-        return Trajectory(_rows(params, [0.0], [y0]), AXIS_APPROACH, stats)
+        return Trajectory(start, AXIS_APPROACH, stats)
     if all(v == 0.0 for v in state.velocity):
-        return Trajectory(_rows(params, [0.0], [y0]), HORIZON, stats)
+        return Trajectory(start, HORIZON, stats)
     y = y0.copy()
     y[R] = math.sqrt(y0[R] - n)
     y[7] = y0[7] / (2 * y[R])
@@ -321,21 +324,17 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
         stats["nfev"] += 1
         return geodesic_rhs(params, yy)
 
-    def start(t, y, first_step=None):
-        return DOP853(rhs, t, y, cfg.t_end, rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                      first_step=first_step)
-
     try:
-        solver = start(0.0, y)
+        solver = DOP853(rhs, 0.0, y, cfg.t_end, cfg.rel_tol, cfg.abs_tol)
     except (DomainError, AxisError):
         # the initial-step probe left the chart: start from the whole horizon
         # and let the chart-exit retries shrink the step
-        solver = start(0.0, y, cfg.t_end)
+        solver = DOP853(rhs, 0.0, y, cfg.t_end, cfg.rel_tol, cfg.abs_tol, first_step=cfg.t_end)
     grid = None if cfg.sample_grid is None else np.array(cfg.sample_grid)
     sample_t, sample_y = [], []
     calls = 0
     while True:
-        t, y = solver.t, solver.y
+        t, y, f = solver.t, solver.y, solver.f
         if solver.status != "running" or calls >= cfg.max_steps:
             # "failed" is the stepper's "step size too small": no step advances t
             termination = HORIZON if solver.status == "finished" else STEP_BUDGET
@@ -343,12 +342,8 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
             break
         calls += 1
         h_try = min(solver.h_abs, cfg.t_end - t)
-        nfev = stats["nfev"]
         try:
             solver.step()
-            # every attempt costs 12 rhs calls (11 stages and the end point);
-            # all but the accepted one were rejected
-            stats["rejected"] += (stats["nfev"] - nfev) // 12 - (solver.status != "failed")
             if solver.status == "failed":
                 continue
             t1, y1 = solver.t, solver.y
@@ -360,12 +355,13 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
             interp = solver.dense_output() if near or grid is not None else None
         except (DomainError, AxisError):
             # a stage left the chart (past the float range, or onto the axis
-            # or the nut): retry shorter from the last accepted state
+            # or the nut): retry shorter from the step's start
             if 0.25 * h_try <= 10 * np.spacing(t):
                 termination, t_stop, y_stop = STEP_BUDGET, t, y
                 break
             stats["chart_retries"] += 1
-            solver = start(t, y, 0.25 * h_try)
+            solver.t, solver.y, solver.f, solver.status = t, y, f, "running"
+            solver.h_abs = 0.25 * h_try
             continue
 
         h = float(t1 - t)
@@ -397,6 +393,7 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
             termination, t_stop, y_stop = cause, tc, y if tc == t else interp(tc)
             break
 
+    stats["rejected"] = solver.rejected
     if not sample_t or sample_t[-1] < t_stop:
         sample_t.append(t_stop)
         sample_y.append(y_stop)

@@ -326,9 +326,7 @@ def run_scenario(name: str, seed: int = 0) -> dict:
                 "passed": all(r["passed"] for r in reports),
                 "reports": reports}
     if name == "curvature":
-        report = curvature_audit(100, seed=seed)
-        report["scenario"] = "curvature"
-        return report
+        return curvature_audit(100, seed=seed)
 
     consts, params = seeded_family(name, seed)
     orbit = _family_orbit(consts, params)

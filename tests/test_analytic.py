@@ -194,6 +194,14 @@ class TestTurningRadius:
         with pytest.raises(ConfigError):
             turning_radius(FamilyConstants(family="generic", eps=1, r1=1.0), P1)
 
+    @pytest.mark.parametrize("consts", [c_thm2(tau0=1e200), c_thm3(phi0=1e200),
+                                        c_thm4(theta0=1e200), c_thm5(phi0=1e200)],
+                             ids=["thm2", "thm3", "thm4", "thm5"])
+    def test_overflowing_constant_is_domain_error(self, consts):
+        # the angular constant's square overflows a float
+        with pytest.raises(DomainError, match="overflows"):
+            turning_radius(consts, P1)
+
 
 class TestFEval:
     def test_frozen_value(self):

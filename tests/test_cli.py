@@ -107,6 +107,12 @@ class TestIntegrate:
         assert code == 1 and err.startswith("error: DomainError:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("init", ["0,1,0,2,0,0,0,1e308", "0,1,0,2,1e200,0,0,1e200"])
+    def test_overflowing_norm_is_domain_error(self, capsys, init):
+        code, out, err = run(capsys, "integrate", "--n", "1", "--init", init, "--t-end", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: DomainError:") and err.count("\n") == 1
+
 
 class TestAnalytic:
     def test_radial_regression_row(self, capsys):
@@ -133,6 +139,16 @@ class TestAnalytic:
         code, _, err = run(capsys, "analytic", "--family", "thm2", "--n", "1",
                            "--r1", "1e-300", "--tau0", "1", "--r-range", "2:3")
         assert code == 1 and err.startswith("error: DegenerateError:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("family, flags", [("thm2", ["--tau0", "1e200"]),
+                                               ("thm3", ["--phi0", "1e200"]),
+                                               ("thm4", ["--theta0", "1e200"]),
+                                               ("thm5", ["--phi0", "1e200", "--theta-const", "1"])])
+    def test_overflowing_constant_is_domain_error(self, capsys, family, flags):
+        code, _, err = run(capsys, "analytic", "--family", family, "--n", "1", "--r1", "1",
+                           *flags, "--r-range", "2:3")
+        assert code == 1 and err.startswith("error: DomainError:")
         assert err.count("\n") == 1
 
     def test_missing_r1(self, capsys):
@@ -401,6 +417,16 @@ class TestParsing:
         code, _, err = run(capsys, "integrate", "--n", "one",
                            "--init", "0,1,0,2,0,0,0,0", "--t-end", "1")
         assert code == 1 and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["christoffel", "--point", "0,1,0,1e-299"],
+        ["curvature", "--point", "0,1,0,1e-299"],
+        ["analytic", "--family", "thm5", "--r1", "1", "--phi0", "1", "--theta-const", "1",
+         "--r-range", "2:3"]], ids=["christoffel", "curvature", "analytic"])
+    def test_n_whose_square_underflows_is_config_error(self, capsys, argv):
+        code, _, err = run(capsys, *argv, "--n", "1e-300")
+        assert code == 1 and err.startswith("error: ConfigError:")
+        assert err.count("\n") == 1
 
     def test_parser_built_once(self):
         assert cli._build_parser() is cli._build_parser()

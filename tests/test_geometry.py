@@ -58,6 +58,14 @@ class TestModelParams:
         with pytest.raises(ConfigError):
             ModelParams(n=0.0)
 
+    def test_rejects_n_whose_square_is_not_normal(self):
+        # below sqrt(smallest normal) ~ 1.49e-154, n*n is subnormal or 0
+        with pytest.raises(ConfigError, match="1.5e-154"):
+            ModelParams(n=1e-300)
+        with pytest.raises(ConfigError):
+            ModelParams(n=1.4e-154)
+        assert ModelParams(n=1.5e-154).n == 1.5e-154
+
 
 class TestMetric:
     def test_equator_values(self):

@@ -481,6 +481,17 @@ class TestIntegrate:
         assert traj.termination == "StepBudget"
         assert 1e102 < traj.coords[-1, 3] < 5.7e102
 
+    def test_overflowing_norm_is_domain_error(self):
+        # dr = 1e308 is finite, its square in the norm is not
+        s = PhaseState(Point(0.0, 1.0, 0.0, 2.0), (0.0, 0.0, 0.0, 1e308))
+        with pytest.raises(DomainError, match="not finite"):
+            integrate(P1, s, IntegrationConfig(t_end=1.0))
+        with pytest.raises(DomainError):
+            norm(P1, s)
+        # any row's overflow fails the whole array, not only a first row's
+        with pytest.raises(DomainError):
+            integrator._rows(P1, [0.0, 1.0], [equatorial_state().as_array(), s.as_array()])
+
     def test_step_budget(self):
         cfg = IntegrationConfig(abs_tol=1e-12, rel_tol=1e-12, t_end=10.0, max_steps=5)
         traj = integrate(P1, equatorial_state(), cfg)
@@ -684,8 +695,10 @@ class TestStats:
         traj = integrate(P1, ESCAPE, ESCAPE_CFG)
         stats = traj.stats
         assert traj.termination == "StepBudget"
+        # a retry resumes the one stepper, which keeps the rhs value at the
+        # last accepted state: no rhs call is made again for it
         assert {k: stats[k] for k in WORK} == {
-            "nfev": 2785, "accepted": 198, "rejected": 0, "chart_retries": 69,
+            "nfev": 2716, "accepted": 198, "rejected": 0, "chart_retries": 69,
             "interpolants": 0, "root_solves": 0}
         # every chart exit is one retry, except the last, whose quarter step
         # would not advance t
@@ -714,6 +727,28 @@ class TestStats:
         assert outgoing.stats["rejected"] == 0
         for traj, counted in runs:
             assert traj.stats["nfev"] == counted == attempt_calls(traj.stats)
+
+    def test_chart_exit_in_an_interpolant_retries_its_step(self, monkeypatch):
+        # an interpolant stage that leaves the chart discards its step: the
+        # retry starts from that step's start, so no grid time is skipped
+        grid = tuple(np.linspace(0.0, 10.0, 41))
+        cfg = IntegrationConfig(t_end=10.0, sample_grid=grid)
+        plain = integrate(P1, equatorial_state(), cfg)
+        failed = []
+
+        class Failing(integrator.DOP853):
+            def dense_output(self):
+                if not failed:
+                    failed.append(self.t_old)
+                    raise DomainError("interpolant stage left the chart")
+                return super().dense_output()
+
+        monkeypatch.setattr(integrator, "DOP853", Failing)
+        traj = integrate(P1, equatorial_state(), cfg)
+        assert traj.termination == "Horizon" and traj.stats["chart_retries"] == 1
+        assert failed == [0.0] and traj.stats["accepted"] > plain.stats["accepted"]
+        assert traj.t.tolist() == plain.t.tolist() == list(grid)
+        assert np.max(np.abs(traj.data - plain.data)) <= 1e-8
 
     def test_interpolants_only_near_events_or_with_grid(self):
         # the equatorial orbit turns at r = sqrt(2), far from the floor, and
@@ -878,6 +913,28 @@ class TestLazyScipy:
             assert vars(integrator)["brentq"] is _solvers.brentq
             loaded = [m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules]
             assert loaded == [], loaded
+        """)
+
+
+class TestNanStep:
+    def test_nan_initial_step_fails_the_stepper(self):
+        # inf - inf among the start state's accelerations makes the initial
+        # step NaN, which no step-size test passes; the stepper gives up at
+        # once instead of attempting NaN steps forever. A fresh interpreter's
+        # timeout fails a run that never ends without hanging the suite.
+        run_fresh("""
+            import numpy as np
+            from taubnut import ModelParams, _solvers
+            from taubnut.integrator import geodesic_rhs
+
+            params = ModelParams(n=1.0)
+            # tau, theta, phi, s, dtau, dtheta, dphi, ds: r = 2, dtau = dr = 1e200
+            y0 = np.array([0.0, 1.0, 0.0, 1.0, 1e200, 0.0, 0.0, 5e199])
+            solver = _solvers.DOP853(lambda t, y: geodesic_rhs(params, y), 0.0, y0, 1.0,
+                                     1e-10, 1e-10)
+            assert np.isnan(solver.h_abs), solver.h_abs
+            assert solver.step() == solver.TOO_SMALL_STEP
+            assert (solver.status, solver.t, solver.rejected) == ("failed", 0.0, 0)
         """)
 
 

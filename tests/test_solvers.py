@@ -55,7 +55,8 @@ def assert_same_interpolant(ours, ref):
 
 def drive_both(seed, tol, t_end, first_step):
     """Step both solvers to t_end side by side, comparing after every step;
-    returns the rejected attempts, counted from rhs calls (12 an attempt)."""
+    returns the rejected attempts, counted from scipy's rhs calls (12 an
+    attempt), which the port's own count must equal after every step."""
     params, y0 = seeded_state(seed)
 
     def fun(_, y):
@@ -70,6 +71,7 @@ def drive_both(seed, tol, t_end, first_step):
         nfev = ref.nfev
         assert ours.step() == ref.step()
         rejected += (ref.nfev - nfev) // 12 - 1
+        assert ours.rejected == rejected
         assert_same_state(ours, ref)
         assert ours.t_old == ref.t_old and ours.K.tobytes() == ref.K.tobytes()
         assert_same_interpolant(ours.dense_output(), ref.dense_output())
