@@ -10,8 +10,10 @@ step choice, each step, the E3/E5 error norm and the interpolant run the same
 numpy operations in the same order on arrays of the same layout, so every
 trajectory is bit for bit the one scipy's DOP853 gives. Left out is what the
 package never uses: backward integration, max_step, vector tolerances,
-complex or vectorized systems, and the argument checks IntegrationConfig
-makes first.
+complex or vectorized systems, the argument checks IntegrationConfig makes
+first, scipy's status strings and messages, its rhs-call counter (the
+caller's fun counts its own calls) and its dense-output class (dense_output()
+returns the interpolant as a function). step() returns whether it stepped.
 
 `brentq` runs the iteration of scipy's Zeros/brentq.c on arrays of brackets,
 so each root is bit for bit the one scipy.optimize.brentq returns.
@@ -267,30 +269,24 @@ def _rms(x):
 
 class DOP853:
     """DOP853 for y' = fun(t, y) from t0 towards t_bound > t0, driven one
-    step at a time with scipy's solver interface: t, y, status ('running',
-    'finished' or 'failed'), h_abs (the next step to try), K (the stage
-    derivatives of the last attempt, end point included), nfev (calls of
-    fun), rejected (attempts the error test refused, added as step()
-    returns), t_old, step() and dense_output(). fun returns a float array
-    shaped like y. first_step=None picks the first step as scipy does
-    (Hairer's algorithm, Solving ODEs I, section II.4)."""
-
-    TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+    step at a time: t, y, f (fun at t, y), h_abs (the next step to try), K
+    (the stage derivatives of the last attempt, end point included),
+    rejected (attempts the error test refused, added as step() returns),
+    t_old, y_old, step() and dense_output(). A run has finished when
+    t == t_bound. fun returns a float array shaped like y. first_step=None
+    picks the first step as scipy does (Hairer's algorithm, Solving ODEs I,
+    section II.4)."""
 
     def __init__(self, fun, t0, y0, t_bound, rtol, atol, first_step=None):
-        self._fun = fun
+        self.fun = fun
         self.t, self.y, self.t_bound = t0, np.asarray(y0, dtype=float), t_bound
         self.rtol, self.atol = rtol, atol
-        self.status, self.nfev, self.rejected = "running", 0, 0
-        self.t_old = self.y_old = self.h_previous = None
-        self.f = self.fun(t0, self.y)
+        self.rejected = 0
+        self.t_old = self.y_old = None
+        self.f = fun(t0, self.y)
         self.h_abs = self._initial_step() if first_step is None else first_step
         self.K_extended = np.empty((N_STAGES_EXTENDED, self.y.size))
         self.K = self.K_extended[:N_STAGES + 1]
-
-    def fun(self, t, y):
-        self.nfev += 1
-        return self._fun(t, y)
 
     def _initial_step(self):
         t0, y0, f0 = self.t, self.y, self.f
@@ -329,11 +325,11 @@ class DOP853:
         denom = err5_norm_2 + 0.01 * err3_norm_2
         return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
 
-    def _step_impl(self):
-        """Attempt steps from t until one passes the error test: (True,
-        None), or (False, TOO_SMALL_STEP) once the step is NaN or would fall
-        below ten float spacings of t; either adds the refused attempts to
-        rejected."""
+    def step(self):
+        """Attempt steps from t until one passes the error test and advance
+        to it, the last one clipped to land on t_bound exactly: True. False,
+        with t and y unchanged, once the step is NaN or would fall below ten
+        float spacings of t. Either adds the refused attempts to rejected."""
         t, y = self.t, self.y
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = min_step if self.h_abs < min_step else self.h_abs
@@ -341,7 +337,7 @@ class DOP853:
         while True:
             if not h_abs >= min_step:  # NaN too, on which scipy loops forever
                 self.rejected += rejected
-                return False, self.TOO_SMALL_STEP
+                return False
             t_new = t + h_abs
             if t_new - self.t_bound > 0:
                 t_new = self.t_bound
@@ -357,68 +353,47 @@ class DOP853:
         factor = MAX_FACTOR if error_norm == 0 else SAFETY * error_norm ** (-1 / 8)
         factor = min(1 if rejected else MAX_FACTOR, factor)
         self.rejected += rejected
-        self.h_previous, self.y_old = h, y
+        self.t_old, self.y_old = t, y
         self.t, self.y, self.h_abs, self.f = t_new, y_new, h_abs * factor, f_new
-        return True, None
-
-    def step(self):
-        """Advance by one accepted step; status becomes 'finished' at
-        t_bound and 'failed' when _step_impl fails, whose message is
-        returned."""
-        t = self.t
-        success, message = self._step_impl()
-        if not success:
-            self.status = "failed"
-        else:
-            self.t_old = t
-            if self.t - self.t_bound >= 0:
-                self.status = "finished"
-        return message
+        return True
 
     def dense_output(self):
-        """The 7th-order interpolant over the last accepted step; its three
-        extra stages cost three calls of fun."""
+        """The 7th-order interpolant over the last accepted step [t_old, t]:
+        called with a time it returns the state, with a 1-d array of times
+        the states as columns. Its three extra stages cost three calls of
+        fun."""
         K = self.K_extended
-        h = self.h_previous
+        t_old, y_old = self.t_old, self.y_old
+        h = self.t - t_old
         for s, a, c in _EXTRA_STAGES:
             dy = np.dot(K[:s].T, a) * h
-            K[s] = self.fun(self.t_old + c * h, self.y_old + dy)
+            K[s] = self.fun(t_old + c * h, y_old + dy)
         F = np.empty((INTERPOLATOR_POWER, self.y.size))
         f_old = K[0]
-        delta_y = self.y - self.y_old
+        delta_y = self.y - y_old
         F[0] = delta_y
         F[1] = h * f_old - delta_y
         F[2] = 2 * delta_y - h * (self.f + f_old)
         F[3:] = h * np.dot(D, K)
-        return Dop853DenseOutput(self.t_old, self.t, self.y_old, F)
 
-
-class Dop853DenseOutput:
-    """The interpolant over [t_old, t]: called with a time it returns the
-    state, with a 1-d array of times the states as columns."""
-
-    def __init__(self, t_old, t, y_old, F):
-        self.t_old = t_old
-        self.h = t - t_old
-        self.F = F
-        self.y_old = y_old
-
-    def __call__(self, t):
-        t = np.asarray(t)
-        x = (t - self.t_old) / self.h
-        if t.ndim == 0:
-            y = np.zeros_like(self.y_old)
-        else:
-            x = x[:, None]
-            y = np.zeros((len(x), len(self.y_old)))
-        for i, f in enumerate(reversed(self.F)):
-            y += f
-            if i % 2 == 0:
-                y *= x
+        def interpolant(t):
+            t = np.asarray(t)
+            x = (t - t_old) / h
+            if t.ndim == 0:
+                y = np.zeros_like(y_old)
             else:
-                y *= 1 - x
-        y += self.y_old
-        return y.T
+                x = x[:, None]
+                y = np.zeros((len(x), len(y_old)))
+            for i, f in enumerate(reversed(F)):
+                y += f
+                if i % 2 == 0:
+                    y *= x
+                else:
+                    y *= 1 - x
+            y += y_old
+            return y.T
+
+        return interpolant
 
 
 def brentq(f, a, b):

@@ -135,8 +135,10 @@ def turning_radius(consts: FamilyConstants, params: ModelParams) -> TurningRadiu
         raise DegenerateError(f"turning radius needs r1*r1 != 0 (r1 = {consts.r1!r})")
     try:
         value, r_minus = spec.turning(consts, params.n, consts.r1 * consts.r1)
-    except OverflowError:
-        raise DomainError(f"the {consts.family} turning radius overflows a float") from None
+    except (OverflowError, ZeroDivisionError):  # a power of r1 or a constant left the float range
+        value = r_minus = math.inf
+    if not math.isfinite(value):  # inf, or NaN from inf/inf
+        raise DomainError(f"the {consts.family} turning radius overflows a float")
     return TurningRadius(value, consts.family, r_minus=r_minus)
 
 

@@ -45,7 +45,6 @@ from .analytic import (
     FamilyConstants,
     curves,
     theta_range_exit,
-    turning_limit_used,
     turning_radius,
 )
 from .errors import ConfigError, TaubnutError
@@ -245,7 +244,7 @@ def _cmd_analytic(opts: _Options) -> int:
     for row in zip(*columns):
         lines.append(",".join(f"{v:.17g}" for v in row))
     R = turning_radius(consts, params).value
-    if turning_limit_used(consts, params, grid) or lo <= R * (1 + 1e-9):
+    if lo <= R * (1 + 1e-9):
         lines.append("# turning_limit=used")
     if "theta" in values and theta_range_exit(params, consts):
         lines.append("# theta_range_exit=true")

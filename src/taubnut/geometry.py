@@ -50,7 +50,9 @@ class ModelParams:
     """The NUT parameter n, the only field, and two fixed numerical guards.
 
     n sets the removable-singularity radius r = n (same length unit as r); it
-    must be finite and at least about 1.5e-154, so that n*n is a normal float.
+    must be finite and at least about 2.8e-103, so that n**3 is a normal
+    float: then (r + n)**3 and (s**2 + 2n)**3, both at least 8n**3 on the
+    chart, do not underflow to 0 in the connection's denominators.
     The class constant fd_step is the relative step of the finite-difference
     oracles; axis_guard is the half-width of the excluded band around the
     polar axis where 1/sin(theta) terms are considered unsafe.
@@ -61,10 +63,11 @@ class ModelParams:
     axis_guard: ClassVar[float] = 1e-3
 
     def __post_init__(self):
-        if not self.n > 0:
-            raise ConfigError(f"n must be positive, got {self.n}")
-        if not (np.isfinite(self.n) and self.n * self.n >= np.finfo(float).smallest_normal):
-            raise ConfigError(f"n must be finite and at least about 1.5e-154, got {self.n}")
+        n = self.n
+        if not n > 0:
+            raise ConfigError(f"n must be positive, got {n}")
+        if not (np.isfinite(n) and n * n * n >= np.finfo(float).smallest_normal):
+            raise ConfigError(f"n must be finite and at least about 2.8e-103, got {n}")
 
 
 @dataclass(frozen=True)

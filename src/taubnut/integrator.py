@@ -292,8 +292,11 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
     active 1/sin(theta) or 1/s term exactly on the axis or at the nut), in a
     step or in its interpolant, sets the stepper back to that step's start
     with a quarter of the step; cfg.max_steps counts these calls too.
-    The stepper giving up on a step too small to advance t also ends in
-    StepBudget. The run's counters are in the returned Trajectory's stats."""
+    A step() that returns False, its step NaN or below ten float spacings of
+    t, also ends in StepBudget; the run reaches the horizon when the
+    stepper's t lands on t_end. The run's counters are in the returned
+    Trajectory's stats; its nfev counts every rhs call, the initial-step
+    probe of a first stepper discarded for leaving the chart included."""
     n = params.n
     y0 = state.as_array()
     if not np.all(np.isfinite(y0)):
@@ -335,17 +338,15 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
     calls = 0
     while True:
         t, y, f = solver.t, solver.y, solver.f
-        if solver.status != "running" or calls >= cfg.max_steps:
-            # "failed" is the stepper's "step size too small": no step advances t
-            termination = HORIZON if solver.status == "finished" else STEP_BUDGET
-            t_stop, y_stop = t, y
+        if t == cfg.t_end or calls >= cfg.max_steps:
+            termination, t_stop, y_stop = HORIZON if t == cfg.t_end else STEP_BUDGET, t, y
             break
         calls += 1
         h_try = min(solver.h_abs, cfg.t_end - t)
         try:
-            solver.step()
-            if solver.status == "failed":
-                continue
+            if not solver.step():  # a NaN step, or one below ten float spacings of t
+                termination, t_stop, y_stop = STEP_BUDGET, t, y
+                break
             t1, y1 = solver.t, solver.y
             # the event rows this step can reach: an endpoint margin within
             # twice the step times the largest stage rate of that coordinate
@@ -360,8 +361,7 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
                 termination, t_stop, y_stop = STEP_BUDGET, t, y
                 break
             stats["chart_retries"] += 1
-            solver.t, solver.y, solver.f, solver.status = t, y, f, "running"
-            solver.h_abs = 0.25 * h_try
+            solver.t, solver.y, solver.f, solver.h_abs = t, y, f, 0.25 * h_try
             continue
 
         h = float(t1 - t)

@@ -151,6 +151,20 @@ class TestAnalytic:
         assert code == 1 and err.startswith("error: DomainError:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("family, flags", [
+        ("thm5", ["--r1", "1e200", "--phi0", "1", "--theta-const", "1"]),
+        ("thm5", ["--r1", "1e-160", "--phi0", "1", "--theta-const", "1"]),
+        ("thm2", ["--r1", "1e-160", "--tau0", "1"]),
+        ("thm3", ["--r1", "1e-160", "--phi0", "1"])],
+        ids=["thm5-huge-r1", "thm5-tiny-r1", "thm2-tiny-r1", "thm3-tiny-r1"])
+    def test_turning_radius_past_float_range_is_domain_error(self, capsys, family, flags):
+        # r1*r1 overflows to inf, or r1**4 underflows to 0 while r1*r1 is
+        # still nonzero: the turning radius is inf or NaN
+        code, _, err = run(capsys, "analytic", "--family", family, "--n", "1", *flags,
+                           "--r-range", "2:3")
+        assert code == 1 and err.startswith("error: DomainError:")
+        assert "turning radius overflows" in err and err.count("\n") == 1
+
     def test_missing_r1(self, capsys):
         code, _, err = run(capsys, "analytic", "--family", "thm1", "--n", "1",
                            "--r-range", "2:3")
@@ -425,6 +439,16 @@ class TestParsing:
          "--r-range", "2:3"]], ids=["christoffel", "curvature", "analytic"])
     def test_n_whose_square_underflows_is_config_error(self, capsys, argv):
         code, _, err = run(capsys, *argv, "--n", "1e-300")
+        assert code == 1 and err.startswith("error: ConfigError:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["christoffel", "--point", "0,1,0,1e-149"],
+        ["integrate", "--init", "0,1,0,1e-149,0,0,0,1e-150", "--t-end", "1"],
+        ["curvature", "--point", "0,1,0,1e-149"]], ids=["christoffel", "integrate", "curvature"])
+    def test_n_whose_cube_underflows_is_config_error(self, capsys, argv):
+        # n*n = 1e-300 is normal, but (r + n)**3 near the nut underflows to 0
+        code, _, err = run(capsys, *argv, "--n", "1e-150")
         assert code == 1 and err.startswith("error: ConfigError:")
         assert err.count("\n") == 1
 

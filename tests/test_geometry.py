@@ -59,12 +59,15 @@ class TestModelParams:
             ModelParams(n=0.0)
 
     def test_rejects_n_whose_square_is_not_normal(self):
-        # below sqrt(smallest normal) ~ 1.49e-154, n*n is subnormal or 0
-        with pytest.raises(ConfigError, match="1.5e-154"):
+        # below the cube root of the smallest normal, ~ 2.8126e-103, n**3 is
+        # subnormal or 0, and so n*n below ~ 1.49e-154
+        with pytest.raises(ConfigError, match="2.8e-103"):
             ModelParams(n=1e-300)
         with pytest.raises(ConfigError):
-            ModelParams(n=1.4e-154)
-        assert ModelParams(n=1.5e-154).n == 1.5e-154
+            ModelParams(n=1e-150)
+        with pytest.raises(ConfigError):
+            ModelParams(n=2.8126e-103)
+        assert ModelParams(n=2.8127e-103).n == 2.8127e-103
 
 
 class TestMetric:

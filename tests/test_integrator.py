@@ -500,10 +500,10 @@ class TestIntegrate:
 
     def test_step_too_small_is_step_budget(self, monkeypatch):
         class Stalling(integrator.DOP853):
-            def _step_impl(self):
+            def step(self):
                 if self.t > 1.0:
-                    return False, self.TOO_SMALL_STEP
-                return super()._step_impl()
+                    return False
+                return super().step()
 
         monkeypatch.setattr(integrator, "DOP853", Stalling)
         traj = integrate(P1, equatorial_state(), IntegrationConfig(t_end=10.0))
@@ -800,18 +800,18 @@ def scanning_dop853(levels, reached, built):
 
     class Scanning(integrator.DOP853):
         def step(self):
-            message = super().step()
-            if self.status != "failed":
+            stepped = super().step()
+            if stepped:
                 key = (self.t_old, self.t)
                 try:
                     interp = super().dense_output()
                 except (DomainError, AxisError):
                     reached.add(key)
-                    return message
+                    return stepped
                 ys = interp(np.linspace(self.t_old, self.t, 257))
                 if any(np.any(sign * (ys[index] - value) <= 0.0) for value, index, sign in levels):
                     reached.add(key)
-            return message
+            return stepped
 
         def dense_output(self):
             built.add((self.t_old, self.t))
@@ -933,8 +933,8 @@ class TestNanStep:
             solver = _solvers.DOP853(lambda t, y: geodesic_rhs(params, y), 0.0, y0, 1.0,
                                      1e-10, 1e-10)
             assert np.isnan(solver.h_abs), solver.h_abs
-            assert solver.step() == solver.TOO_SMALL_STEP
-            assert (solver.status, solver.t, solver.rejected) == ("failed", 0.0, 0)
+            assert solver.step() is False
+            assert (solver.t, solver.rejected) == (0.0, 0)
         """)
 
 
