@@ -2,6 +2,7 @@
 monitoring, event termination, the exact radial passthrough, and trajectory
 CSV round-tripping."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -789,6 +790,37 @@ class TestStats:
         assert radial_passthrough(P1, 1.5, 0.8, +1).stats == {}
         traj = integrate(P1, equatorial_state(), IntegrationConfig(t_end=1.0))
         assert traj.stats and trajectory_from_csv(trajectory_to_csv(traj)).stats == {}
+
+
+class TestPathBytes:
+    """Bytes and counters of the integrator paths verify never runs: a
+    sample grid, the r floor, the axis stop and the chart exit. Each hash
+    covers the rows, the termination and every stats value; they were taken
+    before the stepper's in-place stage sums and Python-float step control,
+    and must not move."""
+
+    ORBITS = {
+        "grid": (PhaseState(Point(0.3, 1.1, 0.4, 2.0), (0.5, -0.3, 0.4, 0.6)),
+                 IntegrationConfig(abs_tol=1e-12, rel_tol=1e-12, t_end=20.0,
+                                   sample_grid=tuple(np.linspace(0.0, 20.0, 401)))),
+        "floor": (TestStats.RADIAL_FLOOR, IntegrationConfig(t_end=50.0)),
+        "axis": (PhaseState(Point(0.0, 0.2, 0.0, 3.0), (0.0, -1.0, 1e-3, 0.0)),
+                 IntegrationConfig(t_end=5.0)),
+        "escape": (ESCAPE, ESCAPE_CFG),
+    }
+    SHA256 = {
+        "grid": "af0e0fe9cdc864ba907debb100132c4fd8b64f55d4bac2cc637a7c0d55fe6911",
+        "floor": "a4eeb2b2e4fae00a1834994ae0b50e5557c57f41648ad12ef74f66938860fd55",
+        "axis": "91298e7a1b59eb17aae3582b94dcb630b1a45a3a767bb09ef9de26a96191b547",
+        "escape": "a6bb9723dde42bc4a58de75c77151f4a3b24e10e2922f7bb7c454ad6cf118f5d",
+    }
+
+    @pytest.mark.parametrize("name", sorted(ORBITS))
+    def test_trajectory_bytes_are_pinned(self, name):
+        traj = integrate(P1, *self.ORBITS[name])
+        digest = hashlib.sha256(traj.data.tobytes())
+        digest.update(repr((traj.termination, sorted(traj.stats.items()))).encode())
+        assert digest.hexdigest() == self.SHA256[name]
 
 
 def scanning_dop853(levels, reached, built):

@@ -386,6 +386,7 @@ class TestScenarios:
     ALL_REPORT_SHA256 = {
         42: "abdccffc68217327537866285a47c7b2607ed994d9e86fe19fedbfe4cb2a7d99",
         7: "5974c66d2c65ad61d01d9953b1d953067134933937c00161248dc4555fa0a9cc",
+        0: "04f9ca6fa2102336fa69211ad656d7b1f07ba138d5bcb03d4a978d4be5a14e8e",
     }
 
     @pytest.mark.parametrize("seed", sorted(ALL_REPORT_SHA256))
