@@ -7,9 +7,14 @@ sections II.5-6, and the Fortran code DOP853). `DOP853` ports the DOP853 path
 of scipy.integrate (scipy/integrate/_ivp: rk.py, base.py, common.py and the
 tableau dop853_coefficients.py, copied digit for digit below). The initial
 step choice, each step, the E3/E5 error norm and the interpolant run the same
-numpy operations in the same order on arrays of the same layout, so every
-trajectory is bit for bit the one scipy's DOP853 gives. Left out is what the
-package never uses: backward integration, max_step, vector tolerances,
+IEEE operations in the same order, so every trajectory is bit for bit the one
+scipy's DOP853 gives. Where the calls differ from scipy's, they round the
+same: a stage state is summed in place (dy = K[:s].T a, dy *= h, dy += y for
+scipy's y + np.dot(K[:s].T, a) * h) on views of the stage array built once
+per stepper, an error norm is the sqrt(x.dot(x)) that np.linalg.norm takes
+of a 1-d array, and the step control runs on Python floats, whose arithmetic,
+abs, nextafter and ** are those of numpy's float64 scalars. Left out is what
+the package never uses: backward integration, max_step, vector tolerances,
 complex or vectorized systems, the argument checks IntegrationConfig makes
 first, scipy's status strings and messages, its rhs-call counter (the
 caller's fun counts its own calls) and its dense-output class (dense_output()
@@ -53,6 +58,8 @@ OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -257,14 +264,21 @@ SAFETY = 0.9  # multiplies the step size the error's asymptotics suggest
 MIN_FACTOR = 0.2  # smallest factor a rejected attempt shrinks the step by
 MAX_FACTOR = 10  # largest factor an accepted step grows the next one by
 
-# (stage s, its row of A, its node) for the step's stages 1-11 and for the
-# dense output's stages 13-15: views of A, laid out as scipy reads them
-_STEP_STAGES = [(s, A[s, :s], C[s]) for s in range(1, N_STAGES)]
-_EXTRA_STAGES = [(s, A[s, :s], C[s]) for s in range(N_STAGES + 1, N_STAGES_EXTENDED)]
+
+def _stages(K, rows):
+    """(K[s], K[:s].T, A[s, :s], C[s]) of the stages s in rows: the views
+    into the stage array K that a stage reads and writes, and its tableau
+    row and node, laid out as scipy reads them."""
+    return [(K[s], K[:s].T, A[s, :s], float(C[s])) for s in rows]
 
 
 def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _norm_2(x):
+    """The squared norm of a 1-d array as scipy takes it, np.linalg.norm(x)**2."""
+    return math.sqrt(x.dot(x)) ** 2
 
 
 class DOP853:
@@ -284,9 +298,14 @@ class DOP853:
         self.rejected = 0
         self.t_old = self.y_old = None
         self.f = fun(t0, self.y)
-        self.h_abs = self._initial_step() if first_step is None else first_step
-        self.K_extended = np.empty((N_STAGES_EXTENDED, self.y.size))
-        self.K = self.K_extended[:N_STAGES + 1]
+        self.h_abs = float(self._initial_step()) if first_step is None else first_step
+        self.K_extended = K = np.empty((N_STAGES_EXTENDED, self.y.size))
+        self.K = K[:N_STAGES + 1]
+        # stages 1-11, then the end point: A[N_STAGES, :N_STAGES] is B and
+        # C[N_STAGES] is 1, so its state is the step's y_new
+        self._step_stages = _stages(K, range(1, N_STAGES + 1))
+        self._extra_stages = _stages(K, range(N_STAGES + 1, N_STAGES_EXTENDED))
+        self._KT_error = self.K.T  # the stages E3 and E5 weigh
 
     def _initial_step(self):
         t0, y0, f0 = self.t, self.y, self.f
@@ -304,26 +323,33 @@ class DOP853:
             h1 = (0.01 / max(d1, d2)) ** (1 / 8)
         return min(100 * h0, h1, interval_length)
 
-    def _rk_step(self, t, y, h):
-        K = self.K
-        K[0] = self.f
-        for s, a, c in _STEP_STAGES:
-            dy = np.dot(K[:s].T, a) * h
-            K[s] = self.fun(t + c * h, y + dy)
-        y_new = y + h * np.dot(K[:-1].T, B)
-        f_new = self.fun(t + h, y_new)
-        K[-1] = f_new
-        return y_new, f_new
+    def _run_stages(self, stages, t, y, h):
+        """K[s] = fun(t + c h, y + h K[:s].T a) for each stage, the stage
+        state summed in place as dy = K[:s].T a, dy *= h, dy += y: the IEEE
+        operations of scipy's y + np.dot(K[:s].T, a) * h. h multiplies as a
+        0-d array, which numpy takes without converting a Python float each
+        stage. Returns the last stage's state and fun's value there."""
+        fun, h_arr = self.fun, np.array(h)
+        for row, KT, a, c in stages:
+            dy = KT.dot(a)
+            dy *= h_arr
+            dy += y
+            row[...] = f = fun(t + c * h, dy)
+        return dy, f
 
-    def _estimate_error_norm(self, K, h, scale):
-        err5 = np.dot(K.T, E5) / scale
-        err3 = np.dot(K.T, E3) / scale
-        err5_norm_2 = np.linalg.norm(err5)**2
-        err3_norm_2 = np.linalg.norm(err3)**2
+    def _estimate_error_norm(self, h, scale):
+        err5 = self._KT_error.dot(E5)
+        err5 /= scale
+        err3 = self._KT_error.dot(E3)
+        err3 /= scale
+        err5_norm_2 = _norm_2(err5)
+        err3_norm_2 = _norm_2(err3)
         if err5_norm_2 == 0 and err3_norm_2 == 0:
             return 0.0
         denom = err5_norm_2 + 0.01 * err3_norm_2
-        return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+        if denom == 0:  # 0.01 * err3_norm_2 underflowed: scipy's 0/0
+            return math.nan
+        return abs(h) * err5_norm_2 / math.sqrt(denom * scale.size)
 
     def step(self):
         """Attempt steps from t until one passes the error test and advance
@@ -331,8 +357,9 @@ class DOP853:
         with t and y unchanged, once the step is NaN or would fall below ten
         float spacings of t. Either adds the refused attempts to rejected."""
         t, y = self.t, self.y
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = min_step if self.h_abs < min_step else self.h_abs
+        abs_y = np.abs(y)
         rejected = 0
         while True:
             if not h_abs >= min_step:  # NaN too, on which scipy loops forever
@@ -342,10 +369,13 @@ class DOP853:
             if t_new - self.t_bound > 0:
                 t_new = self.t_bound
             h = t_new - t
-            h_abs = np.abs(h)
-            y_new, f_new = self._rk_step(t, y, h)
-            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-            error_norm = self._estimate_error_norm(self.K, h, scale)
+            h_abs = abs(h)
+            self.K[0] = self.f
+            y_new, f_new = self._run_stages(self._step_stages, t, y, h)
+            scale = np.maximum(abs_y, np.abs(y_new))
+            scale *= self.rtol
+            scale += self.atol
+            error_norm = self._estimate_error_norm(h, scale)
             if error_norm < 1:
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** (-1 / 8))
@@ -365,9 +395,7 @@ class DOP853:
         K = self.K_extended
         t_old, y_old = self.t_old, self.y_old
         h = self.t - t_old
-        for s, a, c in _EXTRA_STAGES:
-            dy = np.dot(K[:s].T, a) * h
-            K[s] = self.fun(t_old + c * h, y_old + dy)
+        self._run_stages(self._extra_stages, t_old, y_old, h)
         F = np.empty((INTERPOLATOR_POWER, self.y.size))
         f_old = K[0]
         delta_y = self.y - y_old

@@ -184,6 +184,15 @@ def _emit(text: str, opts: _Options) -> None:
         raise ConfigError(f"cannot write output file {out}: {exc}") from exc
 
 
+def _grid(space, lo, hi, samples: int) -> np.ndarray:
+    """space(lo, hi, samples), numpy's linspace or geomspace; a sample count
+    whose grid numpy cannot allocate is a ConfigError."""
+    try:
+        return space(lo, hi, samples)
+    except (MemoryError, ValueError) as exc:  # "Unable to allocate", "Maximum allowed size"
+        raise ConfigError(f"samples = {samples} is too many for one grid: {exc}") from None
+
+
 def _point_of(opts: _Options) -> tuple:
     params = ModelParams(n=opts.require("n", float))
     coords = _parse_floats(opts.require("point"), 4, "point")
@@ -201,7 +210,7 @@ def _cmd_integrate(opts: _Options) -> int:
     if samples is not None:
         if samples < 2:
             raise ConfigError("samples must be at least 2")
-        grid = tuple(np.linspace(0.0, t_end, samples))
+        grid = tuple(_grid(np.linspace, 0.0, t_end, samples))
     cfg = IntegrationConfig(abs_tol=tol, rel_tol=tol, t_end=t_end,
                             sample_grid=grid)
     params = ModelParams(n=n)
@@ -234,7 +243,7 @@ def _cmd_analytic(opts: _Options) -> int:
     samples = opts.get("samples", 50, int)
     if samples < 1:
         raise ConfigError("samples must be at least 1")
-    grid = np.geomspace(lo, hi, samples)
+    grid = _grid(np.geomspace, lo, hi, samples)
     values = curves(params, consts, grid, mode=mode)
 
     names = [k for k in values if k != "t"]

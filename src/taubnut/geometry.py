@@ -167,11 +167,20 @@ _CONNECTION = ((TAU, TAU, R), (TAU, PHI, R), (R, TAU, TAU), (R, TAU, PHI), (R, R
                (TAU, TAU, THETA), (TAU, PHI, THETA), (PHI, TAU, THETA), (PHI, PHI, THETA))
 
 
-def _connection_regular(n, r, ct, st) -> tuple:
-    """The eleven Christoffel symbols free of 1/sin(theta), in _CONNECTION
-    order, from n, r, cos(theta) and sin(theta) (scalars or arrays)."""
+def _powers(n, r, ct, st) -> tuple:
+    """The powers the r-chart connection reads, by _ipow (scalars or
+    arrays): cos(theta)**2, sin(theta)**2, n**2, n**3 and (r + n)**2, the
+    five _connection_singular reads, then r**2 and (r + n)**3. A point's
+    powers are evaluated once, for both parts of its connection."""
     rp = r + n
-    ct2, st2, n2, n3, r2, rp2, rp3 = map(_ipow, (ct, st, n, n, r, rp, rp), (2, 2, 2, 3, 2, 2, 3))
+    return tuple(map(_ipow, (ct, st, n, n, rp, r, rp), (2, 2, 2, 3, 2, 2, 3)))
+
+
+def _connection_regular(n, r, ct, st, powers) -> tuple:
+    """The eleven Christoffel symbols free of 1/sin(theta), in _CONNECTION
+    order, from n, r, cos(theta), sin(theta) and their _powers."""
+    ct2, st2, n2, n3, rp2, r2, rp3 = powers
+    rp = r + n
     rho2 = r2 - n2
     rm = r - n
     return (n / rho2, -2 * n * ct / rp, -n * rm / rp3, -2 * n2 * rm * ct / rp3, -n / rho2,
@@ -179,11 +188,12 @@ def _connection_regular(n, r, ct, st) -> tuple:
             4 * n2 * ct * st / rp2 - st * ct, r / rho2)
 
 
-def _connection_singular(n, r, ct, st) -> tuple:
+def _connection_singular(n, ct, st, powers) -> tuple:
     """The four Christoffel symbols that carry 1/sin(theta), in _CONNECTION
-    order after the regular ones; st must be nonzero."""
-    rp = r + n
-    ct2, st2, n2, n3, rp2 = map(_ipow, (ct, st, n, n, rp), (2, 2, 2, 3, 2))
+    order after the regular ones, from n, cos(theta), sin(theta) and the
+    first five powers of _powers or _powers_s, which are the same in both
+    charts; st must be nonzero."""
+    ct2, st2, n2, n3, rp2 = powers[:5]
     return (2 * n2 * ct / (rp2 * st),
             (4 * n3 * ct2 - n * st2 * rp2 - 2 * n * rp2 * ct2) / (rp2 * st),
             -n / (rp2 * st), -2 * n2 * ct / (rp2 * st) + ct / st)
@@ -195,9 +205,23 @@ def _connection_singular(n, r, ct, st) -> tuple:
 _S_POLAR = (0, 8, 10)
 
 
-def _connection_s(n, s, ct, st) -> tuple:
+def _powers_s(n, s, ct, st) -> tuple:
+    """The powers the s-chart connection reads: _powers' first five at
+    r = n + s**2, then s**2, q = s**2 + 2n, q**2 and q**3 (q = r + n, summed
+    in the s-chart's own order). Python floats only: their ** raises where a
+    power overflows, as DomainError."""
+    try:
+        ct2, st2, n2, n3, s2 = ct**2, st**2, n**2, n**3, s**2
+        q = s2 + 2 * n
+        return ct2, st2, n2, n3, (n + s2 + n)**2, s2, q, q**2, q**3
+    except OverflowError:
+        raise DomainError(f"a power of n = {n} or s = {s} overflows a float") from None
+
+
+def _connection_s(n, s, ct, st, powers) -> tuple:
     """The s-chart counterparts of _connection_regular's eleven symbols, in
-    _CONNECTION order with s = sqrt(r - n) in place of r.
+    _CONNECTION order with s = sqrt(r - n) in place of r, from n, s,
+    cos(theta), sin(theta) and their _powers_s.
 
     With r = n + s**2 and q = r + n = s**2 + 2n, r - n = s**2 cancels by
     hand: Gamma^s_{ss} = s/q (the r-chart's -n/(r**2 - n**2) is a chart
@@ -206,14 +230,9 @@ def _connection_s(n, s, ct, st) -> tuple:
     Only the three at _S_POLAR carry 1/s, as the angular symbols of flat
     polar coordinates do, and the geodesic equations multiply each by ds/dt;
     they are returned times s, so every value is finite at the nut s = 0.
-    The four 1/sin(theta) symbols are _connection_singular's at r = n + s**2.
-    Python floats only: their ** raises where a power overflows."""
-    try:
-        ct2, st2, n2, n3, s2 = ct**2, st**2, n**2, n**3, s**2
-        q = s2 + 2 * n
-        q2, q3 = q**2, q**3
-    except OverflowError:
-        raise DomainError(f"a power of n = {n} or s = {s} overflows a float") from None
+    The four 1/sin(theta) symbols are _connection_singular's with the same
+    powers."""
+    ct2, st2, n2, n3, _, s2, q, q2, q3 = powers
     r = n + s2
     return (2 * n / q, -4 * n * s * ct / q, -n * s / (2 * q3), -n2 * s * ct / q3, s / q,
             -r * s / (2 * q), -(4 * n3 * ct2 / q2 + r * st2) * s / (2 * q), n * st / q2,
@@ -225,7 +244,8 @@ def _christoffel(n, theta, r) -> np.ndarray:
     shape (..., 4, 4, 4), [..., lam, mu, nu] = Gamma^lam_{mu nu}. Callers
     apply the chart and axis guards."""
     ct, st = np.cos(theta), np.sin(theta)
-    values = _connection_regular(n, r, ct, st) + _connection_singular(n, r, ct, st)
+    powers = _powers(n, r, ct, st)
+    values = _connection_regular(n, r, ct, st, powers) + _connection_singular(n, ct, st, powers)
     shape = np.broadcast_shapes(np.shape(n), np.shape(theta), np.shape(r))
     G = np.zeros((4, 4, 4) + shape)  # component axes first: plain-index writes
     for (lam, mu, nu), val in zip(_CONNECTION, values):

@@ -33,6 +33,7 @@ axis; the axis stop applies only when those charges are active.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -51,6 +52,7 @@ from .geometry import (
     _connection_singular,
     _ipow,
     _metric,
+    _powers_s,
     metric_at,  # noqa: F401  (bench/tracing.py wraps integrator.metric_at)
 )
 
@@ -90,11 +92,11 @@ class IntegrationConfig:
     """Step-control tolerances, affine horizon, step budget and sample grid.
 
     rel_tol must be at least REL_TOL_FLOOR (100 machine epsilons, about
-    2.2e-14). max_steps bounds the stepper calls of `integrate`, counting
-    the ones a chart exit cut short; one call may reject and shrink its step
-    internally before it accepts one. The class constant r_floor_rel puts
-    the r floor, where a run stops with SingularityApproach, at
-    n*(1 + r_floor_rel)."""
+    2.2e-14). max_steps, an integer of at least 1 (a bool is refused),
+    bounds the stepper calls of `integrate`, counting the ones a chart exit
+    cut short; one call may reject and shrink its step internally before it
+    accepts one. The class constant r_floor_rel puts the r floor, where a
+    run stops with SingularityApproach, at n*(1 + r_floor_rel)."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
@@ -112,8 +114,10 @@ class IntegrationConfig:
             raise ConfigError("abs_tol, rel_tol and t_end must be finite")
         if self.rel_tol < REL_TOL_FLOOR:
             raise ConfigError(f"rel_tol must be at least 100*eps = {REL_TOL_FLOOR:.6g}")
-        if self.max_steps < 1:
-            raise ConfigError("max_steps must be at least 1")
+        steps = self.max_steps
+        # a bool is an int, and a NaN or infinite budget would never run out
+        if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
+            raise ConfigError(f"max_steps must be an integer of at least 1, got {steps!r}")
         if self.sample_grid is not None:
             grid = tuple(float(v) for v in self.sample_grid)
             if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
@@ -193,10 +197,11 @@ def geodesic_rhs(params: ModelParams, y: np.ndarray) -> np.ndarray:
     # numpy's cos and sin (the C library's differ in the last bit) as Python
     # floats, whose arithmetic costs less than numpy scalars'
     ct, st = float(np.cos(theta)), float(np.sin(theta))
+    powers = _powers_s(n, s, ct, st)
     # Gamma^lam_{mu nu} is named lam_mu nu, with h standing for theta; the
     # three polar ones come times s
     (t_ts, t_ps, s_tt, s_tp, s_ss, s_hh, s_pp, h_tp, h_sh, h_pp,
-     p_ps) = _connection_s(n, s, ct, st)
+     p_ps) = _connection_s(n, s, ct, st, powers)
     acc_tau = -2 * t_ps * dphi * ds
     acc_theta = -(2 * h_tp * dtau * dphi + h_pp * dphi * dphi)
     acc_phi = 0.0
@@ -214,7 +219,7 @@ def geodesic_rhs(params: ModelParams, y: np.ndarray) -> np.ndarray:
     if tau_theta != 0.0 or phi_theta != 0.0:
         if st == 0.0:
             raise AxisError("1/sin(theta) term activated exactly on the axis")
-        t_th, t_ph, p_th, p_ph = _connection_singular(n, n + s**2, ct, st)
+        t_th, t_ph, p_th, p_ph = _connection_singular(n, ct, st, powers)
         acc_tau -= 2 * (t_th * tau_theta + t_ph * phi_theta)
         acc_phi -= 2 * (p_th * tau_theta + p_ph * phi_theta)
     return np.array([dtau, dth, dphi, ds, acc_tau, acc_theta, acc_phi, acc_s])
@@ -333,6 +338,8 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
         # the initial-step probe left the chart: start from the whole horizon
         # and let the chart-exit retries shrink the step
         solver = DOP853(rhs, 0.0, y, cfg.t_end, cfg.rel_tol, cfg.abs_tol, first_step=cfg.t_end)
+    # the stage rates, a view of solver.K, of each coordinate an event row watches
+    event_rates = {index: solver.K[:, index] for _, index, _, _ in event_table}
     grid = None if cfg.sample_grid is None else np.array(cfg.sample_grid)
     sample_t, sample_y = [], []
     calls = 0
@@ -350,9 +357,11 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
             t1, y1 = solver.t, solver.y
             # the event rows this step can reach: an endpoint margin within
             # twice the step times the largest stage rate of that coordinate
-            reach = 2 * (t1 - t) * np.max(np.abs(solver.K), axis=0)
+            reach = {index: 2 * (t1 - t) * max(map(abs, rates.tolist()))
+                     for index, rates in event_rates.items()}
             near = [(value, index, sign, cause) for value, index, sign, cause in event_table
-                    if min(sign * (y[index] - value), sign * (y1[index] - value)) <= reach[index]]
+                    if min(sign * (y.item(index) - value), sign * (y1.item(index) - value))
+                    <= reach[index]]
             interp = solver.dense_output() if near or grid is not None else None
         except (DomainError, AxisError):
             # a stage left the chart (past the float range, or onto the axis

@@ -114,6 +114,14 @@ class TestIntegrate:
         assert err.startswith("error: DomainError:") and err.count("\n") == 1
 
 
+    def test_unallocatable_sample_grid_is_config_error(self, capsys):
+        # numpy refuses 10**12 float64 samples (7.3 TiB) before touching memory
+        code, out, err = run(capsys, "integrate", "--n", "1", "--init", "0,1,0,2,0,0,0,1",
+                             "--t-end", "1", "--samples", "1000000000000")
+        assert code == 1 and out == "" and err.startswith("error: ConfigError: samples")
+        assert err.count("\n") == 1
+
+
 class TestAnalytic:
     def test_radial_regression_row(self, capsys):
         code, out, _ = run(capsys, "analytic", "--family", "thm1",
@@ -230,6 +238,14 @@ class TestAnalytic:
         _, out, err = run(capsys, "analytic", "--family", "thm1", "--n", "1",
                           "--r1", "1", "--r-range", "1:3", "--samples", "5")
         assert "\x1b" not in out and "\x1b" not in err
+
+
+    def test_unallocatable_sample_grid_is_config_error(self, capsys):
+        # numpy refuses 10**12 float64 samples (7.3 TiB) before touching memory
+        code, out, err = run(capsys, "analytic", "--n", "1", "--family", "thm1", "--r1", "1",
+                             "--r-range", "1:2", "--samples", "1000000000000")
+        assert code == 1 and out == "" and err.startswith("error: ConfigError: samples")
+        assert err.count("\n") == 1
 
 
 class TestVerify:

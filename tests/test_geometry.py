@@ -23,6 +23,8 @@ from taubnut.geometry import (
     _connection_regular,
     _connection_s,
     _connection_singular,
+    _powers,
+    _powers_s,
     christoffel_at,
     christoffel_fd_oracle,
     curvature_fd,
@@ -184,21 +186,35 @@ class TestChristoffel:
         r = r_over_n * n
         ct, sn = float(np.cos(theta)), float(np.sin(theta))
         one = [np.array([x]) for x in (n, r, ct, sn)]
-        for part in (_connection_regular, _connection_singular):
-            scalar = np.array(part(n, r, ct, sn))
-            array = np.concatenate(part(*one))
+        powers, one_powers = _powers(n, r, ct, sn), _powers(*one)
+        for scalar, array in [
+                (_connection_regular(n, r, ct, sn, powers), _connection_regular(*one, one_powers)),
+                (_connection_singular(n, ct, sn, powers),
+                 _connection_singular(one[0], *one[2:], one_powers))]:
+            scalar, array = np.array(scalar), np.concatenate(array)
             assert np.array_equal(scalar.view(np.uint64), array.view(np.uint64))
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.floats(1e-3, 1e3), theta=st.floats(1e-6, math.pi - 1e-6),
+           s_over_root_n=st.floats(0.0, 1e3))
+    def test_singular_powers_are_the_r_charts(self, n, theta, s_over_root_n):
+        # _connection_singular reads the first five powers in either chart:
+        # the s-chart's are the r-chart's at r = n + s**2, bit for bit
+        s = s_over_root_n * math.sqrt(n)
+        ct, sn = float(np.cos(theta)), float(np.sin(theta))
+        assert _powers_s(n, s, ct, sn)[:5] == _powers(n, n + s**2, ct, sn)[:5]
 
 
 def s_chart_table(n, theta, s):
     """The s-chart Christoffel table, s = sqrt(r - n), from _connection_s
-    (its _S_POLAR entries divided by s) and _connection_singular at
-    r = n + s**2, with _CONNECTION's index table; s must be nonzero."""
+    (its _S_POLAR entries divided by s) and _connection_singular on the same
+    _powers_s, with _CONNECTION's index table; s must be nonzero."""
     ct, sn = float(np.cos(theta)), float(np.sin(theta))
-    values = list(_connection_s(n, s, ct, sn))
+    powers = _powers_s(n, s, ct, sn)
+    values = list(_connection_s(n, s, ct, sn, powers))
     for i in _S_POLAR:
         values[i] /= s
-    values += _connection_singular(n, n + s**2, ct, sn)
+    values += _connection_singular(n, ct, sn, powers)
     G = np.zeros((4, 4, 4))
     for (lam, mu, nu), value in zip(_CONNECTION, values):
         G[lam, mu, nu] = G[lam, nu, mu] = value
@@ -235,7 +251,7 @@ class TestSChartConnection:
     def test_radial_entries_at_the_nut(self):
         # Gamma^s_ss = s/(s**2 + 2n) vanishes at s = 0, and the three 1/s
         # entries come times s: 2n/q, 2r/q and 2r/q with q = 2n, r = n
-        values = _connection_s(1.5, 0.0, 0.6, 0.8)
+        values = _connection_s(1.5, 0.0, 0.6, 0.8, _powers_s(1.5, 0.0, 0.6, 0.8))
         assert all(math.isfinite(v) for v in values)
         assert values[4] == 0.0
         assert [values[i] for i in _S_POLAR] == [1.0, 1.0, 1.0]
@@ -243,7 +259,7 @@ class TestSChartConnection:
     def test_domain_error_where_powers_overflow(self):
         # (s**2 + 2n)**3 overflows where the r-chart's (r + n)**3 does
         with pytest.raises(DomainError):
-            _connection_s(1.0, 1e52, 0.6, 0.8)
+            _powers_s(1.0, 1e52, 0.6, 0.8)
 
 
 class TestChristoffelOracle:

@@ -93,6 +93,12 @@ class TestIntegrationConfig:
         with pytest.raises(ConfigError):
             make(**{field: value})
 
+    @pytest.mark.parametrize("max_steps", [math.nan, math.inf, 2.5, True, 0, -3])
+    def test_rejects_a_step_budget_that_is_not_a_positive_integer(self, max_steps):
+        # `calls >= max_steps` never holds for NaN or inf: the budget would vanish
+        with pytest.raises(ConfigError, match="max_steps"):
+            IntegrationConfig(max_steps=max_steps)
+
     def test_rel_tol_floor(self):
         # the floor is the smallest rtol scipy's DOP853, which the stepper
         # reproduces, keeps unchanged; below it scipy warns and silently
