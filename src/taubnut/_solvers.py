@@ -324,11 +324,10 @@ class DOP853:
         return min(100 * h0, h1, interval_length)
 
     def _run_stages(self, stages, t, y, h):
-        """K[s] = fun(t + c h, y + h K[:s].T a) for each stage, the stage
-        state summed in place as dy = K[:s].T a, dy *= h, dy += y: the IEEE
-        operations of scipy's y + np.dot(K[:s].T, a) * h. h multiplies as a
-        0-d array, which numpy takes without converting a Python float each
-        stage. Returns the last stage's state and fun's value there."""
+        """K[s] = fun(t + c h, y + h K[:s].T a) for each stage, its state
+        summed in place; h multiplies as a 0-d array, which numpy takes
+        without converting a Python float each stage. Returns the last
+        stage's state and fun's value there."""
         fun, h_arr = self.fun, np.array(h)
         for row, KT, a, c in stages:
             dy = KT.dot(a)

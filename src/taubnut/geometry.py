@@ -206,10 +206,11 @@ _S_POLAR = (0, 8, 10)
 
 
 def _powers_s(n, s, ct, st) -> tuple:
-    """The powers the s-chart connection reads: _powers' first five at
-    r = n + s**2, then s**2, q = s**2 + 2n, q**2 and q**3 (q = r + n, summed
-    in the s-chart's own order). Python floats only: their ** raises where a
-    power overflows, as DomainError."""
+    """The powers the s-chart connection reads, as Python floats: _powers'
+    first five at r = n + s**2, which _connection_singular reads, then
+    s**2, q = s**2 + 2n, q**2 and q**3. q is r + n summed as the s-chart
+    sums it, which can differ from _powers' r + n in the last bit. A power
+    that overflows raises DomainError."""
     try:
         ct2, st2, n2, n3, s2 = ct**2, st**2, n**2, n**3, s**2
         q = s2 + 2 * n
