@@ -4,7 +4,6 @@ closed-form geodesic families, and a numeric-vs-analytic verification harness.""
 from .analytic import (
     FAMILIES,
     MODES,
-    F_eval,
     FamilyConstants,
     TurningRadius,
     classify,
@@ -20,7 +19,6 @@ from .analytic import (
     stitched_coords,
     theta_range_exit,
     thm1_t_of_r,
-    turning_limit_used,
     turning_radius,
 )
 from .errors import (

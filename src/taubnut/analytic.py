@@ -111,11 +111,10 @@ _OPTIONAL_FIELDS = tuple(f.name for f in fields(FamilyConstants) if f.default is
 
 @dataclass(frozen=True)
 class TurningRadius:
-    """Smallest radius attained by a family; r_minus is the second (negative)
-    root of the thm5 quadratic, unused by the other families."""
+    """Smallest radius a family attains; r_minus is the second (negative) root
+    of the thm5 quadratic, None for the other families."""
 
     value: float
-    family: str
     r_minus: float | None = None
 
 
@@ -139,20 +138,7 @@ def turning_radius(consts: FamilyConstants, params: ModelParams) -> TurningRadiu
         value = r_minus = math.inf
     if not math.isfinite(value):  # inf, or NaN from inf/inf
         raise DomainError(f"the {consts.family} turning radius overflows a float")
-    return TurningRadius(value, consts.family, r_minus=r_minus)
-
-
-def F_eval(params: ModelParams, r, r1: float, phi0: float, theta: float):
-    """The thm5 radial quadratic, evaluated exactly as written:
-    F(r) = 2n r1^2 r^2 - phi0^2 cos^2(theta) r
-           - (2n^3 r1^2 + n phi0^2 cos^2(theta) + 2n phi0^2 sin^2(theta))."""
-    n = params.n
-    c2 = math.cos(theta) ** 2
-    s2 = math.sin(theta) ** 2
-    r = np.asarray(r, dtype=float)
-    out = (2 * n * r1 * r1 * r * r - phi0 * phi0 * c2 * r
-           - (2 * n**3 * r1 * r1 + n * phi0 * phi0 * c2 + 2 * n * phi0 * phi0 * s2))
-    return float(out) if out.ndim == 0 else out
+    return TurningRadius(value, r_minus=r_minus)
 
 
 def _scalar_like(template, value):
@@ -225,7 +211,7 @@ def _sweep_curves(n, c, tr, r, mode):
     x(r) = x1 + eps arctan(r1(rn - R^2)/(c0 sqrt(r^2-R^2)))
 
     At r = R the arctan argument diverges; the one-sided limit
-    -sign(c0) pi/2 is used there (turning_limit_used reports it)."""
+    -sign(c0) pi/2 is used there."""
     (key,) = _REGISTRY[c.family].swept
     c0 = getattr(c, f"{key}0")
     if c0 == 0:
@@ -245,14 +231,6 @@ def _sweep_curves(n, c, tr, r, mode):
     if mode == "aligned":
         angle = angle + np.sign(c0) * np.pi / 2
     return c.t1 + c.eps / c.r1 * bt, getattr(c, f"{key}1") + c.eps * angle
-
-
-def turning_limit_used(consts: FamilyConstants, params: ModelParams, r) -> bool:
-    """True when any requested radius sits exactly at the turning radius, where
-    the thm3/thm4 angle curve is defined by its one-sided limit -sign(c0) pi/2
-    rather than by the printed arctan."""
-    R = turning_radius(consts, params).value
-    return bool(np.any(np.asarray(r, dtype=float) == R))
 
 
 def theta_range_exit(params: ModelParams, consts: FamilyConstants) -> bool:
@@ -361,12 +339,25 @@ def _thm5_turning(c, n, r1sq):
     return half_sum + rad, half_sum - rad
 
 
+def _thm5_F(params: ModelParams, r, r1: float, phi0: float, theta: float):
+    """The thm5 radial quadratic, evaluated exactly as written:
+    F(r) = 2n r1^2 r^2 - phi0^2 cos^2(theta) r
+           - (2n^3 r1^2 + n phi0^2 cos^2(theta) + 2n phi0^2 sin^2(theta))."""
+    n = params.n
+    c2 = math.cos(theta) ** 2
+    s2 = math.sin(theta) ** 2
+    r = np.asarray(r, dtype=float)
+    out = (2 * n * r1 * r1 * r * r - phi0 * phi0 * c2 * r
+           - (2 * n**3 * r1 * r1 + n * phi0 * phi0 * c2 + 2 * n * phi0 * phi0 * s2))
+    return float(out) if out.ndim == 0 else out
+
+
 def _thm5_velocity(c, params, r):
     n = params.n
     ct = math.cos(c.theta_const)
     dphi = c.phi0 / (r * r - n * n)
     dtau = c.phi0 * (r + 3 * n) * ct / (2 * n * (r + n))
-    F = F_eval(params, r, c.r1, c.phi0, c.theta_const)
+    F = _thm5_F(params, r, c.r1, c.phi0, c.theta_const)
     if np.any(F < 0):
         raise DomainError("radius below the family's turning radius")
     dr = c.eps * np.sqrt(F) / (math.sqrt(2 * n) * (r + n))
@@ -685,8 +676,8 @@ def stitched_coords(params: ModelParams, consts: FamilyConstants, ts):
     return out
 
 
-def radial_passthrough(params: ModelParams, t1: float, r1: float, direction: int,
-                       *, r_max: float | None = None, samples: int = 201,
+def radial_passthrough(params: ModelParams, t1: float, r1: float, *,
+                       r_max: float | None = None, samples: int = 201,
                        tau: float = 0.0, theta: float = np.pi / 2,
                        phi: float = 0.0) -> Trajectory:
     """Exact radial trajectory continued across r = n: the incoming branch
@@ -694,18 +685,15 @@ def radial_passthrough(params: ModelParams, t1: float, r1: float, direction: int
     constant sqrt((r+n)/(r-n)) dr/dt, and the outgoing branch leaves it, so
     r(t1+d) = r(t1-d). This is the only family that touches r = n; built in
     closed form from the thm1 curve (stitched_coords) and its velocity field,
-    no stepping involved.
+    no stepping involved. The profile is the same whichever branch is called
+    incoming, so only |r1| enters it.
 
-    The stitched profile is invariant under swapping which branch is labeled
-    incoming, so `direction` (+1 or -1) is validated as bookkeeping only.
     The angular coordinates are constant and configurable; they do not enter
     the radial motion. Samples are uniform in t over [t1 - T, t1 + T] where
     T is the time to reach r_max (default 5n)."""
     n = params.n
     if r1 == 0:
         raise DegenerateError("radial constant r1 must be nonzero")
-    if direction not in (1, -1):
-        raise ConfigError("direction must be +1 or -1")
     if samples < 3 or samples % 2 == 0:
         raise ConfigError("samples must be an odd count >= 3")
     if not np.all(np.isfinite((tau, theta, phi))):

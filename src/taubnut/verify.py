@@ -2,8 +2,9 @@
 curves, finite-difference derivative sweeps against the first-integral fields,
 and curvature audits (vacuum property, duality orientation) at seeded points.
 
-Reports are plain dicts with schema version 1 and a fixed key order, built
-only from the inputs and the seed, so serialized output is byte-reproducible.
+Reports are schema-1 dicts with a fixed key order, built only from the
+inputs and the seed, of plain dicts, lists, bools, ints, floats, strings and
+None; they serialize as they are, byte-reproducibly.
 Their work section carries each integration's deterministic counters (rhs
 calls, accepted and rejected steps, interpolants, root solves); wall times
 never enter a report.
@@ -70,22 +71,6 @@ _REPORT_KEYS = ("schema", "scenario", "family", "params", "tolerances",
 _WORK_KEYS = ("nfev", "accepted", "rejected", "interpolants", "root_solves")
 
 
-def _plain(value):
-    """Recursively strip numpy scalar types so reports serialize as plain
-    JSON values."""
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
-
-
 def _report(**values) -> dict:
     """Assemble a schema-1 report with the frozen key order; absent sections
     stay explicitly null so every report carries the same shape."""
@@ -95,7 +80,7 @@ def _report(**values) -> dict:
     for key, value in values.items():
         if key not in _REPORT_KEYS:
             raise ConfigError(f"unknown report key {key!r}")
-        report[key] = _plain(value)
+        report[key] = value
     bad = [k for k in ("max_coordinate_deviation", "conservation_drift")
            if report[k] is not None
            for v in report[k].values() if not (np.isfinite(v) and v >= 0)]
@@ -104,38 +89,31 @@ def _report(**values) -> dict:
     return report
 
 
-def compare_numeric_analytic(consts: FamilyConstants, params: ModelParams,
-                             cfg: IntegrationConfig | None = None, *,
-                             r_top: float | None = None,
+def compare_numeric_analytic(consts: FamilyConstants, params: ModelParams, *,
                              mode: str | None = None) -> dict:
     """Integrate one family numerically from r0 = R(1 + 1e-3) on the
     outgoing branch and compare against the closed-form curves evaluated at
     the accepted-step radii, after subtracting both routes' values at r0
     (immunity to additive-constant conventions). Constant coordinates are
-    checked against their start values. Reports maxima over r in [r0, r_top]
-    (default r_top = 5n)."""
-    return _compare_orbit(consts, params, _family_orbit(consts, params, cfg, r_top), mode)
+    checked against their start values. Reports maxima over the fixed window
+    [r0, 5n], which a turning radius above 5n/1.001 leaves empty (ConfigError)."""
+    return _compare_orbit(consts, params, _family_orbit(consts, params), mode)
 
 
-def _family_orbit(consts: FamilyConstants, params: ModelParams,
-                  cfg: IntegrationConfig | None = None,
-                  r_top: float | None = None) -> tuple:
+def _family_orbit(consts: FamilyConstants, params: ModelParams) -> tuple:
     """compare_numeric_analytic's integration: (r0, r_top, trajectory). No
     curve mode enters it, so one orbit serves the comparison of every mode."""
     spec = _spec(consts.family, "has no closed-form curves")
     outgoing = replace(consts, eps=1)
     r0 = turning_radius(outgoing, params).value * (1 + 1e-3)
-    if r_top is None:
-        r_top = 5 * params.n
+    r_top = 5 * params.n
     if r_top <= r0:
         raise ConfigError(f"comparison window [{r0}, {r_top}] is empty")
-    if cfg is None:
-        # time budget from the derivative-exact curve, whatever mode is
-        # being compared (literal thm5 misstates the time scale)
-        span = (curves(params, outgoing, r_top, spec.invert_mode)["t"]
-                - curves(params, outgoing, r0, spec.invert_mode)["t"])
-        cfg = IntegrationConfig(abs_tol=1e-12, rel_tol=1e-12,
-                                t_end=1.05 * span)
+    # time budget from the derivative-exact curve, whatever mode is being
+    # compared (literal thm5 misstates the time scale)
+    span = (curves(params, outgoing, r_top, spec.invert_mode)["t"]
+            - curves(params, outgoing, r0, spec.invert_mode)["t"])
+    cfg = IntegrationConfig(abs_tol=1e-12, rel_tol=1e-12, t_end=1.05 * span)
     state = PhaseState(Point(0.0, spec.start_theta(outgoing), 0.0, r0),
                        family_velocities(outgoing, params, r0))
     return r0, r_top, integrate(params, state, cfg)
@@ -192,30 +170,26 @@ def _work(traj) -> dict:
     return {key: traj.stats[key] for key in _WORK_KEYS}
 
 
-def derivative_sweep(consts: FamilyConstants, params: ModelParams,
-                     r_range: tuple | None = None, samples: int = 50, *,
+def derivative_sweep(consts: FamilyConstants, params: ModelParams, *,
                      mode: str | None = None) -> dict:
     """Central-difference derivatives of the evaluated curves against the
-    exact first-integral expressions, max relative error over a log-spaced
-    radius grid (default [R*1.001, 10n])."""
+    exact first-integral expressions: the max relative error over 50
+    log-spaced radii in the fixed range [1.001R, 10n], R the turning radius.
+    A turning radius above 10n/1.001 leaves the range empty, a DomainError."""
     fam = consts.family
     if mode is None:
         mode = default_mode(fam)
     R = turning_radius(consts, params).value
-    if r_range is None:
-        r_range = (R * 1.001, 10 * params.n)
-    lo, hi = float(r_range[0]), float(r_range[1])
-    if not (R < lo < hi):
-        raise DomainError(f"sweep range must satisfy {R} < lo < hi")
-    if samples < 2:
-        raise ConfigError("samples must be at least 2")
-    grid = np.geomspace(lo, hi, samples)
+    lo, hi = R * 1.001, 10 * params.n
+    if not lo < hi:
+        raise DomainError(f"sweep range [{lo}, {hi}] is empty")
+    grid = np.geomspace(lo, hi, 50)
     h = np.minimum(3e-4 * (grid - R), 1e-5 * np.maximum(grid, 1.0))
     both = curves(params, consts, np.concatenate([grid + h, grid - h]), mode)
     exact = curve_derivatives(params, consts, grid)
     worst = 0.0
     for key, value in exact.items():
-        fd = (both[key][:samples] - both[key][samples:]) / (2 * h)
+        fd = (both[key][:grid.size] - both[key][grid.size:]) / (2 * h)
         worst = max(worst, float(np.max(np.abs(fd - value)
                                         / np.maximum(1.0, np.abs(value)))))
     passed = worst <= DERIVATIVE_TOL
@@ -297,13 +271,12 @@ def _radial_passthrough_check(consts: FamilyConstants,
     out_consts = replace(consts, eps=1)
     span = (curves(params, out_consts, 3 * n, "aligned")["t"]
             - curves(params, out_consts, r_a, "aligned")["t"])
+    cfg = IntegrationConfig(abs_tol=1e-12, rel_tol=1e-12, t_end=1.2 * abs(span))
     for branch, name in ((1, "passthrough_outgoing"), (-1, "passthrough_ingoing")):
         start = replace(consts, eps=branch)
         state = PhaseState(Point(0.0, 1.0, 0.0, r_a),
                            family_velocities(start, params, r_a))
         fitted = classify(params, state)
-        cfg = IntegrationConfig(abs_tol=1e-12, rel_tol=1e-12,
-                                t_end=1.2 * abs(span))
         traj = integrate(params, state, cfg)
         curve = stitched_coords(params, fitted, traj.t)
         worst = max(worst,
@@ -380,7 +353,8 @@ def run_scenario(name: str, seed: int = 0) -> dict:
 
 def report_to_json(report: dict) -> str:
     """Canonical serialization: two-space indent, insertion key order, one
-    trailing newline. Identical inputs yield identical bytes."""
+    trailing newline. Identical inputs yield identical bytes. The report is
+    dumped as it is, with no conversion of numpy scalars: reports hold none."""
     import json
 
-    return json.dumps(_plain(report), indent=2, allow_nan=False) + "\n"
+    return json.dumps(report, indent=2, allow_nan=False) + "\n"

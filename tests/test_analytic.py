@@ -20,8 +20,8 @@ from taubnut.analytic import (
     _REGISTRY,
     FAMILIES,
     MODES,
-    F_eval,
     FamilyConstants,
+    _thm5_F,
     classify,
     curve_derivatives,
     curves,
@@ -34,7 +34,6 @@ from taubnut.analytic import (
     stitched_coords,
     theta_range_exit,
     thm1_t_of_r,
-    turning_limit_used,
     turning_radius,
 )
 from taubnut.errors import (
@@ -204,8 +203,10 @@ class TestTurningRadius:
 
 
 class TestFEval:
+    """The thm5 radial quadratic F, analytic._thm5_F."""
+
     def test_frozen_value(self):
-        assert F_eval(P1, 2.0, 1.0, 1.0, math.pi / 3) == pytest.approx(
+        assert _thm5_F(P1, 2.0, 1.0, 1.0, math.pi / 3) == pytest.approx(
             3.75, rel=0, abs=1e-14)
 
     def test_factorization(self):
@@ -213,15 +214,15 @@ class TestFEval:
         tr = turning_radius(consts, P1)
         for r in (1.7, 3.3, 8.0):
             expected = 2 * 1.0 * 1.2**2 * (r - tr.value) * (r - tr.r_minus)
-            assert F_eval(P1, r, 1.2, 0.9, 1.0) == pytest.approx(
+            assert _thm5_F(P1, r, 1.2, 0.9, 1.0) == pytest.approx(
                 expected, rel=1e-13)
 
     def test_vanishes_at_turning_radius(self):
         tr = turning_radius(c_thm5(), P1)
-        assert abs(F_eval(P1, tr.value, 1.0, 1.0, math.pi / 3)) < 1e-13
+        assert abs(_thm5_F(P1, tr.value, 1.0, 1.0, math.pi / 3)) < 1e-13
 
     def test_vectorized(self):
-        vals = F_eval(P1, np.array([2.0, 3.0]), 1.0, 1.0, math.pi / 3)
+        vals = _thm5_F(P1, np.array([2.0, 3.0]), 1.0, 1.0, math.pi / 3)
         assert vals.shape == (2,)
         assert vals[0] == pytest.approx(3.75)
 
@@ -334,8 +335,6 @@ class TestThm3:
         assert f_lit == pytest.approx(-math.pi / 2, rel=1e-15)
         _, f_ali = tuple(curves(P1, c_thm3(phi1=0.4), r2, "aligned").values())
         assert f_ali == pytest.approx(0.4, rel=1e-15)
-        assert turning_limit_used(c_thm3(), P1, r2)
-        assert not turning_limit_used(c_thm3(), P1, 2.0)
 
     def test_asymptotic_swing(self):
         _, f_far = tuple(curves(P1, c_thm3(), 1e8, "literal").values())

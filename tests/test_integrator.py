@@ -240,7 +240,7 @@ class TestSChart:
         # g_ss ds**2 = 4 (s**2 + 2n) ds**2 = r1**2 conserved
         params, r1 = ModelParams(n=0.8), 1.1
         y0 = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, r1 / (2 * math.sqrt(2 * params.n))])
-        exact = radial_passthrough(params, 0.0, r1, +1)
+        exact = radial_passthrough(params, 0.0, r1)
         T = exact.t[-1]
         halves = [solve_ivp(lambda t, y: geodesic_rhs(params, y), (0.0, end), y0,
                             method="DOP853", rtol=1e-12, atol=1e-12, dense_output=True)
@@ -534,13 +534,13 @@ class TestIntegrate:
 
 class TestRadialPassthrough:
     def test_center_sample_sits_on_the_seam(self):
-        traj = radial_passthrough(P1, 1.5, 0.8, +1)
+        traj = radial_passthrough(P1, 1.5, 0.8)
         mid = len(traj) // 2
         assert traj.t[mid] == 1.5
         assert traj.coords[mid, 3] == 1.0 and traj.velocities[mid, 3] == 0.0
 
     def test_branch_velocity_constant(self):
-        traj = radial_passthrough(P1, 0.0, 0.8, +1)
+        traj = radial_passthrough(P1, 0.0, 0.8)
         r = traj.coords[:, 3]
         dr = traj.velocities[:, 3]
         mid = len(traj) // 2
@@ -550,33 +550,29 @@ class TestRadialPassthrough:
         assert np.max(np.abs(inc + 0.8)) <= 1e-12
 
     def test_time_reflection_symmetry(self):
-        traj = radial_passthrough(P1, 0.3, 1.1, -1)
+        traj = radial_passthrough(P1, 0.3, 1.1)
         r = traj.coords[:, 3]
         assert np.max(np.abs(r - r[::-1])) <= 1e-12
 
     def test_outgoing_time_regression(self):
-        traj = radial_passthrough(ModelParams(n=0.5), 0.0, 1.0, +1, r_max=1.3)
+        traj = radial_passthrough(ModelParams(n=0.5), 0.0, 1.0, r_max=1.3)
         mid = len(traj) // 2
         assert traj.coords[-1, 3] == pytest.approx(1.3, abs=1e-10)
         assert traj.t[-1] - traj.t[mid] == pytest.approx(2.00471895621705, abs=1e-12)
 
     def test_norm_column_constant(self):
-        traj = radial_passthrough(P1, 0.0, 0.7, +1)
+        traj = radial_passthrough(P1, 0.0, 0.7)
         assert np.all(traj.norm == pytest.approx(0.49, abs=1e-15))
 
     def test_rejects_zero_speed_constant(self):
         with pytest.raises(DegenerateError):
-            radial_passthrough(P1, 0.0, 0.0, +1)
-
-    def test_rejects_bad_direction(self):
-        with pytest.raises(ConfigError):
-            radial_passthrough(P1, 0.0, 1.0, 2)
+            radial_passthrough(P1, 0.0, 0.0)
 
     @pytest.mark.parametrize("kwargs", [{"t1": math.nan}, {"t1": math.inf},
                                         {"r_max": math.inf}, {"r_max": math.nan},
                                         {"theta": math.nan}])
     def test_rejects_non_finite(self, kwargs):
-        args = {"t1": 0.0, "r1": 1.0, "direction": +1, **kwargs}
+        args = {"t1": 0.0, "r1": 1.0, **kwargs}
         with pytest.raises(ConfigError):
             radial_passthrough(P1, **args)
 
@@ -793,7 +789,7 @@ class TestStats:
         assert len(solves) == traj.stats["root_solves"] == 1
 
     def test_closed_form_and_parsed_trajectories_carry_none(self):
-        assert radial_passthrough(P1, 1.5, 0.8, +1).stats == {}
+        assert radial_passthrough(P1, 1.5, 0.8).stats == {}
         traj = integrate(P1, equatorial_state(), IntegrationConfig(t_end=1.0))
         assert traj.stats and trajectory_from_csv(trajectory_to_csv(traj)).stats == {}
 
@@ -926,7 +922,7 @@ class TestLazyScipy:
             assert loaded() == [], loaded()
             consts, params = taubnut.seeded_family("thm3", 42)
             taubnut.stitched_coords(params, consts, consts.t1 + np.linspace(-1.0, 1.0, 9))
-            taubnut.radial_passthrough(params, 0.0, 1.0, 1)
+            taubnut.radial_passthrough(params, 0.0, 1.0)
             assert loaded() == [], loaded()
             assert vars(integrator)["DOP853"] is _solvers.DOP853
             assert vars(integrator)["brentq"] is _solvers.brentq
