@@ -273,12 +273,23 @@ def _stages(K, rows):
 
 
 def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
+    """scipy's rms norm, np.linalg.norm(x) / sqrt(x.size). Where the sum of
+    squares overflows, it is taken on x scaled by a power of two instead, so
+    the norm is finite wherever it fits a float, and inf, with no warning,
+    past that."""
+    sq = np.vdot(x, x)  # x.dot(x) bit for bit, without its overflow warning
+    if sq == np.inf:
+        k = np.frexp(np.max(np.abs(x)))[1]  # 0 when x holds an inf: the norm stays inf
+        x = np.ldexp(x, -k)
+        with np.errstate(over="ignore"):  # inf past the float range
+            return np.ldexp(np.sqrt(np.vdot(x, x)) / x.size ** 0.5, k)
+    return np.sqrt(sq) / x.size ** 0.5
 
 
 def _norm_2(x):
-    """The squared norm of a 1-d array as scipy takes it, np.linalg.norm(x)**2."""
-    return math.sqrt(x.dot(x)) ** 2
+    """The squared norm of a 1-d array as scipy takes it, np.linalg.norm(x)**2;
+    inf, with no warning, where the sum of squares overflows."""
+    return math.sqrt(np.vdot(x, x)) ** 2
 
 
 class DOP853:
@@ -316,7 +327,8 @@ class DOP853:
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, interval_length)
         f1 = self.fun(t0 + h0, y0 + h0 * f0)
-        d2 = _rms((f1 - f0) / scale) / h0
+        with np.errstate(over="ignore"):  # d2 past the float range makes h1 0
+            d2 = _rms((f1 - f0) / scale) / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:

@@ -53,7 +53,14 @@ from functools import cached_property
 import numpy as np
 
 from ._solvers import brentq
-from .errors import ConfigError, DegenerateError, DomainError, NotAGeodesic, RangeError
+from .errors import (
+    ConfigError,
+    DegenerateError,
+    DomainError,
+    NotAGeodesic,
+    RangeError,
+    _require_count,
+)
 from .geometry import COORDS, ModelParams
 from .integrator import HORIZON, PhaseState, Trajectory, norm
 
@@ -689,12 +696,14 @@ def radial_passthrough(params: ModelParams, t1: float, r1: float, *,
     incoming, so only |r1| enters it.
 
     The angular coordinates are constant and configurable; they do not enter
-    the radial motion. Samples are uniform in t over [t1 - T, t1 + T] where
-    T is the time to reach r_max (default 5n)."""
+    the radial motion. samples, an odd integer of at least 3 (a bool is
+    refused), are uniform in t over [t1 - T, t1 + T] where T is the time to
+    reach r_max (default 5n)."""
     n = params.n
     if r1 == 0:
         raise DegenerateError("radial constant r1 must be nonzero")
-    if samples < 3 or samples % 2 == 0:
+    _require_count("samples", samples, 3)
+    if samples % 2 == 0:
         raise ConfigError("samples must be an odd count >= 3")
     if not np.all(np.isfinite((tau, theta, phi))):
         raise ConfigError("tau, theta and phi must be finite")

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for counts."""
+
+import numbers
 
 
 class TaubnutError(Exception):
@@ -27,3 +29,10 @@ class RangeError(TaubnutError):
 
 class NotAGeodesic(TaubnutError):
     """State pattern incompatible with the geodesic equations (constant r with motion)."""
+
+
+def _require_count(name: str, value, minimum: int) -> None:
+    """ConfigError unless value is an integral number of at least minimum; a
+    bool is refused, and so is a float, even an integral one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ConfigError(f"{name} must be an integer of at least {minimum}, got {value!r}")

@@ -315,10 +315,15 @@ def christoffel_fd_oracle(params: ModelParams, p: Point, metric_fn=metric_at) ->
 
 
 def _frame(n, theta, tau, r) -> np.ndarray:
-    """Coframe rows broadcast over n, theta, tau and r: shape (..., 4, 4)."""
+    """Coframe rows broadcast over n, theta, tau and r: shape (..., 4, 4).
+    DomainError where the angle tau/(2n) is not finite (it overflows for
+    huge tau over tiny n), since its sine and cosine are then undefined."""
+    with np.errstate(over="ignore"):
+        half = tau / (2 * n)
+    if not np.all(np.isfinite(half)):
+        raise DomainError("tau/(2n) is not a finite float, so the frame is undefined")
     ct, st = np.cos(theta), np.sin(theta)
     rad = np.sqrt(r**2 - n**2)
-    half = tau / (2 * n)
     lapse = np.sqrt((r - n) / (r + n))
     W1phi = rad * np.sin(half) * st
     W = np.zeros(np.shape(W1phi) + (4, 4))
@@ -336,7 +341,7 @@ def frame_at(params: ModelParams, p: Point) -> np.ndarray:
     """Positively oriented orthonormal coframe, a 4x4 array W[a, mu]:
     omega^a = W[a, mu] dx^mu, with sum_a omega^a (x) omega^a = g at p. Valid
     for all theta (no 1/sin terms), though the matrix is singular where
-    sin(theta) = 0. r**2 overflowing raises DomainError."""
+    sin(theta) = 0. r**2 or tau/(2n) overflowing raises DomainError."""
     _require_interior(params, p)
     _ipow(p.r, 2)  # raises DomainError where _frame's r**2 would overflow
     return _frame(params.n, p.theta, p.tau, p.r)
@@ -428,7 +433,8 @@ def curvature_fd(params, points) -> tuple:
     per point: the Ricci tensors, shape (N, 4, 4), and the frame Riemann
     tensors R_{abcd}, shape (N, 4, 4, 4, 4). params and points are equal-length
     sequences of ModelParams and Point. A point whose stencil leaves the
-    chart raises the DomainError or AxisError christoffel_at raises there."""
+    chart raises the DomainError or AxisError christoffel_at raises there,
+    and one whose frame angle tau/(2n) is not finite a DomainError."""
     stack = _Stack(params, points)
     Rmix = _riemann(stack)
     return _ricci(Rmix), _frame_riemann(stack, Rmix)

@@ -33,14 +33,13 @@ axis; the axis stop applies only when those charges are active.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
 from ._solvers import DOP853, brentq
-from .errors import AxisError, ConfigError, DomainError
+from .errors import AxisError, ConfigError, DomainError, _require_count
 from .geometry import (
     PHI,
     R,
@@ -114,10 +113,8 @@ class IntegrationConfig:
             raise ConfigError("abs_tol, rel_tol and t_end must be finite")
         if self.rel_tol < REL_TOL_FLOOR:
             raise ConfigError(f"rel_tol must be at least 100*eps = {REL_TOL_FLOOR:.6g}")
-        steps = self.max_steps
         # a bool is an int, and a NaN or infinite budget would never run out
-        if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
-            raise ConfigError(f"max_steps must be an integer of at least 1, got {steps!r}")
+        _require_count("max_steps", self.max_steps, 1)
         if self.sample_grid is not None:
             grid = tuple(float(v) for v in self.sample_grid)
             if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):

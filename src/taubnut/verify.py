@@ -2,9 +2,9 @@
 curves, finite-difference derivative sweeps against the first-integral fields,
 and curvature audits (vacuum property, duality orientation) at seeded points.
 
-Reports are schema-1 dicts with a fixed key order, built only from the
-inputs and the seed, of plain dicts, lists, bools, ints, floats, strings and
-None; they serialize as they are, byte-reproducibly.
+Reports are schema-1 dicts with a fixed key order, built only from the inputs
+and the seed. They hold only dicts, lists, bools, ints, floats, strings and
+None, and serialize as they are into byte-reproducible JSON.
 Their work section carries each integration's deterministic counters (rhs
 calls, accepted and rejected steps, interpolants, root solves); wall times
 never enter a report.
@@ -37,7 +37,7 @@ from .analytic import (
     stitched_coords,
     turning_radius,
 )
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, _require_count
 from .geometry import (
     DUALITY_SIGN,
     ModelParams,
@@ -212,9 +212,10 @@ def curvature_audit(sample_count: int = 100, seed: int = 0) -> dict:
     comparable to the curvature scale; both chiralities vanishing would mean
     the check is vacuous). Each point draws its own n. The points are drawn
     first, then evaluated as one stack with one Riemann build each
-    (geometry.curvature_fd)."""
-    if sample_count < 1:
-        raise ConfigError("sample_count must be at least 1")
+    (geometry.curvature_fd). sample_count and seed are integers of at least
+    1 and 0 (a bool is refused)."""
+    _require_count("sample_count", sample_count, 1)
+    _require_count("seed", seed, 0)
     # per point, rng.uniform(lo, hi) of n, tau, theta, phi and r in turn:
     # lo + (hi - lo) * u from one batch of uniforms, the same bits
     u = np.random.default_rng(seed).random((sample_count, 5)).T
@@ -288,11 +289,11 @@ def _radial_passthrough_check(consts: FamilyConstants,
 
 def run_scenario(name: str, seed: int = 0) -> dict:
     """One named verification scenario as a single schema-1 report; 'all'
-    aggregates every scenario (order fixed) under one verdict."""
+    aggregates every scenario (order fixed) under one verdict. seed is an
+    integer of at least 0 (a bool is refused)."""
     if name not in SCENARIOS:
         raise ConfigError(f"unknown scenario {name!r}; choose from {SCENARIOS}")
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    _require_count("seed", seed, 0)
     if name == "all":
         reports = [run_scenario(s, seed) for s in SCENARIOS[:-1]]
         return {"schema": SCHEMA, "scenario": "all", "seed": seed,

@@ -316,6 +316,13 @@ class TestTensorDumps:
                            "--point", "0,1,0,0.9")
         assert code == 1 and err.startswith("error: DomainError:")
 
+    def test_overflowing_frame_angle_is_domain_error(self, capsys):
+        # tau/(2n) overflows: one error line instead of NaN in the JSON
+        code, out, err = run(capsys, "curvature", "--n", "1e-20",
+                             "--point", "1e300,1.1,0.4,3.0")
+        assert code == 1 and out == "" and err.startswith("error: DomainError:")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["christoffel", "curvature"])
     def test_powers_past_float_range_are_domain_error(self, capsys, command):
         code, _, err = run(capsys, command, "--n", "1", "--point", "0,1,0,1e200")

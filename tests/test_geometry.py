@@ -301,6 +301,15 @@ class TestFrame:
         with pytest.raises(DomainError):
             frame_at(P1, Point(0.0, 1.0, 0.0, 1e200))
 
+    def test_domain_error_where_the_angle_overflows(self):
+        # tau/(2n) overflows to inf, whose sine and cosine are NaN; frame_at
+        # and the curvature path both build the frame in one place
+        params, p = ModelParams(n=1e-20), Point(1e300, 1.1, 0.4, 3.0)
+        with pytest.raises(DomainError, match="tau"):
+            frame_at(params, p)
+        with pytest.raises(DomainError, match="tau"):
+            curvature_fd([params], [p])
+
 
 class TestCurvature:
     def test_ricci_residual_small(self):

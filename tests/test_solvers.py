@@ -109,3 +109,17 @@ def test_given_first_step_steps_as_scipy(seed):
     # the chart-exit retry path gives the first step: one this long fails
     # the error test before a shorter one passes
     assert drive_both(seed, 1e-8, 0.0, 3.0, 1.0)[0] >= 1
+
+
+def test_norms_where_the_sum_of_squares_overflows():
+    # x.dot(x) overflows, where numpy would warn (an error in this suite):
+    # the rms norm is taken on x scaled by a power of two, and the squared
+    # norm, past the float range, is inf
+    x = np.array([3e200, -4e200, 0.0, 1.0])
+    assert _solvers._rms(x) == pytest.approx(5e200 / 2, rel=1e-15)
+    assert _solvers._norm_2(x) == math.inf
+    assert _solvers._rms(np.array([math.inf, 1.0])) == math.inf
+    # below the overflow both are np.linalg.norm's, bit for bit
+    y = np.array([3e150, -4e150, 1e-300, 1.0])
+    assert _solvers._rms(y) == np.linalg.norm(y) / 2
+    assert _solvers._norm_2(y) == np.linalg.norm(y) ** 2

@@ -17,6 +17,7 @@ from taubnut.analytic import (
     curves,
     default_invert_mode,
     default_mode,
+    radial_passthrough,
     turning_radius,
 )
 from taubnut.errors import ConfigError, DomainError
@@ -27,7 +28,7 @@ from taubnut.geometry import (
     ricci_fd,
     self_duality_residual,
 )
-from taubnut.integrator import PhaseState, geodesic_rhs, integrate, norm
+from taubnut.integrator import IntegrationConfig, PhaseState, geodesic_rhs, integrate, norm
 from taubnut.geometry import Point
 from taubnut.verify import (
     SCENARIOS,
@@ -156,6 +157,28 @@ class TestDerivativeSweep:
         # R = sqrt(101) puts the range's bottom 1.001R above its top 10n
         with pytest.raises(DomainError, match="sweep range"):
             derivative_sweep(c_thm3(phi0=10.0), P1)
+
+
+# counts outside the CLI, each with IntegrationConfig.max_steps's rule: an
+# integral number that is not a bool, at or above a minimum
+BAD_COUNTS = [
+    ("samples", lambda: radial_passthrough(P1, 0.0, 1.0, samples=3.5)),
+    ("samples", lambda: radial_passthrough(P1, 0.0, 1.0, samples=math.nan)),
+    ("samples", lambda: radial_passthrough(P1, 0.0, 1.0, samples=True)),
+    ("sample_count", lambda: curvature_audit(2.5)),
+    ("sample_count", lambda: curvature_audit(True)),
+    ("seed", lambda: curvature_audit(3, seed=1.5)),
+    ("seed", lambda: run_scenario("thm1", seed=1.5)),
+    ("seed", lambda: run_scenario("thm1", seed=False)),
+    ("max_steps", lambda: IntegrationConfig(max_steps=4.0)),
+]
+
+
+@pytest.mark.parametrize("name,call", BAD_COUNTS,
+                         ids=[f"{name}-{i}" for i, (name, _) in enumerate(BAD_COUNTS)])
+def test_non_integral_count_is_config_error(name, call):
+    with pytest.raises(ConfigError, match=f"^{name} must be an integer of at least"):
+        call()
 
 
 # (family, mode) pairs the verify scenarios sweep and compare
