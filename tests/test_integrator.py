@@ -904,6 +904,52 @@ def run_fresh(code: str) -> None:
     assert done.returncode == 0, done.stderr
 
 
+class TestLazyScipy:
+    """Importing the package, or using its closed forms and the integrator,
+    loads neither scipy.integrate nor scipy.optimize: the integrator's
+    DOP853 and brentq are the package's own solvers."""
+
+    def test_import_and_closed_forms_load_no_scipy_solver(self):
+        run_fresh("""
+            import sys
+            import numpy as np
+            import taubnut
+            from taubnut import _solvers, integrator
+
+            def loaded():
+                return [m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules]
+
+            assert loaded() == [], loaded()
+            consts, params = taubnut.seeded_family("thm3", 42)
+            taubnut.stitched_coords(params, consts, consts.t1 + np.linspace(-1.0, 1.0, 9))
+            taubnut.radial_passthrough(params, 0.0, 1.0)
+            assert loaded() == [], loaded()
+            assert vars(integrator)["DOP853"] is _solvers.DOP853
+            assert vars(integrator)["brentq"] is _solvers.brentq
+            try:
+                integrator.no_such_name
+            except AttributeError:
+                pass
+            else:
+                raise AssertionError("unknown attribute resolved")
+        """)
+
+    def test_one_integration_binds_both_globals(self):
+        run_fresh("""
+            import sys
+            import numpy as np
+            from taubnut import IntegrationConfig, ModelParams, PhaseState, Point, integrate
+            from taubnut import _solvers, integrator
+
+            state = PhaseState(Point(0.0, np.pi / 2, 0.0, 2.0), (0.0, 0.0, 0.3, 0.4))
+            integrate(ModelParams(n=1.0), state, IntegrationConfig(t_end=1.0))
+            assert vars(integrator)["DOP853"] is _solvers.DOP853
+            assert vars(integrator)["brentq"] is _solvers.brentq
+            loaded = [m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules]
+            assert loaded == [], loaded
+        """)
+
+
 class TestNanStep:
     def test_nan_initial_step_fails_the_stepper(self):
         # inf - inf among the start state's accelerations makes the initial
