@@ -219,8 +219,7 @@ def _sweep_curves(n, c, tr, r, mode):
 
     At r = R the arctan argument diverges; the one-sided limit
     -sign(c0) pi/2 is used there."""
-    (key,) = _REGISTRY[c.family].swept
-    c0 = getattr(c, f"{key}0")
+    key, c0 = _swept_constant(c)
     if c0 == 0:
         raise DegenerateError(f"{key}0 = 0 collapses to the radial family (R = n)")
     R = tr.value
@@ -244,7 +243,7 @@ def theta_range_exit(params: ModelParams, consts: FamilyConstants) -> bool:
     """Meridional swing check: the theta curve is monotone from theta1 at R3
     toward theta1 + eps [arctan(r1 n/theta0) + sign(theta0) pi/2] as r grows;
     flags families whose swing leaves the open interval (0, pi)."""
-    if consts.family != "thm4":
+    if getattr(_REGISTRY.get(consts.family), "swept", None) != ("theta",):
         raise ConfigError("theta range check applies to thm4 only")
     swing = consts.eps * (math.atan(consts.r1 * params.n / consts.theta0)
                           + math.copysign(math.pi / 2, consts.theta0))
@@ -312,10 +311,20 @@ def _thm2_extract(n, r, theta, v, radial_sq, tol):
     return {"r1": math.sqrt(radial_sq + 2 * tau0 * tau0 * n / (r - n)), "tau0": tau0}
 
 
-def _thm3_velocity(c, params, r):
+def _swept_constant(c) -> tuple:  # (x, x0) of thm3 or thm4
+    (key,) = _REGISTRY[c.family].swept
+    return key, getattr(c, f"{key}0")
+
+
+def _sweep_turning(c, n, r1sq):
+    return math.sqrt(n * n + _swept_constant(c)[1] ** 2 / r1sq), None
+
+
+def _sweep_velocity(c, params, r):
     n = params.n
-    dphi = c.phi0 / (r * r - n * n)
-    return (0.0, 0.0, dphi, _dr(c, n, r, c.r1 * c.r1 - c.phi0**2 / (r * r - n * n)))
+    key, c0 = _swept_constant(c)
+    dr = _dr(c, n, r, c.r1 * c.r1 - c0**2 / (r * r - n * n))
+    return (*(c0 / (r * r - n * n) if k == key else 0.0 for k in COORDS[:3]), dr)
 
 
 def _thm3_extract(n, r, theta, v, radial_sq, tol):
@@ -323,12 +332,6 @@ def _thm3_extract(n, r, theta, v, radial_sq, tol):
         phi0 = (r * r - n * n) * v[2]
         return {"r1": math.sqrt(radial_sq + phi0 * phi0 / (r * r - n * n)), "phi0": phi0}
     return None
-
-
-def _thm4_velocity(c, params, r):
-    n = params.n
-    dtheta = c.theta0 / (r * r - n * n)
-    return (0.0, dtheta, 0.0, _dr(c, n, r, c.r1 * c.r1 - c.theta0**2 / (r * r - n * n)))
 
 
 def _thm4_extract(n, r, theta, v, radial_sq, tol):
@@ -395,8 +398,7 @@ class _Family:
     constants: tuple      # amplitude fields such as tau0, never defaulted
     swept: tuple          # curve keys after "t" in output order; the only
                           # coordinates with nonzero velocity on the family
-    mode: str             # default evaluation mode
-    invert_mode: str      # mode whose t(r) starts exactly at t1 at R
+    mode: str             # default evaluation mode; invert_mode derives from it
     start_theta: Callable  # c -> latitude a numeric orbit of the family starts at
     turning: Callable     # (c, n, r1^2) -> (R, R- or None)
     kernel: Callable      # (n, c, tr, r, mode) -> curves, unchecked
@@ -411,16 +413,20 @@ class _Family:
         return tuple(f"{k}1" for k in COORDS if k in self.swept)
 
     @property
+    def invert_mode(self) -> str:  # the mode whose t(r) is exactly t1 at R
+        return "corrected" if self.mode == "corrected" else "aligned"
+
+    @property
     def json_fields(self) -> tuple:
-        """Serialized key order; n is injected after eps."""
-        return ("family", "eps", "n", "r1", *self.constants, "t1", *self.anchors)
+        """The float fields of a JSON record, in order after family, eps, n."""
+        return ("r1", *self.constants, "t1", *self.anchors)
 
 
 # The registry's order fixes the verify scenarios and their seed streams
 # (seeded_family keys its generator by position): add new families last.
 _REGISTRY = {
     "thm1": _Family(
-        constants=(), swept=(), mode="literal", invert_mode="aligned",
+        constants=(), swept=(), mode="literal",
         start_theta=lambda c: 1.0,
         turning=lambda c, n, r1sq: (n, None),
         kernel=_thm1_curves,
@@ -429,7 +435,7 @@ _REGISTRY = {
         draw=lambda rng, n, r1, sign: {},
     ),
     "thm2": _Family(
-        constants=("tau0",), swept=("tau",), mode="literal", invert_mode="aligned",
+        constants=("tau0",), swept=("tau",), mode="literal",
         start_theta=lambda c: 1.0,
         turning=lambda c, n, r1sq: (n + 2 * c.tau0**2 * n / r1sq, None),
         kernel=_thm2_curves,
@@ -438,20 +444,20 @@ _REGISTRY = {
         draw=lambda rng, n, r1, sign: {"tau0": sign * rng.uniform(0.3, 0.8) * r1},
     ),
     "thm3": _Family(
-        constants=("phi0",), swept=("phi",), mode="literal", invert_mode="aligned",
+        constants=("phi0",), swept=("phi",), mode="literal",
         start_theta=lambda c: math.pi / 2,
-        turning=lambda c, n, r1sq: (math.sqrt(n * n + c.phi0**2 / r1sq), None),
+        turning=_sweep_turning,
         kernel=_sweep_curves,
-        velocity=_thm3_velocity,
+        velocity=_sweep_velocity,
         extract=_thm3_extract,
         draw=lambda rng, n, r1, sign: {"phi0": sign * rng.uniform(0.3, 0.8) * n},
     ),
     "thm4": _Family(
-        constants=("theta0",), swept=("theta",), mode="literal", invert_mode="aligned",
+        constants=("theta0",), swept=("theta",), mode="literal",
         start_theta=lambda c: 1.0,
-        turning=lambda c, n, r1sq: (math.sqrt(n * n + c.theta0**2 / r1sq), None),
+        turning=_sweep_turning,
         kernel=_sweep_curves,
-        velocity=_thm4_velocity,
+        velocity=_sweep_velocity,
         extract=_thm4_extract,
         draw=lambda rng, n, r1, sign: {
             "theta0": sign * rng.uniform(2.0, 3.0) * n * r1,
@@ -460,7 +466,6 @@ _REGISTRY = {
     ),
     "thm5": _Family(
         constants=("phi0", "theta_const"), swept=("phi", "tau"), mode="corrected",
-        invert_mode="corrected",
         start_theta=lambda c: c.theta_const,
         turning=_thm5_turning,
         kernel=_thm5_curves,
@@ -490,7 +495,7 @@ def _curve_fn(params: ModelParams, consts: FamilyConstants, mode: str | None):
         mode = spec.mode
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
-    if mode == "corrected" and consts.family != "thm5":
+    if mode == "corrected" and spec.mode != "corrected":
         raise ConfigError("corrected mode exists only for thm5")
     tr = turning_radius(consts, params)
     return spec, tr.value, lambda r: spec.kernel(params.n, consts, tr, r, mode)
@@ -667,19 +672,13 @@ def stitched_coords(params: ModelParams, consts: FamilyConstants, ts):
     exactly at t1."""
     mode = _spec(consts.family, "has no closed-form curves").invert_mode
     outgoing = replace(consts, eps=1)
-    anchors = {"tau": consts.tau1, "phi": consts.phi1, "theta": consts.theta1}
-    ts = np.asarray(ts, dtype=float)
-    if ts.ndim > 1:
-        raise ConfigError(f"times must be a number or a 1-d array, got shape {ts.shape}")
-    if not np.all(np.isfinite(ts)):
-        raise ConfigError("times must be finite")
-    flat = np.atleast_1d(ts)
+    flat = np.atleast_1d(np.asarray(ts, dtype=float))
     r = invert_t_of_r(params, outgoing, consts.t1 + np.abs(flat - consts.t1), mode)
     vals = curves(params, outgoing, r, mode)
     out = {"t": flat.copy(), "r": r}
-    for key in ("tau", "theta", "phi"):
-        if anchors[key] is not None:
-            out[key] = np.where(flat < consts.t1, 2 * anchors[key] - vals[key], vals[key])
+    for anchor in _REGISTRY[consts.family].anchors:
+        x = vals[anchor[:-1]]
+        out[anchor[:-1]] = np.where(flat < consts.t1, 2 * getattr(consts, anchor) - x, x)
     return out
 
 
@@ -731,18 +730,9 @@ def radial_passthrough(params: ModelParams, t1: float, r1: float, *,
 def family_to_json(consts: FamilyConstants, params: ModelParams) -> dict:
     """Serialize a curve family (with its n) to a plain JSON-ready dict with
     a fixed, family-specific key order."""
-    fam = consts.family
-    obj = {}
-    for key in _spec(fam, "is not serializable").json_fields:
-        if key == "family":
-            obj[key] = fam
-        elif key == "eps":
-            obj[key] = int(consts.eps)
-        elif key == "n":
-            obj[key] = float(params.n)
-        else:
-            obj[key] = float(getattr(consts, key))
-    return obj
+    spec = _spec(consts.family, "is not serializable")
+    return {"family": consts.family, "eps": int(consts.eps), "n": float(params.n),
+            **{key: float(getattr(consts, key)) for key in spec.json_fields}}
 
 
 def family_from_json(obj: dict) -> tuple[FamilyConstants, ModelParams]:
@@ -753,25 +743,17 @@ def family_from_json(obj: dict) -> tuple[FamilyConstants, ModelParams]:
     fam = obj.get("family")
     if fam not in _REGISTRY:
         raise ConfigError(f"unknown or missing family tag {fam!r}")
-    expected = _REGISTRY[fam].json_fields
-    for key in expected:
+    numbers = ("eps", "n", *_REGISTRY[fam].json_fields)
+    for key in (*numbers, *obj):
         if key not in obj:
             raise ConfigError(f"family {fam!r} record is missing {key!r}")
-    for key in obj:
-        if key not in expected:
+        if key != "family" and key not in numbers:
             raise ConfigError(f"family {fam!r} record does not take {key!r}")
-    values = {}
-    for key in expected:
-        if key == "family":
-            continue
-        value = obj[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+    for key in numbers:
+        if isinstance(obj[key], bool) or not isinstance(obj[key], (int, float)):
             raise ConfigError(f"{key!r} must be a number")
-        values[key] = value
-    params = ModelParams(n=float(values.pop("n")))
-    eps = values.pop("eps")
-    if eps not in (1, -1):
+    params = ModelParams(n=float(obj["n"]))
+    if obj["eps"] not in (1, -1):
         raise ConfigError("eps must be +1 or -1")
-    consts = FamilyConstants(family=fam, eps=int(eps),
-                             **{k: float(v) for k, v in values.items()})
-    return consts, params
+    return FamilyConstants(family=fam, eps=int(obj["eps"]),
+                           **{k: float(obj[k]) for k in numbers[2:]}), params
