@@ -323,11 +323,12 @@ class DOP853:
         interval_length = abs(self.t_bound - t0)
         scale = self.atol + np.abs(y0) * self.rtol
         d0 = _rms(y0 / scale)
-        d1 = _rms(f0 / scale)
+        with np.errstate(over="ignore", invalid="ignore"):  # d1 = inf makes h0 0
+            d1 = _rms(f0 / scale)
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, interval_length)
         f1 = self.fun(t0 + h0, y0 + h0 * f0)
-        with np.errstate(over="ignore"):  # d2 past the float range makes h1 0
+        with np.errstate(over="ignore", invalid="ignore"):  # as scipy: inf -> h1 = 0, 0/0 -> NaN
             d2 = _rms((f1 - f0) / scale) / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)

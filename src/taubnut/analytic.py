@@ -9,8 +9,8 @@ Five families admit closed forms; the tags double as the data-format labels:
         tau0 = (r-n)/(r+n) dtau/dt; turning radius R1 = n + 2 tau0^2 n / r1^2.
   thm3  equatorial: theta = pi/2, tau constant; conserved
         phi0 = (r^2-n^2) dphi/dt; turning radius R2 = sqrt(n^2 + phi0^2/r1^2).
-  thm4  meridional: tau, phi constant; same kernel as thm3 under
-        (phi0, R2) -> (theta0, R3).
+  thm4  meridional: tau, phi constant; thm3's kernel, velocity field and
+        turning radius under (phi0, R2) -> (theta0, R3).
   thm5  constant latitude with tau and phi locked by
         [4n^2 cos(theta)/(r+n)^2 - cos(theta)] dphi/dt
           + (2n/(r+n)^2) dtau/dt = 0;
@@ -36,11 +36,13 @@ Throughout, eps = +1/-1 selects the outgoing/ingoing radial branch and r1 > 0
 is the energy-like constant of each family's first integral.
 
 A family is one entry of the private registry _REGISTRY: its constants and
-swept coordinates, default and inversion modes, turning radius, curve kernel,
-first-integral velocity field (which also gives the exact curve
-derivatives), classifier extraction and seeded verify draw. Every function
-here that depends on the family, the CLI's choices and the verify scenarios
-read that entry, so adding a family means adding one entry.
+swept coordinates, default mode (the inversion mode derives from it),
+turning radius, curve kernel, first-integral velocity field (which also
+gives the exact curve derivatives), classifier extraction and seeded verify
+draw. Every function here that depends on the family, the CLI's choices and
+the verify scenarios read that entry, so adding a family means adding one
+entry. The curves hold at every radius up to the float maximum, or raise
+DomainError where a value itself passes the float range.
 """
 
 from __future__ import annotations
@@ -224,16 +226,22 @@ def _sweep_curves(n, c, tr, r, mode):
         raise DegenerateError(f"{key}0 = 0 collapses to the radial family (R = n)")
     R = tr.value
     rootsq = np.sqrt(np.maximum(r * r - R * R, 0.0))
-    bt = rootsq + n * np.log(r + rootsq)
+    log_term = np.log(r + rootsq)
+    at_turn = r == R
+    arg = c.r1 * (r * n - R * R) / np.where(at_turn, 1.0, c0 * rootsq)
+    # rows where r*r, r*n or their products with r1 and c0 could overflow
+    # take the same brackets divided through by r
+    big = r > 1e300 / max(1e146, n, c.r1 * n, abs(c0))
+    if np.any(big):
+        x = R / r
+        w = np.sqrt((1 - x) * (1 + x))
+        rootsq = np.where(big, r * w, rootsq)
+        log_term = np.where(big, np.log(r) + np.log1p(w), log_term)
+        arg = np.where(big, c.r1 / c0 * ((n - R * x) / w), arg)
+    bt = rootsq + n * log_term
     if mode == "aligned":
         bt = bt - n * np.log(R)
-    at_turn = r == R
-    denom = np.where(at_turn, 1.0, c0 * rootsq)
-    angle = np.where(
-        at_turn,
-        -np.sign(c0) * np.pi / 2,
-        np.arctan(c.r1 * (r * n - R * R) / denom),
-    )
+    angle = np.where(at_turn, -np.sign(c0) * np.pi / 2, np.arctan(arg))
     if mode == "aligned":
         angle = angle + np.sign(c0) * np.pi / 2
     return c.t1 + c.eps / c.r1 * bt, getattr(c, f"{key}1") + c.eps * angle
@@ -268,13 +276,17 @@ def _thm5_curves(n, c, tr, r, mode):
     if Rp == n:
         raise DegenerateError("phi0 = 0 collapses to the radial family (R+ = n)")
     ct = math.cos(c.theta_const)
-    sqrtP = np.sqrt(np.maximum(r - Rp, 0.0)) * np.sqrt(r - Rm)
-    ash = np.arcsinh(np.sqrt(np.maximum(r - Rp, 0.0) / (Rp - Rm)))
+    above = np.maximum(r - Rp, 0.0)
+    sqrtP = np.sqrt(above) * np.sqrt(r - Rm)
+    ash = np.arcsinh(np.sqrt(above / (Rp - Rm)))
     S = c.phi0**2 * ct * ct / (2 * n * c.r1**2)
     bt = sqrtP + (S + 2 * n) * ash
     btau = sqrtP + (S + 6 * n) * ash
-    atn = np.arctan(np.sqrt(np.maximum(r - Rp, 0.0) * (n - Rm)
-                            / ((r - Rm) * (Rp - n))))
+    atn = above * (n - Rm) / ((r - Rm) * (Rp - n))
+    big = r > 1e300 / max(1.0, n - Rm, Rp - n)  # rows where those products could overflow
+    if np.any(big):
+        atn = np.where(big, above / (r - Rm) * ((n - Rm) / (Rp - n)), atn)
+    atn = np.arctan(np.sqrt(atn))
     root_pm = math.sqrt((Rp - n) * (n - Rm))
     if mode == "corrected":
         coef_t = c.eps / c.r1
@@ -400,9 +412,9 @@ class _Family:
                           # coordinates with nonzero velocity on the family
     mode: str             # default evaluation mode; invert_mode derives from it
     start_theta: Callable  # c -> latitude a numeric orbit of the family starts at
-    turning: Callable     # (c, n, r1^2) -> (R, R- or None)
+    turning: Callable     # (c, n, r1^2) -> (R, R- or None); thm3, thm4 share one
     kernel: Callable      # (n, c, tr, r, mode) -> curves, unchecked
-    velocity: Callable    # (c, params, r) -> v from the first integrals
+    velocity: Callable    # (c, params, r) -> v from the first integrals; shared too
     extract: Callable     # (n, r, theta, v, radial_sq, tol) -> {r1, constants},
                           # or None when the state is off the family
     draw: Callable        # (rng, n, r1, sign) -> seeded verify constants
@@ -516,7 +528,11 @@ def curves(params: ModelParams, consts: FamilyConstants, r, mode: str | None = N
         below = np.any(arr < R)
     if below:
         raise DomainError(f"r must be >= the turning radius {R}")
-    return {key: _scalar_like(r, v) for key, v in zip(("t", *spec.swept), kernel(arr))}
+    with np.errstate(all="ignore"):  # a curve past the float range reads inf or NaN
+        values = kernel(arr)
+    if not np.isfinite(values).all():
+        raise DomainError(f"the {consts.family} curves exceed the float range at these radii")
+    return {key: _scalar_like(r, v) for key, v in zip(("t", *spec.swept), values)}
 
 
 def thm1_t_of_r(params: ModelParams, consts: FamilyConstants, r, mode: str = "literal"):
@@ -632,18 +648,18 @@ def invert_t_of_r(params: ModelParams, consts: FamilyConstants, t,
         raise ConfigError(f"t must be finite, got {float(flat[bad][0])}")
     _, R, kernel = _curve_fn(params, consts, mode)
     eps = consts.eps
-    t_turn = float(kernel(np.asarray(R))[0])
-    gap = eps * (flat - t_turn)
-    if np.any(gap < 0):
-        raise RangeError(f"t = {float(flat[gap < 0][0])} lies before the turning time "
-                         f"{t_turn} on this branch")
-    r = np.full_like(flat, R)
-    todo = np.flatnonzero(gap > 0)
-    target = flat[todo]
-    hi = np.full_like(target, max(2 * R, R + params.n))
-    # past the float range the curve reads inf or NaN; the check below
-    # reports it instead of a warning
-    with np.errstate(over="ignore", invalid="ignore"):
+    # past the float range the curve reads inf or NaN; the checks below
+    # report it instead of a warning
+    with np.errstate(all="ignore"):
+        t_turn = float(kernel(np.asarray(R))[0])
+        gap = eps * (flat - t_turn)
+        if np.any(gap < 0):
+            raise RangeError(f"t = {float(flat[gap < 0][0])} lies before the turning time "
+                             f"{t_turn} on this branch")
+        r = np.full_like(flat, R)
+        todo = np.flatnonzero(gap > 0)
+        target = flat[todo]
+        hi = np.full_like(target, max(2 * R, R + params.n))
         t_hi = kernel(hi)[0]
         low = eps * (t_hi - target) < 0
         while np.any(low):
@@ -653,10 +669,10 @@ def invert_t_of_r(params: ModelParams, consts: FamilyConstants, t,
                                  f"on this branch")
             t_hi[low] = kernel(hi[low])[0]
             low = eps * (t_hi - target) < 0
-    if not np.all(np.isfinite(t_hi)):
-        raise RangeError(f"t = {float(target[~np.isfinite(t_hi)][0])} not reachable "
-                         f"on this branch: the curve overflows first")
-    r[todo] = brentq(lambda x, i: kernel(x)[0] - target[i], R, hi)
+        if not np.all(np.isfinite(t_hi)):
+            raise RangeError(f"t = {float(target[~np.isfinite(t_hi)][0])} not reachable "
+                             f"on this branch: the curve overflows first")
+        r[todo] = brentq(lambda x, i: kernel(x)[0] - target[i], R, hi)
     return _scalar_like(t, r.reshape(ts.shape))
 
 

@@ -3,6 +3,7 @@ frozen quadrature oracles, boundary and limit behavior, mode semantics, the
 classifier, t(r) inversion, two-branch stitching, and the JSON record format."""
 
 import hashlib
+import itertools
 import json
 import math
 import warnings
@@ -44,7 +45,7 @@ from taubnut.errors import (
     RangeError,
     TaubnutError,
 )
-from taubnut.geometry import ModelParams, Point
+from taubnut.geometry import ModelParams, Point, _metric
 from taubnut.integrator import IntegrationConfig, PhaseState, integrate
 from taubnut.verify import seeded_family
 
@@ -475,6 +476,62 @@ class TestFamilyVelocities:
         with pytest.raises(DomainError):
             family_velocities(c_thm3(), P1, np.array([0.5, 2.0]))
 
+    @pytest.mark.parametrize("family", ["thm1", "thm2", "thm3", "thm4", "thm5"])
+    def test_first_integral_matches_the_metric(self, family):
+        # a route to each velocity field that skips the curves: contracted
+        # with geometry's metric, v satisfies r1^2 = g(v, v) - p_tau^2, with
+        # the tau charge tau0 (thm2), phi0 cos(theta)/(2n) (thm5), else 0
+        worst = 0.0
+        for seed in range(200):
+            base, params = seeded_family(family, seed)
+            n, R = params.n, turning_radius(base, params).value
+            theta = _REGISTRY[family].start_theta(base)
+            p_tau = {"thm2": lambda c: c.tau0,
+                     "thm5": lambda c: c.phi0 * math.cos(theta) / (2 * n),
+                     }.get(family, lambda c: 0.0)(base)
+            for eps, r in itertools.product((1, -1), (1.01 * R, 2 * R, 5 * n + R)):
+                v = np.array(family_velocities(replace(base, eps=eps), params, r))
+                energy = v @ _metric(n, theta, r) @ v - p_tau**2
+                worst = max(worst, abs(energy / base.r1**2 - 1))
+        assert worst <= 1e-13
+
+
+class TestHugeRadii:
+    # out to the float maximum every curve row holds, or the call raises
+    # DomainError because a value itself passes the float range (t grows
+    # like r/r1); under the suite's filterwarnings = error nothing warns
+    RADII = np.concatenate([np.geomspace(1e100, 1e306, 31), np.linspace(1e307, 1.7e308, 17)])
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("family", ["thm1", "thm2", "thm3", "thm4", "thm5"])
+    def test_curves_hold_up_to_the_float_maximum(self, family, seed):
+        base, params = seeded_family(family, seed)
+        angles = [key for key in _REGISTRY[family].swept if key != "tau"]
+        for eps, mode in itertools.product((1, -1), MODES if family == "thm5" else MODES[:2]):
+            consts = replace(base, eps=eps)
+            # at r = 1e100 the angles lie within 1e-90 of their r -> inf limits
+            limit = curves(params, consts, 1e100, mode)
+            radii, rows = [], []
+            for r in self.RADII.tolist():
+                try:
+                    rows.append(curves(params, consts, r, mode))
+                except DomainError:
+                    continue
+                radii.append(r)
+            assert max(radii) > 1e307, (mode, eps)
+            t = np.array([row["t"] for row in rows])
+            assert np.all(np.isfinite(t)) and np.all(eps * np.diff(t) > 0), (mode, eps)
+            for key in angles:
+                assert max(abs(row[key] - limit[key]) for row in rows) <= 1e-12, (mode, eps)
+
+    @pytest.mark.parametrize("family", ["thm1", "thm2", "thm3", "thm4", "thm5"])
+    def test_inversion_past_where_r_squared_overflows(self, family):
+        consts, params = seeded_family(family, 42)
+        r = invert_t_of_r(params, consts, consts.t1 + 1e200)
+        assert r > 1e199
+        t = curves(params, consts, r, default_invert_mode(family))["t"]
+        assert t == pytest.approx(consts.t1 + 1e200, rel=1e-12)
+
 
 class TestCurvesDispatch:
     def test_keys_per_family(self):
@@ -697,8 +754,7 @@ class TestInvert:
 
     @pytest.mark.parametrize("family", ["thm1", "thm2", "thm3", "thm4", "thm5"])
     def test_time_past_float_range_is_range_error(self, family):
-        # thm3/thm4 square r, so their t(r) overflows to inf above
-        # r ~ 1.34e154; the root must not converge onto that edge
+        # t1 + 1e308 lies past r = 1e300, where the bracket search stops
         consts, params = seeded_family(family, 42)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

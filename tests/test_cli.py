@@ -1,13 +1,20 @@
 """End-to-end command-line tests driven through cli.main(argv): exit codes,
 CSV/JSON output contracts, config-file merging, and error reporting."""
 
+import io
 import json
 import math
+import re
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import taubnut.cli as cli
+from taubnut.analytic import _REGISTRY, MODES
 from taubnut.integrator import trajectory_from_csv, trajectory_to_csv
 
 EQ_INIT = "0,1.5707963267948966,0,2,0,0,0.3333333333333333,0.47140452079103168"
@@ -239,6 +246,16 @@ class TestAnalytic:
                           "--r1", "1", "--r-range", "1:3", "--samples", "5")
         assert "\x1b" not in out and "\x1b" not in err
 
+
+    def test_rows_past_where_r_squared_overflows(self, capsys):
+        # r*r overflows from r ~ 1.3e154; every row keeps a finite t and the
+        # equatorial angle's limit arctan(r1 n/phi0) = arctan 2
+        code, out, err = run(capsys, "analytic", "--family", "thm3", "--n", "1", "--r1", "1",
+                             "--phi0", "0.5", "--r-range", "1e150:1e300", "--samples", "4")
+        assert code == 0 and err == ""
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [phi for _, _, phi in rows] == [repr(math.atan(2.0))] * 4
+        assert all(float(r) == float(t) for r, t, _ in rows)
 
     def test_unallocatable_sample_grid_is_config_error(self, capsys):
         # numpy refuses 10**12 float64 samples (7.3 TiB) before touching memory
@@ -506,3 +523,59 @@ class TestParsing:
         code, out, _ = run(capsys, "integrate", "--n", "1",
                            "--init", "0,1,0,2,0,0,0,0", "--t-end", "1")
         assert code == 0 and out.startswith("t,tau,")
+
+
+# The error contract as a property: inputs from the edges of the float range,
+# not finite, zero and ordinary, through every numeric subcommand in process
+EDGES = (0.0, 1e300, -1e300, 1e-300, -1e-300, 1e160, 1e-160, 1e100, 1e-100,
+         math.nan, math.inf)
+ORDINARY = (1.0, 2.0, 0.5, 3.0, 1.5, 0.8, 4.0, 1.2, 2.5, 0.3, -0.5, -1.0)
+VALUES = st.sampled_from(ORDINARY + EDGES + ORDINARY)  # hypothesis favours the first
+SIZES = VALUES.map(abs)  # n, r1, radii, times and tolerances: zero or more
+FINITE = VALUES.filter(math.isfinite)  # anchors and start states
+SAMPLES = st.sampled_from((-1, 0, 1, 2, 3, 7, 50, 10**12, 10**15))
+
+
+def _numbers(values):
+    return ",".join(map(repr, values))
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(("christoffel", "curvature", "analytic", "integrate")))
+    argv = [command, f"--n={draw(SIZES)!r}"]
+    if command in ("christoffel", "curvature"):
+        return argv + [f"--point={_numbers(draw(st.lists(VALUES, min_size=4, max_size=4)))}"]
+    if draw(st.booleans()):
+        argv.append(f"--samples={draw(SAMPLES)}")
+    if command == "integrate":
+        t_end = draw(SIZES.filter(lambda v: not v > 100))
+        argv += [f"--init={_numbers(draw(st.lists(FINITE, min_size=8, max_size=8)))}",
+                 f"--t-end={t_end!r}"]
+        return argv + ([f"--tol={draw(SIZES)!r}"] if draw(st.booleans()) else [])
+    family = draw(st.sampled_from(tuple(_REGISTRY)))
+    spec = _REGISTRY[family]
+    lo, hi = sorted(draw(SIZES) for _ in range(3))[1:]  # the larger two reach past R more often
+    argv += [f"--family={family}", f"--r1={draw(SIZES)!r}", f"--r-range={lo!r}:{hi!r}"]
+    for name in spec.constants:
+        argv.append(f"--{name.replace('_', '-')}={draw(VALUES)!r}")
+    for name in ("t1", *spec.anchors):
+        argv.append(f"--{name}={draw(FINITE)!r}")
+    mode = draw(st.sampled_from((None, None, *MODES)))
+    return argv + ([f"--mode={mode}"] if mode else [])
+
+
+class TestErrorContract:
+    @settings(max_examples=200, deadline=None)
+    @given(argv=argvs())
+    def test_every_outcome_is_an_exit_code_or_one_error_line(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+        assert not caught, [str(w.message) for w in caught]
+        assert code in (0, 1, 2)
+        lines = err.getvalue().splitlines()
+        assert len(lines) == (code == 1)
+        assert all(re.fullmatch(r"error: \w+: .*", line) for line in lines)

@@ -982,6 +982,14 @@ class TestOverflowingNorms:
         traj = integrate(P1, state, cfg)
         assert traj.termination == "StepBudget" and traj.t[-1] < 1e-47
 
+    def test_a_first_step_probe_past_the_float_range_warns_nothing(self):
+        # the start accelerations over the tolerance scale overflow, so the
+        # first-step probe's h0 is 0 and its d2 is 0/0; scipy's rule then
+        # gives a NaN step, and the run stops at its first row
+        state = PhaseState(Point(0.0, 1.0, 0.0, 2.0), (0.0, 1e150, 1e150, 1.0))
+        traj = integrate(P1, state, IntegrationConfig(t_end=1.0, max_steps=50))
+        assert traj.termination == "StepBudget" and len(traj.t) == 1
+
 
 class TestNoScipy:
     """The package runs on numpy alone: the integrator's DOP853 and brentq
