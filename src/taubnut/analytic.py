@@ -202,7 +202,7 @@ def _thm2_curves(n, c, tr, r, mode):
     logterm = np.log(sm + sp)
     atan = np.arctan(np.sqrt(2 * n) * sm / (np.sqrt(R1 - n) * sp))
     bt = prod + (n + R1) * logterm
-    btau = (5 * n + R1) * logterm + 2 * (2 * n) ** 1.5 / np.sqrt(R1 - n) * atan + prod
+    btau = (5 * n + R1) * logterm + 2 * np.power(2 * n, 1.5) / np.sqrt(R1 - n) * atan + prod
     if mode == "aligned":
         off = np.log(np.sqrt(R1 + n))
         bt = bt - (n + R1) * off

@@ -180,6 +180,17 @@ class TestAnalytic:
         assert code == 1 and err.startswith("error: DomainError:")
         assert "turning radius overflows" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("family, flags", [
+        ("thm1", ["--n", "1", "--r1", "1e-150", "--r-range", "1e160:1e161"]),
+        ("thm2", ["--n", "1e300", "--r1", "1", "--tau0", "1", "--r-range", "1e301:1e302"])],
+        ids=["thm1-t", "thm2-huge-n"])
+    def test_curve_values_past_float_range_are_domain_error(self, capsys, family, flags):
+        # t = bracket/r1 passes the float range; (2n)^1.5 in the thm2 tau
+        # curve does where n > 1e205
+        code, out, err = run(capsys, "analytic", "--family", family, *flags)
+        assert code == 1 and out == "" and err.startswith("error: DomainError:")
+        assert "exceed the float range" in err and err.count("\n") == 1
+
     def test_missing_r1(self, capsys):
         code, _, err = run(capsys, "analytic", "--family", "thm1", "--n", "1",
                            "--r-range", "2:3")
