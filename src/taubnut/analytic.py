@@ -229,11 +229,11 @@ def _sweep_curves(n, c, tr, r, mode):
     log_term = np.log(r + rootsq)
     at_turn = r == R
     arg = c.r1 * (r * n - R * R) / np.where(at_turn, 1.0, c0 * rootsq)
-    # rows where r*r, r*n or their products with r1 and c0 could overflow
-    # take the same brackets divided through by r
-    big = r > 1e300 / max(1e146, n, c.r1 * n, abs(c0))
-    if np.any(big):
-        x = R / r
+    # past top, r*r, r*n or their products with r1 and c0 could overflow:
+    # those rows take the same brackets divided through by r
+    top = 1e300 / max(1e146, n, c.r1 * n, abs(c0))
+    if r.max(initial=-math.inf) > top:
+        big, x = r > top, R / r
         w = np.sqrt((1 - x) * (1 + x))
         rootsq = np.where(big, r * w, rootsq)
         log_term = np.where(big, np.log(r) + np.log1p(w), log_term)
@@ -283,9 +283,9 @@ def _thm5_curves(n, c, tr, r, mode):
     bt = sqrtP + (S + 2 * n) * ash
     btau = sqrtP + (S + 6 * n) * ash
     atn = above * (n - Rm) / ((r - Rm) * (Rp - n))
-    big = r > 1e300 / max(1.0, n - Rm, Rp - n)  # rows where those products could overflow
-    if np.any(big):
-        atn = np.where(big, above / (r - Rm) * ((n - Rm) / (Rp - n)), atn)
+    top = 1e300 / max(1.0, n - Rm, Rp - n)  # past it (r-R+)(n-R-), (r-R-)(R+-n) may overflow
+    if r.max(initial=-math.inf) > top:
+        atn = np.where(r > top, above / (r - Rm) * ((n - Rm) / (Rp - n)), atn)
     atn = np.arctan(np.sqrt(atn))
     root_pm = math.sqrt((Rp - n) * (n - Rm))
     if mode == "corrected":
@@ -530,9 +530,11 @@ def curves(params: ModelParams, consts: FamilyConstants, r, mode: str | None = N
         raise DomainError(f"r must be >= the turning radius {R}")
     with np.errstate(all="ignore"):  # a curve past the float range reads inf or NaN
         values = kernel(arr)
-    if not np.isfinite(values).all():
+    out = {key: _scalar_like(r, v) for key, v in zip(("t", *spec.swept), values)}
+    if not (all(map(math.isfinite, out.values())) if isinstance(r, float)
+            else np.isfinite(values).all()):
         raise DomainError(f"the {consts.family} curves exceed the float range at these radii")
-    return {key: _scalar_like(r, v) for key, v in zip(("t", *spec.swept), values)}
+    return out
 
 
 def thm1_t_of_r(params: ModelParams, consts: FamilyConstants, r, mode: str = "literal"):
@@ -648,9 +650,7 @@ def invert_t_of_r(params: ModelParams, consts: FamilyConstants, t,
         raise ConfigError(f"t must be finite, got {float(flat[bad][0])}")
     _, R, kernel = _curve_fn(params, consts, mode)
     eps = consts.eps
-    # past the float range the curve reads inf or NaN; the checks below
-    # report it instead of a warning
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # inf or NaN past the float range: checked below
         t_turn = float(kernel(np.asarray(R))[0])
         gap = eps * (flat - t_turn)
         if np.any(gap < 0):

@@ -486,9 +486,8 @@ class TestFamilyVelocities:
             base, params = seeded_family(family, seed)
             n, R = params.n, turning_radius(base, params).value
             theta = _REGISTRY[family].start_theta(base)
-            p_tau = {"thm2": lambda c: c.tau0,
-                     "thm5": lambda c: c.phi0 * math.cos(theta) / (2 * n),
-                     }.get(family, lambda c: 0.0)(base)
+            p_tau = (base.tau0 if family == "thm2" else
+                     base.phi0 * math.cos(theta) / (2 * n) if family == "thm5" else 0.0)
             for eps, r in itertools.product((1, -1), (1.01 * R, 2 * R, 5 * n + R)):
                 v = np.array(family_velocities(replace(base, eps=eps), params, r))
                 energy = v @ _metric(n, theta, r) @ v - p_tau**2
