@@ -27,7 +27,6 @@ All functions are pure; coordinate index order is fixed by COORDS throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import ClassVar
 
 import numpy as np
@@ -354,48 +353,36 @@ _STENCIL = np.vstack([sign * np.eye(4)[k] for k in range(4) for sign in (1.0, -1
                      + [np.zeros(4)])
 
 
-class _Stack:
-    """N (params, point) pairs as arrays: n of shape (N,), coordinates x of
-    shape (N, 4)."""
-
-    def __init__(self, params, points):
-        self.params = tuple(params)
-        points = tuple(points)
-        if len(self.params) != len(points):
-            raise ConfigError("params and points must have the same length")
-        self.n = np.array([q.n for q in self.params], dtype=float)
-        self.x = np.array([p.as_array() for p in points], dtype=float).reshape(-1, 4)
-
-
-def _stencil_christoffels(stack: _Stack, christoffel_fn) -> tuple:
+def _stencil_christoffels(n, x, christoffel_fn) -> tuple:
     """Christoffel tables on every point's stencil, shape (N, 9, 4, 4, 4), and
-    the steps, shape (N, 4). The closed form is evaluated on the whole stack
-    at once after a chart check of every stencil point; any other
-    christoffel_fn is called point by point and applies its own guards."""
-    steps = _fd_steps(stack.n, stack.x[:, R])
-    S = stack.x[:, None, :] + _STENCIL * steps[:, None, :]
+    the steps, shape (N, 4), for n of shape (N,) and coordinates x of shape
+    (N, 4). The closed form is evaluated on all stencils at once after a
+    chart check of every stencil point; any other christoffel_fn is called
+    point by point and applies its own guards."""
+    steps = _fd_steps(n, x[:, R])
+    S = x[:, None, :] + _STENCIL * steps[:, None, :]
     if christoffel_fn is not christoffel_at:
-        return np.array([[christoffel_fn(q, Point.from_array(x)) for x in row]
-                         for q, row in zip(stack.params, S)]), steps
-    n, guard = stack.n[:, None], ModelParams.axis_guard
+        return np.array([[christoffel_fn(ModelParams(n=q), Point.from_array(y)) for y in row]
+                         for q, row in zip(n.tolist(), S)]), steps
+    n, guard = n[:, None], ModelParams.axis_guard
     theta, r = S[..., THETA], S[..., R]
     ok = (r > n) & (guard < theta) & (theta < np.pi - guard)
     if not ok.all():
         i, j = np.unravel_index(np.argmin(ok), ok.shape)
-        christoffel_at(stack.params[i], Point.from_array(S[i, j]))  # raises
+        christoffel_at(ModelParams(n=n[i, 0].item()), Point.from_array(S[i, j]))  # raises
     return _christoffel(n, theta, r), steps
 
 
-def _riemann(stack: _Stack, christoffel_fn=christoffel_at) -> np.ndarray:
-    """Mixed Riemann tensors R^rho_{sig mu nu} at every point of the stack,
-    shape (N, 4, 4, 4, 4), from central differences of the Christoffel table
-    plus the quadratic terms:
+def _riemann(n, x, christoffel_fn=christoffel_at) -> np.ndarray:
+    """Mixed Riemann tensors R^rho_{sig mu nu} at N points, n of shape (N,)
+    and coordinates x of shape (N, 4): shape (N, 4, 4, 4, 4), from central
+    differences of the Christoffel table plus the quadratic terms:
 
         R^rho_{sig mu nu} = d_mu Gamma^rho_{nu sig} - d_nu Gamma^rho_{mu sig}
                             + Gamma^rho_{mu lam} Gamma^lam_{nu sig}
                             - Gamma^rho_{nu lam} Gamma^lam_{mu sig}.
     """
-    G, steps = _stencil_christoffels(stack, christoffel_fn)
+    G, steps = _stencil_christoffels(n, x, christoffel_fn)
     # dG[:, k, lam, mu, nu] = d_k Gamma^lam_{mu nu}
     dG = (G[:, 0:8:2] - G[:, 1:8:2]) / (2 * steps)[:, :, None, None, None]
     G0 = G[:, 8]
@@ -418,33 +405,37 @@ _FRAME_PATH = np.einsum_path("...ar,...rsmn,...sb,...mc,...nd->...abcd",
                              *[np.empty((1, 4, 4))] * 3, optimize="optimal")[0]
 
 
-def _frame_riemann(stack: _Stack, Rmix: np.ndarray) -> np.ndarray:
-    """Frame components R_{abcd} of mixed Riemann tensors. The frame is
-    orthonormal, so lowering the first index is W^a_rho R^rho_{sig mu nu};
-    the other three contract with the inverse vierbein E (E[., mu, a])."""
-    W = _frame(stack.n, stack.x[:, THETA], stack.x[:, TAU], stack.x[:, R])
+def _curvature(n, x) -> tuple:
+    """The curvature core: Ricci tensors, shape (N, 4, 4), and frame Riemann
+    tensors R_{abcd}, shape (N, 4, 4, 4, 4), at N points given as n of shape
+    (N,) and coordinates x of shape (N, 4), one Riemann build per point. The
+    frame is orthonormal, so lowering the first index is
+    W^a_rho R^rho_{sig mu nu}; the other three contract with the inverse
+    vierbein E (E[., mu, a])."""
+    Rmix = _riemann(n, x)
+    W = _frame(n, x[:, THETA], x[:, TAU], x[:, R])
     E = np.linalg.inv(W)
-    return np.einsum("...ar,...rsmn,...sb,...mc,...nd->...abcd", W, Rmix, E, E, E,
-                     optimize=_FRAME_PATH)
+    return _ricci(Rmix), np.einsum("...ar,...rsmn,...sb,...mc,...nd->...abcd",
+                                   W, Rmix, E, E, E, optimize=_FRAME_PATH)
 
 
 def curvature_fd(params, points) -> tuple:
-    """Finite-difference curvature at a stack of points, one Riemann build
-    per point: the Ricci tensors, shape (N, 4, 4), and the frame Riemann
-    tensors R_{abcd}, shape (N, 4, 4, 4, 4). params and points are equal-length
-    sequences of ModelParams and Point. A point whose stencil leaves the
-    chart raises the DomainError or AxisError christoffel_at raises there,
-    and one whose frame angle tau/(2n) is not finite a DomainError."""
-    stack = _Stack(params, points)
-    Rmix = _riemann(stack)
-    return _ricci(Rmix), _frame_riemann(stack, Rmix)
+    """Finite-difference curvature at a stack of points: _curvature of
+    equal-length sequences of ModelParams and Point, converted to arrays once.
+    A point whose stencil leaves the chart raises the DomainError or AxisError
+    christoffel_at raises there, one whose tau/(2n) is not finite a DomainError."""
+    params, points = tuple(params), tuple(points)
+    if len(params) != len(points):
+        raise ConfigError("params and points must have the same length")
+    return _curvature(np.array([q.n for q in params], dtype=float),
+                      np.array([p.as_array() for p in points], dtype=float).reshape(-1, 4))
 
 
 def riemann_fd(params: ModelParams, p: Point, christoffel_fn=christoffel_at) -> np.ndarray:
     """Mixed Riemann tensor R^rho_{sig mu nu} at p (the one-point case of
     curvature_fd's build); christoffel_fn is pluggable so perturbed
     connections can be probed."""
-    return _riemann(_Stack([params], [p]), christoffel_fn)[0]
+    return _riemann(np.array([params.n], dtype=float), p.as_array()[None], christoffel_fn)[0]
 
 
 def ricci_fd(params: ModelParams, p: Point, christoffel_fn=christoffel_at) -> np.ndarray:
@@ -458,28 +449,26 @@ def frame_riemann_fd(params: ModelParams, p: Point) -> np.ndarray:
     return curvature_fd([params], [p])[1][0]
 
 
-_EPS4 = np.zeros((4, 4, 4, 4))
-for _perm in permutations(range(4)):
-    _sign = 1
-    _pl = list(_perm)
-    for _i in range(4):
-        for _j in range(_i + 1, 4):
-            if _pl[_i] > _pl[_j]:
-                _sign = -_sign
-    _EPS4[_perm] = _sign
+# (e, f) = (_DUAL_E, _DUAL_F)[a, b] completes the frame pair (a, b) to an even
+# permutation (a, b, e, f) of 0123, so eps_{abef} = +1; e = f = a on the diagonal
+_DUAL_E = np.array([[0, 2, 3, 1], [3, 1, 0, 2], [1, 3, 2, 0], [2, 0, 1, 3]])
+_DUAL_F = np.array([[0, 3, 1, 2], [2, 1, 3, 0], [3, 0, 2, 1], [1, 2, 0, 3]])
 
 
 def duality_residual(Rfr: np.ndarray, sign: float | None = None):
     """max |R_{abcd} - sign * 1/2 eps_{abef} R_{efcd}| over all frame index
     sets of the frame Riemann tensor Rfr (see frame_riemann_fd): a float for
-    one tensor, an array of shape (N,) for a stack of N tensors.
+    one tensor, an array of shape (N,) for a stack of N tensors. Of the
+    sixteen terms of the dual only eps_{abef} R_{ef..} + eps_{abfe} R_{fe..}
+    survive, so it is read as (R_{efcd} - R_{fecd})/2 with (e, f) from the
+    pair table _DUAL_E, _DUAL_F.
 
     sign defaults to the frozen DUALITY_SIGN, for which the residual is ~ fd
     noise; passing -DUALITY_SIGN projects onto the opposite chirality, whose
     residual stays comparable to ||R|| (an orientation sanity check).
     """
     s = DUALITY_SIGN if sign is None else sign
-    dual = 0.5 * np.einsum("abef,...efcd->...abcd", _EPS4, Rfr)
+    dual = (Rfr[..., _DUAL_E, _DUAL_F, :, :] - Rfr[..., _DUAL_F, _DUAL_E, :, :]) / 2
     res = np.abs(Rfr - s * dual).max(axis=(-4, -3, -2, -1))
     return float(res) if res.ndim == 0 else res
 

@@ -42,7 +42,7 @@ from .geometry import (
     DUALITY_SIGN,
     ModelParams,
     Point,
-    curvature_fd,
+    _curvature,
     duality_residual,
     # bench/tracing.py wraps these three here
     frame_riemann_fd,  # noqa: F401
@@ -210,9 +210,9 @@ def curvature_audit(sample_count: int = 100, seed: int = 0) -> dict:
     finite-difference Ricci residual, duality residual with the one frozen
     orientation sign, and the opposite-chirality projection (which must stay
     comparable to the curvature scale; both chiralities vanishing would mean
-    the check is vacuous). Each point draws its own n. The points are drawn
-    first, then evaluated as one stack with one Riemann build each
-    (geometry.curvature_fd). sample_count and seed are integers of at least
+    the check is vacuous). Each point draws its own n. The n and coordinate
+    arrays are drawn first, then evaluated by geometry's curvature core with
+    one Riemann build per point. sample_count and seed are integers of at least
     1 and 0 (a bool is refused)."""
     _require_count("sample_count", sample_count, 1)
     _require_count("seed", seed, 0)
@@ -223,9 +223,7 @@ def curvature_audit(sample_count: int = 100, seed: int = 0) -> dict:
     bounds = ((0.0, 4 * math.pi * n), (0.2, math.pi - 0.2), (0.0, 2 * math.pi),
               (1.1 * n, 10 * n))
     coords = np.column_stack([lo + (hi - lo) * v for (lo, hi), v in zip(bounds, u[1:])])
-    pt_params = [ModelParams(n=v) for v in n.tolist()]
-    points = [Point(*c) for c in coords.tolist()]
-    ricci, Rfr = curvature_fd(pt_params, points)
+    ricci, Rfr = _curvature(n, coords)
     ricci_max = float(np.max(np.abs(ricci)))
     sd_max = float(np.max(duality_residual(Rfr, DUALITY_SIGN)))
     scale = np.abs(Rfr).max(axis=(1, 2, 3, 4))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taubnut import geometry, verify
 from taubnut.errors import AxisError, ConfigError, DomainError
 from taubnut.geometry import (
     DUALITY_SIGN,
@@ -311,6 +312,17 @@ class TestFrame:
             curvature_fd([params], [p])
 
 
+def eps_reference_residual(Rfr, sign):
+    """duality_residual's reference route: the dual as the full contraction
+    1/2 eps_{abef} R_{efcd} with a dense Levi-Civita tensor, whose entries are
+    the signs of the permutations of 0123 (-1 to the number of inversions)."""
+    eps = np.zeros((4, 4, 4, 4))
+    for idx in itertools.permutations(range(4)):
+        eps[idx] = (-1) ** sum(a > b for a, b in itertools.combinations(idx, 2))
+    dual = 0.5 * np.einsum("abef,...efcd->...abcd", eps, Rfr)
+    return np.abs(Rfr - sign * dual).max(axis=(-4, -3, -2, -1))
+
+
 class TestCurvature:
     def test_ricci_residual_small(self):
         assert np.abs(ricci_fd(P1, Point(0.0, np.pi / 3, 0.0, 2.0))).max() <= 1e-4
@@ -355,6 +367,27 @@ class TestCurvature:
         R = X + DUALITY_SIGN * 0.5 * np.einsum("abef,efcd->abcd", eps, X)
         assert duality_residual(R) <= 1e-13
         assert duality_residual(R, sign=-DUALITY_SIGN) == pytest.approx(2 * np.abs(R).max(), rel=1e-13)
+
+    @pytest.mark.parametrize("sign", [DUALITY_SIGN, -DUALITY_SIGN])
+    def test_pair_table_matches_the_eps_contraction_on_random_tensors(self, sign):
+        R = np.random.default_rng(11).normal(size=(50, 4, 4, 4, 4))
+        assert np.array_equal(duality_residual(R, sign), eps_reference_residual(R, sign))
+        assert duality_residual(R[0], sign) == eps_reference_residual(R[0], sign)
+
+    @pytest.mark.parametrize("seed", [42, 7, 0])
+    def test_pair_table_matches_the_eps_contraction_on_audit_tensors(self, seed, monkeypatch):
+        frames = []
+
+        def keep(n, x):
+            ricci, Rfr = geometry._curvature(n, x)
+            frames.append(Rfr)
+            return ricci, Rfr
+
+        monkeypatch.setattr(verify, "_curvature", keep)
+        verify.curvature_audit(100, seed=seed)
+        (Rfr,) = frames
+        for sign in (DUALITY_SIGN, -DUALITY_SIGN):
+            assert np.array_equal(duality_residual(Rfr, sign), eps_reference_residual(Rfr, sign))
 
     def test_self_duality_residual_reads_the_frame_tensor(self):
         p = Point(0.3, 1.1, 0.2, 2.5)

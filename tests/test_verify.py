@@ -260,13 +260,16 @@ class TestCurvatureAudit:
         # the batched draw gives the per-point rng.uniform draws bit for bit
         drawn = []
 
-        def keep(ps, pts):
-            drawn.append((ps, pts))
-            return geometry.curvature_fd(ps, pts)
+        def keep(n, x):
+            drawn.append((n, x))
+            return geometry._curvature(n, x)
 
-        monkeypatch.setattr(verify, "curvature_fd", keep)
+        monkeypatch.setattr(verify, "_curvature", keep)
         curvature_audit(100, seed=seed)
-        (ps, pts), = drawn
+        (n_drawn, x_drawn), = drawn
+        assert n_drawn.dtype == x_drawn.dtype == np.float64 and x_drawn.shape == (100, 4)
+        ps = [ModelParams(n=v) for v in n_drawn.tolist()]
+        pts = [Point(*c) for c in x_drawn.tolist()]
         rng = np.random.default_rng(seed)
         for params, p in zip(ps, pts, strict=True):
             n = rng.uniform(0.5, 2.0)
