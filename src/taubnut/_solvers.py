@@ -318,7 +318,10 @@ class DOP853:
         self._extra_stages = _stages(K, range(N_STAGES + 1, N_STAGES_EXTENDED))
         self._KT_error = self.K.T  # the stages E3 and E5 weigh
 
-    def _initial_step(self):
+    def _initial_step(self, probe=True):
+        """scipy's first step; probe=False returns its first guess h0, which
+        moves y0 by a hundredth of its norm in the tolerance scale, without
+        the probe call fun(t0 + h0, y0 + h0 f0) that refines it."""
         t0, y0, f0 = self.t, self.y, self.f
         interval_length = abs(self.t_bound - t0)
         scale = self.atol + np.abs(y0) * self.rtol
@@ -327,6 +330,8 @@ class DOP853:
             d1 = _rms(f0 / scale)
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, interval_length)
+        if not probe:
+            return h0
         f1 = self.fun(t0 + h0, y0 + h0 * f0)
         with np.errstate(over="ignore", invalid="ignore"):  # as scipy: inf -> h1 = 0, 0/0 -> NaN
             d2 = _rms((f1 - f0) / scale) / h0

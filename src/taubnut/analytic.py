@@ -201,8 +201,11 @@ def _thm2_curves(n, c, tr, r, mode):
     prod = sm * sp
     logterm = np.log(sm + sp)
     atan = np.arctan(np.sqrt(2 * n) * sm / (np.sqrt(R1 - n) * sp))
+    coef = 2 * np.power(2 * n, 1.5) / np.sqrt(R1 - n)
+    if math.isinf(coef):  # (2n)^{3/2} overflows: the same coefficient as 4n sqrt(2n/(R1-n))
+        coef = 4 * n * math.sqrt(2 * n / (R1 - n))
     bt = prod + (n + R1) * logterm
-    btau = (5 * n + R1) * logterm + 2 * np.power(2 * n, 1.5) / np.sqrt(R1 - n) * atan + prod
+    btau = (5 * n + R1) * logterm + coef * atan + prod
     if mode == "aligned":
         off = np.log(np.sqrt(R1 + n))
         bt = bt - (n + R1) * off
@@ -303,6 +306,22 @@ def _thm5_curves(n, c, tr, r, mode):
 # Per-family pieces of the registry below. Velocity fields take a radius or
 # an array of radii.
 
+# past this radius r*r could overflow: the velocity fields then evaluate
+# their terms divided through by r, as the curve kernels do
+_BIG_R = 1e150
+
+
+def _by_size(r, n, small, big):
+    """The terms small(r) of a velocity field, with the rows past _BIG_R
+    taken from big(r, n/r), the same terms divided through by r; rows up to
+    _BIG_R keep small's bits."""
+    if np.max(r) <= _BIG_R:
+        return small(r)
+    with np.errstate(over="ignore", invalid="ignore"):  # small's rows past _BIG_R are dropped
+        return tuple(_scalar_like(r, np.where(r > _BIG_R, b, a))
+                     for a, b in zip(small(r), big(r, n / r)))
+
+
 def _dr(c, n, r, surplus):
     """dr/dt on the eps branch from the radial first integral
     (r+n)/(r-n) (dr/dt)^2 = surplus."""
@@ -314,7 +333,8 @@ def _dr(c, n, r, surplus):
 
 def _thm2_velocity(c, params, r):
     n = params.n
-    dtau = c.tau0 * (r + n) / (r - n)
+    (dtau,) = _by_size(r, n, lambda r: (c.tau0 * (r + n) / (r - n),),
+                       lambda r, x: (c.tau0 * (1 + x) / (1 - x),))
     return (dtau, 0.0, 0.0, _dr(c, n, r, c.r1 * c.r1 - 2 * c.tau0**2 * n / (r - n)))
 
 
@@ -335,8 +355,11 @@ def _sweep_turning(c, n, r1sq):
 def _sweep_velocity(c, params, r):
     n = params.n
     key, c0 = _swept_constant(c)
-    dr = _dr(c, n, r, c.r1 * c.r1 - c0**2 / (r * r - n * n))
-    return (*(c0 / (r * r - n * n) if k == key else 0.0 for k in COORDS[:3]), dr)
+    rate, drop = _by_size(r, n, lambda r: (c0 / (r * r - n * n), c0**2 / (r * r - n * n)),
+                          lambda r, x: (c0 / r / r / ((1 - x) * (1 + x)),
+                                        (c0 / r) ** 2 / ((1 - x) * (1 + x))))
+    dr = _dr(c, n, r, c.r1 * c.r1 - drop)
+    return (*(rate if k == key else 0.0 for k in COORDS[:3]), dr)
 
 
 def _thm3_extract(n, r, theta, v, radial_sq, tol):
@@ -377,12 +400,18 @@ def _thm5_F(params: ModelParams, r, r1: float, phi0: float, theta: float):
 def _thm5_velocity(c, params, r):
     n = params.n
     ct = math.cos(c.theta_const)
-    dphi = c.phi0 / (r * r - n * n)
-    dtau = c.phi0 * (r + 3 * n) * ct / (2 * n * (r + n))
-    F = _thm5_F(params, r, c.r1, c.phi0, c.theta_const)
+    # rows past _BIG_R take F/r**2 and (r + n)/r, which leave dr as it is
+    dphi, dtau, F, rn = _by_size(
+        r, n,
+        lambda r: (c.phi0 / (r * r - n * n), c.phi0 * (r + 3 * n) * ct / (2 * n * (r + n)),
+                   _thm5_F(params, r, c.r1, c.phi0, c.theta_const), r + n),
+        lambda r, x: (c.phi0 / r / r / ((1 - x) * (1 + x)),
+                      c.phi0 * (1 + 3 * x) * ct / (2 * n * (1 + x)),
+                      2 * n * c.r1 * c.r1 - c.phi0 * c.phi0 * ct * ct / r
+                      + _thm5_F(params, 0.0, c.r1, c.phi0, c.theta_const) / r / r, 1 + x))
     if np.any(F < 0):
         raise DomainError("radius below the family's turning radius")
-    dr = c.eps * np.sqrt(F) / (math.sqrt(2 * n) * (r + n))
+    dr = c.eps * np.sqrt(F) / (math.sqrt(2 * n) * rn)
     return (dtau, 0.0, dphi, dr)
 
 

@@ -332,9 +332,11 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
     try:
         solver = DOP853(rhs, 0.0, y, cfg.t_end, cfg.rel_tol, cfg.abs_tol)
     except (DomainError, AxisError):
-        # the initial-step probe left the chart: start from the whole horizon
-        # and let the chart-exit retries shrink the step
-        solver = DOP853(rhs, 0.0, y, cfg.t_end, cfg.rel_tol, cfg.abs_tol, first_step=cfg.t_end)
+        # the initial-step probe left the chart: start from the probe's own
+        # step, too short for a stage sum to overflow, and let the chart-exit
+        # retries shrink it
+        solver = DOP853(rhs, 0.0, y, cfg.t_end, cfg.rel_tol, cfg.abs_tol, first_step=0.0)
+        solver.h_abs = solver._initial_step(probe=False)
     # the stage rates, a view of solver.K, of each coordinate an event row watches
     event_rates = {index: solver.K[:, index] for _, index, _, _ in event_table}
     grid = None if cfg.sample_grid is None else np.array(cfg.sample_grid)

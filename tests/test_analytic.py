@@ -32,6 +32,7 @@ from taubnut.analytic import (
     family_to_json,
     family_velocities,
     invert_t_of_r,
+    radial_passthrough,
     stitched_coords,
     theta_range_exit,
     thm1_t_of_r,
@@ -45,7 +46,7 @@ from taubnut.errors import (
     RangeError,
     TaubnutError,
 )
-from taubnut.geometry import ModelParams, Point, _metric
+from taubnut.geometry import COORDS, ModelParams, Point, _metric
 from taubnut.integrator import IntegrationConfig, PhaseState, integrate
 from taubnut.verify import seeded_family
 
@@ -436,6 +437,12 @@ class TestThm5:
         with pytest.raises(DomainError):
             tuple(curves(P1, c_thm5(), 1.4).values())
 
+    def test_velocity_below_the_turning_radius_is_domain_error(self):
+        consts = c_thm5(phi0=0.8, theta=1.0)
+        assert turning_radius(consts, P1).value == pytest.approx(1.2912, abs=1e-4)
+        with pytest.raises(DomainError, match="below the family's turning radius"):
+            family_velocities(consts, P1, 1.146)
+
 
 class TestCurveDerivatives:
     CASES = (
@@ -522,6 +529,37 @@ class TestHugeRadii:
             assert np.all(np.isfinite(t)) and np.all(eps * np.diff(t) > 0), (mode, eps)
             for key in angles:
                 assert max(abs(row[key] - limit[key]) for row in rows) <= 1e-12, (mode, eps)
+
+    HUGE = [1e150, 1e200, 1e300, 1.7e308]
+
+    @pytest.mark.parametrize("n", [1.0, 3.0])
+    @pytest.mark.parametrize("eps", [1, -1])
+    @pytest.mark.parametrize("consts", [
+        c_thm1(r1=1.5), c_thm2(r1=1.5, tau0=2.0), c_thm3(r1=1.5, phi0=2.0),
+        c_thm4(r1=1.5, theta0=2.0), c_thm5(r1=1.5, phi0=2.0)], ids=lambda c: c.family)
+    def test_velocity_fields_reach_their_limits(self, consts, eps, n):
+        # where r*r overflows, family_velocities and curve_derivatives give
+        # their r -> inf limits: dr/dt = eps r1, dtau/dt = tau0 (thm2) or
+        # phi0 cos(theta)/(2n) (thm5), every other rate 0
+        consts, params = replace(consts, eps=eps), ModelParams(n=n)
+        limit = {"tau": 0.0, "theta": 0.0, "phi": 0.0, "r": eps * consts.r1}
+        if consts.family == "thm2":
+            limit["tau"] = consts.tau0
+        if consts.family == "thm5":
+            limit["tau"] = consts.phi0 * math.cos(consts.theta_const) / (2 * n)
+        d_limit = {"t": 1 / limit["r"],
+                   **{k: limit[k] / limit["r"] for k in _REGISTRY[consts.family].swept}}
+
+        def close(value, lim):
+            return math.isfinite(value) and abs(value - lim) <= 1e-12 * max(abs(lim), 1.0)
+
+        fields = family_velocities(consts, params, np.array(self.HUGE))
+        for i, r in enumerate(self.HUGE):
+            scalar = family_velocities(consts, params, r)
+            for key, v, row in zip(COORDS, scalar, fields):
+                assert close(v, limit[key]) and np.broadcast_to(row, (4,))[i] == v, (key, r)
+            for key, d in curve_derivatives(params, consts, r).items():
+                assert close(d, d_limit[key]), (key, r)
 
     @pytest.mark.parametrize("family", ["thm1", "thm2", "thm3", "thm4", "thm5"])
     def test_inversion_past_where_r_squared_overflows(self, family):
@@ -620,6 +658,12 @@ class TestClassify:
         mixed = classify(P1, PhaseState(Point(0, 1.0, 0, 2.0),
                                         (0.3, 0.2, 0.1, 0.5)))
         assert mixed.family == "generic" and mixed.r1 > 0
+
+    def test_off_equator_azimuthal_state_is_generic(self):
+        # phi and r moving alone is the equatorial family's signature, but
+        # off the equator the state lies on no closed-form family
+        state = PhaseState(Point(0, 1.0, 0, 2.0), (0.0, 0.0, 0.3, 0.5))
+        assert classify(P1, state).family == "generic"
 
     def test_equator_breaks_latitude_lock(self):
         # tau and phi both moving at the equator cannot satisfy the lock
@@ -1001,3 +1045,18 @@ class TestJsonRecords:
         with pytest.raises(ConfigError):
             family_to_json(FamilyConstants(family="stationary", eps=1,
                                            r1=0.0), P1)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: curves(P1, c_thm3(), math.inf), ConfigError, "radii must be finite"),
+    (lambda: classify(P1, PhaseState(Point(0, 1.0, 0, 0.5), (0, 0, 0, 1.0))), DomainError,
+     "r must exceed n"),
+    (lambda: invert_t_of_r(P1, c_thm1(r1=1e-10), 1.79e308), RangeError, "overflows first"),
+    (lambda: radial_passthrough(P1, 0.0, 1.0, samples=4), ConfigError, "odd count"),
+    (lambda: family_from_json([1.0]), ConfigError, "JSON object"),
+    (lambda: family_from_json({"family": "thm9"}), ConfigError, "unknown or missing family"),
+], ids=["infinite-radius", "classify-inside-nut", "time-past-the-curve",
+        "even-passthrough-samples", "record-not-an-object", "record-unknown-family"])
+def test_validation_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -1,6 +1,7 @@
 """End-to-end command-line tests driven through cli.main(argv): exit codes,
 CSV/JSON output contracts, config-file merging, and error reporting."""
 
+import functools
 import io
 import json
 import math
@@ -108,6 +109,24 @@ class TestIntegrate:
         assert code == 2 and err == ""
         assert trajectory_from_csv(out).termination == "StepBudget"
 
+    def test_first_step_fallback_warns_nothing(self, capsys, monkeypatch):
+        # the start lies just inside the radius where (s**2 + 2n)**3
+        # overflows, so DOP853's first-step probe leaves the chart and the
+        # run starts from the probe's own step instead. The default budget of
+        # 10**6 stepper calls takes about a minute here (the steps stall at
+        # the chart edge), so the command runs with a budget of 2000
+        monkeypatch.setattr(cli, "IntegrationConfig",
+                            functools.partial(cli.IntegrationConfig, max_steps=2000))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "integrate", "--n", "1", "--init",
+                                 "0,1,0,5.531491412549253e+102,0,0,0,1e100", "--t-end", "1e300")
+        assert [str(w.message) for w in caught] == []
+        assert code == 2 and err == ""
+        traj = trajectory_from_csv(out)
+        assert traj.termination == "StepBudget" and np.all(np.diff(traj.t) > 0)
+        assert np.all(np.isfinite(traj.data))
+
     def test_powers_past_float_range_are_domain_error(self, capsys):
         code, _, err = run(capsys, "integrate", "--n", "1e300",
                            "--init", "0,1,0,2e300,0,0,0,1", "--t-end", "1")
@@ -182,14 +201,24 @@ class TestAnalytic:
 
     @pytest.mark.parametrize("family, flags", [
         ("thm1", ["--n", "1", "--r1", "1e-150", "--r-range", "1e160:1e161"]),
-        ("thm2", ["--n", "1e300", "--r1", "1", "--tau0", "1", "--r-range", "1e301:1e302"])],
+        ("thm2", ["--n", "1e307", "--r1", "1", "--tau0", "1", "--r-range", "1e308:1.7e308"])],
         ids=["thm1-t", "thm2-huge-n"])
     def test_curve_values_past_float_range_are_domain_error(self, capsys, family, flags):
-        # t = bracket/r1 passes the float range; (2n)^1.5 in the thm2 tau
-        # curve does where n > 1e205
+        # t = bracket/r1 passes the float range; so does thm2's t, whose log
+        # term carries the factor n + R1 = 4e307 here
         code, out, err = run(capsys, "analytic", "--family", family, *flags)
         assert code == 1 and out == "" and err.startswith("error: DomainError:")
         assert "exceed the float range" in err and err.count("\n") == 1
+
+    def test_thm2_coefficient_past_float_range(self, capsys):
+        # (2n)^1.5 overflows at n = 1e300, but the tau curve's coefficient
+        # 2(2n)^1.5/sqrt(R1 - n) is 4n = 4e300 there, and t and tau are finite
+        code, out, err = run(capsys, "analytic", "--family", "thm2", "--n", "1e300", "--r1", "1",
+                             "--tau0", "1", "--r-range", "1e301:1e302", "--samples", "3")
+        assert code == 0 and err == ""
+        rows = np.array([[float(v) for v in line.split(",")] for line in out.splitlines()[1:]])
+        assert rows.shape == (3, 3) and np.all(np.isfinite(rows))
+        assert np.all(np.diff(rows[:, 1]) > 0) and np.all(np.diff(rows[:, 2]) > 0)
 
     def test_missing_r1(self, capsys):
         code, _, err = run(capsys, "analytic", "--family", "thm1", "--n", "1",
@@ -462,6 +491,23 @@ class TestConfigFile:
         code, out, err = run(capsys, command, "--config", str(cfg))
         assert code == 1 and out == ""
         assert err.startswith("error: ConfigError:") and err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("command, values, message", [
+        ("integrate", {"n": "one", "t_end": 1, "init": "0,1,0,2,0,0,0,0"}, "invalid value for n"),
+        ("christoffel", {"n": 1, "point": 2}, "point must be 4 comma-separated numbers"),
+        ("christoffel", {"n": 1, "point": "0,1,x,2"}, "point must be numeric"),
+        ("analytic", {"family": "thm9", "n": 1, "r1": 1, "r_range": "2:3"}, "family must be one of"),
+    ], ids=["uncastable", "point-not-a-list", "point-not-numeric", "unknown-family"])
+    def test_config_values_the_flags_cannot_give(self, capsys, tmp_path, command, values,
+                                                 message):
+        # argparse types and choices refuse these on the command line; a
+        # config file reaches the options' own checks
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(values))
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: ConfigError: {message}")
 
 
 class TestParsing:
