@@ -282,6 +282,14 @@ class TestChristoffelOracle:
         with pytest.raises(DomainError):
             christoffel_fd_oracle(P1, Point(0.0, 1.0, 0.0, 1.0 + 1e-9))
 
+    def test_stencil_leaving_theta_range(self, monkeypatch):
+        # the package's axis guard (1e-3) is wider than the oracle's angle
+        # step (1e-4), so the axis check refuses first; with a guard narrower
+        # than the step, the stencil check does
+        monkeypatch.setattr(ModelParams, "axis_guard", 1e-5)
+        with pytest.raises(DomainError, match="stencil would leave theta"):
+            christoffel_fd_oracle(P1, Point(0.0, 5e-5, 0.0, 2.0))
+
 
 class TestFrame:
     def test_reconstruction(self):

@@ -353,6 +353,15 @@ class TestIntegrate:
         assert traj.termination == "AxisApproach"
         assert len(traj) == 1
 
+    def test_charged_start_inside_band_without_theta_motion(self):
+        # dtheta = 0 skips the immediate stop, so the first step runs; its
+        # first probe, the start itself, already lies inside the band, and
+        # the event time is the step's start
+        s = PhaseState(Point(0.0, 5e-4, 0.0, 2.0), (0.3, 0.0, 0.2, 0.5))
+        traj = integrate(P1, s, IntegrationConfig(t_end=1.0))
+        assert traj.termination == "AxisApproach"
+        assert traj.t.tolist() == [0.0] and traj.stats["root_solves"] == 0
+
     def test_meridional_passes_through_axis(self):
         s = PhaseState(Point(0.0, 0.5, 0.0, 3.0), (0.0, -0.4, 0.0, 0.0))
         cfg = IntegrationConfig(abs_tol=1e-12, rel_tol=1e-12, t_end=2.0)
@@ -604,6 +613,12 @@ class TestTrajectoryCsv:
         row = ["0"] * 11 + [field]
         text = "\n".join([",".join(Trajectory.COLUMNS), ",".join(row), "# termination=Horizon"])
         with pytest.raises(ConfigError):
+            trajectory_from_csv(text + "\n")
+
+    def test_rejects_wrong_field_count(self):
+        text = "\n".join([",".join(Trajectory.COLUMNS), ",".join(["0"] * 11),
+                          "# termination=Horizon"])
+        with pytest.raises(ConfigError, match="11 fields, expected 12"):
             trajectory_from_csv(text + "\n")
 
     def test_rejects_unknown_cause(self):

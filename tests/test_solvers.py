@@ -123,3 +123,34 @@ def test_norms_where_the_sum_of_squares_overflows():
     y = np.array([3e150, -4e150, 1e-300, 1.0])
     assert _solvers._rms(y) == np.linalg.norm(y) / 2
     assert _solvers._norm_2(y) == np.linalg.norm(y) ** 2
+
+
+def test_vanishing_error_norms_step_as_scipy(monkeypatch):
+    # y' = y from y = 1e-150 with atol 1: the squared error norms underflow.
+    # Where both vanish the error norm is 0 and the step grows tenfold; where
+    # only 0.01 * err3_norm_2 underflows, the error norm is scipy's 0/0, a
+    # NaN that rejects the attempt
+    norms = []
+    estimate = _solvers.DOP853._estimate_error_norm
+
+    def kept(self, h, scale):
+        norms.append(estimate(self, h, scale))
+        return norms[-1]
+
+    monkeypatch.setattr(_solvers.DOP853, "_estimate_error_norm", kept)
+    nfev = 0
+
+    def counted(t, y):
+        nonlocal nfev
+        nfev += 1
+        return y
+
+    ours = _solvers.DOP853(counted, 0.0, np.array([1e-150]), 1.0, 1e-3, 1.0)
+    ref = scipy.integrate.DOP853(lambda t, y: y, 0.0, np.array([1e-150]), 1.0, rtol=1e-3, atol=1.0)
+    while ref.status == "running":
+        with np.errstate(invalid="ignore"):  # scipy's 0/0 warns
+            ref.step()
+        assert ours.step()
+        assert_same_state(ours, nfev, ref)
+    # every NaN error norm was a rejected attempt, and no other was
+    assert ours.t == 1.0 and 0.0 in norms and ours.rejected == sum(map(math.isnan, norms)) >= 1

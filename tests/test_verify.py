@@ -120,6 +120,17 @@ class TestCompareNumericAnalytic:
             compare_numeric_analytic(
                 FamilyConstants(family="generic", eps=1, r1=1.0), P1)
 
+    def test_early_stop_is_a_failing_finding(self, monkeypatch):
+        # three stepper calls cannot reach the horizon: the report says why
+        # the orbit stopped and fails, whatever its deviations
+        def short(params, state, cfg):
+            return integrate(params, state, replace(cfg, max_steps=3))
+
+        monkeypatch.setattr(verify, "integrate", short)
+        report = compare_numeric_analytic(c_thm3(), P1)
+        assert report["findings"] == ["integration terminated early: StepBudget"]
+        assert not report["passed"]
+
     def test_empty_window_rejected(self):
         # R = sqrt(26) puts r0 = 1.001R above the window's top 5n
         with pytest.raises(ConfigError, match="comparison window"):
@@ -316,6 +327,16 @@ class TestScenarios:
         assert "r1*sqrt(2n)" in text
         assert "corrected mode is the accepted form" in text
 
+    def test_literal_mode_meeting_the_bound_fails_the_scenario(self, monkeypatch):
+        # with n = 1/2 and r1 = 1 + 1e-5 both literal factors are 1.00001:
+        # literal mode then meets the 1e-2 bound it is expected to miss
+        consts, _ = seeded_family("thm5", 42)
+        drawn = (replace(consts, r1=1 + 1e-5), ModelParams(n=0.5))
+        monkeypatch.setattr(verify, "seeded_family", lambda family, seed: drawn)
+        report = run_scenario("thm5", seed=42)
+        assert "literal mode unexpectedly met the coordinate bound" in report["findings"][1]
+        assert not report["passed"]
+
     @pytest.mark.parametrize("seed", [42, 7])
     def test_latitude_scenario_integrates_once(self, seed, monkeypatch):
         # both thm5 modes are compared against one orbit, and the literal
@@ -387,6 +408,19 @@ class TestScenarios:
     def test_unknown_scenario(self):
         with pytest.raises(ConfigError):
             run_scenario("thm6")
+
+    def test_no_seeded_draw_for_special_tags(self):
+        with pytest.raises(ConfigError, match="no seeded parameter set"):
+            seeded_family("generic", 0)
+
+    @pytest.mark.parametrize("values, message", [
+        ({"bogus": 1.0}, "unknown report key"),
+        ({"conservation_drift": {"norm": math.nan}}, "non-finite deviation"),
+        ({"max_coordinate_deviation": {"t": -1.0}}, "non-finite deviation"),
+    ])
+    def test_report_rejects_bad_sections(self, values, message):
+        with pytest.raises(ConfigError, match=message):
+            verify._report(**values)
 
     def test_seeded_family_windows(self):
         # every seeded turning radius sits well inside the 5n window
