@@ -315,7 +315,7 @@ def _by_size(r, n, small, big):
     """The terms small(r) of a velocity field, with the rows past _BIG_R
     taken from big(r, n/r), the same terms divided through by r; rows up to
     _BIG_R keep small's bits."""
-    if np.max(r) <= _BIG_R:
+    if (r if isinstance(r, float) else np.max(r)) <= _BIG_R:  # a float skips numpy's reduction
         return small(r)
     with np.errstate(over="ignore", invalid="ignore"):  # small's rows past _BIG_R are dropped
         return tuple(_scalar_like(r, np.where(r > _BIG_R, b, a))
