@@ -150,16 +150,23 @@ def turning_radius(consts: FamilyConstants, params: ModelParams) -> TurningRadiu
     return TurningRadius(value, r_minus=r_minus)
 
 
-def _scalar_like(template, value):
-    return float(value) if np.ndim(template) == 0 else value
+def _scalar_like(template, value):  # np.ndim costs more than the isinstance test
+    return float(value) if isinstance(template, float) or np.ndim(template) == 0 else value
 
 
-def _finite_radii(r):
-    """r as a float array; ConfigError unless every radius is finite."""
-    arr = np.asarray(r, dtype=float)
-    if not np.all(np.isfinite(arr)):
+def _radii(r, low: float, strict: bool, message: str):
+    """r itself for a float, which keeps its bits, else r as a float array.
+    ConfigError unless every radius is finite; DomainError, message.format(low),
+    if a radius lies below low, or at it if strict."""
+    one = isinstance(r, float)  # plain float checks cost less than numpy's reductions
+    if not one:
+        r = np.asarray(r, dtype=float)
+    if not (math.isfinite(r) if one else np.isfinite(r).all()):
         raise ConfigError("radii must be finite")
-    return arr
+    below = r <= low if strict else r < low
+    if below if one else below.any():
+        raise DomainError(message.format(low))
+    return r
 
 
 # radial bracket: antiderivative of sqrt((r+n)/(r-n)), finite down to r = n
@@ -315,7 +322,8 @@ def _by_size(r, n, small, big):
     """The terms small(r) of a velocity field, with the rows past _BIG_R
     taken from big(r, n/r), the same terms divided through by r; rows up to
     _BIG_R keep small's bits."""
-    if (r if isinstance(r, float) else np.max(r)) <= _BIG_R:  # a float skips numpy's reduction
+    # a float skips numpy's reduction; an empty array takes small's terms
+    if (r if isinstance(r, float) else r.max(initial=-math.inf)) <= _BIG_R:
         return small(r)
     with np.errstate(over="ignore", invalid="ignore"):  # small's rows past _BIG_R are dropped
         return tuple(_scalar_like(r, np.where(r > _BIG_R, b, a))
@@ -547,16 +555,7 @@ def curves(params: ModelParams, consts: FamilyConstants, r, mode: str | None = N
     dict keyed by coordinate name ('t' plus whichever of tau/phi/theta the
     family sweeps). mode=None picks default_mode(family)."""
     spec, R, kernel = _curve_fn(params, consts, mode)
-    if isinstance(r, float):
-        # one radius: plain float checks cost less than numpy's reductions
-        if not math.isfinite(r):
-            raise ConfigError("radii must be finite")
-        arr, below = np.asarray(r), r < R
-    else:
-        arr = _finite_radii(r)
-        below = np.any(arr < R)
-    if below:
-        raise DomainError(f"r must be >= the turning radius {R}")
+    arr = np.asarray(_radii(r, R, False, "r must be >= the turning radius {}"))
     with np.errstate(all="ignore"):  # a curve past the float range reads inf or NaN
         values = kernel(arr)
     out = {key: _scalar_like(r, v) for key, v in zip(("t", *spec.swept), values)}
@@ -579,10 +578,8 @@ def curve_derivatives(params: ModelParams, consts: FamilyConstants, r):
     must sit strictly above the turning radius."""
     spec = _spec(consts.family, "has no closed-form curves")
     R = turning_radius(consts, params).value
-    arr = _finite_radii(r)
-    if np.any(arr <= R):
-        raise DomainError(f"derivatives need r > turning radius {R}")
-    v = dict(zip(COORDS, spec.velocity(consts, params, arr)))
+    arr = _radii(r, R, True, "derivatives need r > turning radius {}")
+    v = dict(zip(COORDS, family_velocities(consts, params, arr)))
     exact = {"t": 1.0 / v["r"], **{key: v[key] / v["r"] for key in spec.swept}}
     return {key: _scalar_like(r, d) for key, d in exact.items()}
 
@@ -590,11 +587,12 @@ def curve_derivatives(params: ModelParams, consts: FamilyConstants, r):
 def family_velocities(consts: FamilyConstants, params: ModelParams, r) -> tuple:
     """Velocity components at radius r (a float or an array of radii)
     rebuilt from the family's first integrals, on the branch selected by eps."""
-    n = params.n
-    if np.any(_finite_radii(r) <= n):
-        raise DomainError(f"r must exceed n = {n}")
+    arr = _radii(r, params.n, True, "r must exceed n = {}")
     spec = _spec(consts.family, "has no first-integral velocity field")
-    return spec.velocity(consts, params, r)
+    try:
+        return spec.velocity(consts, params, arr)
+    except OverflowError:  # a Python float power of a huge constant
+        raise DomainError(f"the {consts.family} velocity field overflows a float") from None
 
 
 def classify(params: ModelParams, state: PhaseState, tol: float = 1e-9) -> FamilyConstants:

@@ -21,11 +21,11 @@ are no degree flags. ``--init`` takes the coordinates in the fixed order
 
 Any long option may instead be supplied in a JSON ``--config`` file under its
 flag name with dashes replaced by underscores (e.g. ``{"t_end": 10}``);
-explicit flags override file values, and unknown keys, non-integral or
-non-finite values of integer options and non-string values of string options
-are rejected. No color
-is ever emitted, so the only recognized environment variable, NO_COLOR, is
-honored trivially.
+explicit flags override file values. A flag value and a file value pass the
+same casts and checks, so a bad value prints the same error line either way;
+unknown keys, non-integral or non-finite values of integer options and
+non-string values of string options are rejected. No color is ever emitted,
+so the only recognized environment variable, NO_COLOR, is honored trivially.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ import numpy as np
 
 from .analytic import (
     _REGISTRY,
-    MODES,
     FamilyConstants,
     curves,
     theta_range_exit,
@@ -68,7 +67,6 @@ from .integrator import (
 from .verify import report_to_json, run_scenario
 
 _CONSTANT_FLAGS = tuple(f.name for f in fields(FamilyConstants) if f.name != "family")
-_CHOICES = {"family": tuple(_REGISTRY), "mode": MODES}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -311,14 +309,9 @@ def _cmd_curvature(opts: _Options) -> int:
 
 
 def _add_common(parser: _Parser, *names: str) -> None:
+    # flags stay strings: the handlers cast and check them as config values
     for name in names:
-        flag = "--" + name.replace("_", "-")
-        if name in ("eps", "samples", "seed"):
-            parser.add_argument(flag, type=int)
-        elif name in ("n", "t_end", "tol", *_CONSTANT_FLAGS):
-            parser.add_argument(flag, type=float)
-        else:
-            parser.add_argument(flag, choices=_CHOICES.get(name))
+        parser.add_argument("--" + name.replace("_", "-"))
     parser.add_argument("--config", help="JSON file of option values")
     parser.set_defaults(option_keys=names)
 

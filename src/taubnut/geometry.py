@@ -279,6 +279,14 @@ def _fd_steps(n, r) -> np.ndarray:
     return np.stack([tau_step, angle_step, angle_step, h * (r - n)], axis=-1)
 
 
+# Finite-difference stencil of both oracles, christoffel_fd_oracle's metric
+# and _riemann's Christoffel table: +/- one step along each coordinate in
+# turn, then the centre (the row order is also the order in which a point's
+# stencil is checked against the chart).
+_STENCIL = np.vstack([sign * np.eye(4)[k] for k in range(4) for sign in (1.0, -1.0)]
+                     + [np.zeros(4)])
+
+
 def christoffel_fd_oracle(params: ModelParams, p: Point, metric_fn=metric_at) -> np.ndarray:
     """Independent Christoffel oracle, an array laid out as christoffel_at's:
     central differences of the metric in
@@ -287,8 +295,9 @@ def christoffel_fd_oracle(params: ModelParams, p: Point, metric_fn=metric_at) ->
                                              - d_sig g_{mu nu}),
 
     with the inverse taken by generic matrix inversion of metric_fn's output.
-    metric_fn is pluggable so perturbed metrics can be probed; it returns
-    the 4x4 metric array as metric_at does.
+    metric_fn is evaluated on the rows of _STENCIL, the stencil _riemann
+    differences the Christoffel table on. It is pluggable so perturbed
+    metrics can be probed; it returns the 4x4 metric array as metric_at does.
     """
     _require_interior(params, p)
     _require_off_axis(params, p.theta)
@@ -300,15 +309,9 @@ def christoffel_fd_oracle(params: ModelParams, p: Point, metric_fn=metric_at) ->
         raise DomainError("r too close to n for a trustworthy finite-difference stencil")
     if not steps[THETA] < x0[THETA] < np.pi - steps[THETA]:
         raise DomainError("finite-difference stencil would leave theta in (0, pi)")
-    dg = np.zeros((4, 4, 4))  # dg[k, i, j] = d_k g_{ij}
-    for k in range(4):
-        xp, xm = x0.copy(), x0.copy()
-        xp[k] += steps[k]
-        xm[k] -= steps[k]
-        gp = metric_fn(params, Point.from_array(xp))
-        gm = metric_fn(params, Point.from_array(xm))
-        dg[k] = (gp - gm) / (2 * steps[k])
-    ginv = np.linalg.inv(metric_fn(params, p))
+    g = np.array([metric_fn(params, Point.from_array(y)) for y in x0 + _STENCIL * steps])
+    dg = (g[0:8:2] - g[1:8:2]) / (2 * steps)[:, None, None]  # dg[k, i, j] = d_k g_{ij}
+    ginv = np.linalg.inv(g[8])
     # 1/2 g^{ls} (dg[m, s, n] + dg[n, s, m] - dg[s, m, n])
     return 0.5 * np.einsum("ls,smn->lmn", ginv, dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg)
 
@@ -344,13 +347,6 @@ def frame_at(params: ModelParams, p: Point) -> np.ndarray:
     _require_interior(params, p)
     _ipow(p.r, 2)  # raises DomainError where _frame's r**2 would overflow
     return _frame(params.n, p.theta, p.tau, p.r)
-
-
-# Finite-difference stencil of the curvature path: +/- one step along each
-# coordinate in turn, then the centre (the row order is also the order in
-# which a point's stencil is checked against the chart).
-_STENCIL = np.vstack([sign * np.eye(4)[k] for k in range(4) for sign in (1.0, -1.0)]
-                     + [np.zeros(4)])
 
 
 def _stencil_christoffels(n, x, christoffel_fn) -> tuple:

@@ -293,12 +293,13 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
     A stage that leaves the chart (a coordinate whose powers overflow, or an
     active 1/sin(theta) or 1/s term exactly on the axis or at the nut), in a
     step or in its interpolant, sets the stepper back to that step's start
-    with a quarter of the step; cfg.max_steps counts these calls too.
-    A step() that returns False, its step NaN or below ten float spacings of
-    t, also ends in StepBudget; the run reaches the horizon when the
-    stepper's t lands on t_end. The run's counters are in the returned
-    Trajectory's stats; its nfev counts every rhs call, the initial-step
-    probe of a first stepper discarded for leaving the chart included."""
+    with a quarter of the step; cfg.max_steps counts these calls too. One
+    right after a step that left the state unchanged ends in StepBudget, as
+    does a step() that returns False, its step NaN or below ten float
+    spacings of t; the run reaches the horizon when the stepper's t lands on
+    t_end. The run's counters are in the returned Trajectory's stats; its
+    nfev counts every rhs call, the initial-step probe of a first stepper
+    discarded for leaving the chart included."""
     n = params.n
     y0 = state.as_array()
     if not np.all(np.isfinite(y0)):
@@ -342,6 +343,7 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
     grid = None if cfg.sample_grid is None else np.array(cfg.sample_grid)
     sample_t, sample_y = [], []
     calls = 0
+    accepted_from = None  # the start of the last accepted step; None equals no state
     while True:
         t, y, f = solver.t, solver.y, solver.f
         if t == cfg.t_end or calls >= cfg.max_steps:
@@ -364,14 +366,16 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
             interp = solver.dense_output() if near or grid is not None else None
         except (DomainError, AxisError):
             # a stage left the chart (past the float range, or onto the axis
-            # or the nut): retry shorter from the step's start
-            if 0.25 * h_try <= 10 * np.spacing(t):
+            # or the nut): retry shorter from the step's start, unless the
+            # last accepted step left the state unchanged (a stall)
+            if np.array_equal(accepted_from, y) or 0.25 * h_try <= 10 * np.spacing(t):
                 termination, t_stop, y_stop = STEP_BUDGET, t, y
                 break
             stats["chart_retries"] += 1
             solver.t, solver.y, solver.f, solver.h_abs = t, y, f, 0.25 * h_try
             continue
 
+        accepted_from = y
         h = float(t1 - t)
         stats["accepted"] += 1
         stats["h_min"], stats["h_max"] = min(stats["h_min"], h), max(stats["h_max"], h)

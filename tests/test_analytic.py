@@ -478,6 +478,31 @@ class TestFamilyVelocities:
             for i, ri in enumerate(r):
                 scalar = family_velocities(consts, P1, float(ri))
                 assert [v[i] for v in fields] == list(scalar)
+            # a list of radii is checked, then evaluated as the array
+            listed = family_velocities(consts, P1, r.tolist())
+            assert [np.broadcast_to(v, r.shape).tolist() for v in listed] == [
+                v.tolist() for v in fields]
+
+    @pytest.mark.parametrize("consts", TestCurveDerivatives.CASES, ids=lambda c: c.family)
+    def test_empty_radii_give_empty_fields(self, consts):
+        empty = np.array([])
+        assert all(np.shape(v) in ((), (0,)) for v in family_velocities(consts, P1, empty))
+        assert [d.shape for d in curve_derivatives(P1, consts, empty).values()] == [
+            (0,)] * (1 + len(_REGISTRY[consts.family].swept))
+
+    @pytest.mark.parametrize("consts, params, r", [
+        (c_thm3(phi0=1e200), P1, 2.0),
+        (c_thm2(tau0=1e200), P1, 2.0),
+        (c_thm5(theta=1.0), ModelParams(n=1e200), 3e200),
+    ], ids=["thm3-phi0", "thm2-tau0", "thm5-n"])
+    def test_huge_constants_are_domain_error(self, consts, params, r):
+        # c0**2, tau0**2 and n**3 overflow as Python floats in the fields;
+        # curve_derivatives meets the overflowing turning radius first
+        for radii in (r, np.array([r, 2 * r])):
+            with pytest.raises(DomainError, match="velocity field overflows"):
+                family_velocities(consts, params, radii)
+            with pytest.raises(DomainError, match="turning radius overflows"):
+                curve_derivatives(params, consts, radii)
 
     def test_array_reaching_chart_edge_rejected(self):
         with pytest.raises(DomainError):

@@ -501,13 +501,34 @@ class TestConfigFile:
     ], ids=["uncastable", "point-not-a-list", "point-not-numeric", "unknown-family"])
     def test_config_values_the_flags_cannot_give(self, capsys, tmp_path, command, values,
                                                  message):
-        # argparse types and choices refuse these on the command line; a
-        # config file reaches the options' own checks
+        # one value of each kind the options' own checks refuse; the point
+        # as a JSON number is the one a flag, always a string, cannot carry
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(values))
         code, out, err = run(capsys, command, "--config", str(cfg))
         assert code == 1 and out == "" and err.count("\n") == 1
         assert err.startswith(f"error: ConfigError: {message}")
+
+    ANALYTIC = ["analytic", "--family", "thm3", "--n", "1", "--r1", "1", "--phi0", "1",
+                "--r-range", "2:3"]
+
+    @pytest.mark.parametrize("argv, name, value", [
+        (["integrate", "--init", "0,1,0,2,0,0,0,0", "--t-end", "1"], "n", "one"),
+        (["christoffel", "--n", "1"], "point", "0,1,x,2"),
+        (["analytic", "--n", "1", "--r1", "1", "--r-range", "2:3"], "family", "thm9"),
+        (ANALYTIC, "eps", "-1.9"),
+        (ANALYTIC, "samples", "2.7"),
+        (ANALYTIC, "samples", "inf"),
+        (ANALYTIC, "mode", "bogus"),
+        (["verify", "--scenario", "thm1"], "seed", "x"),
+    ], ids=["n", "point", "family", "eps", "samples-float", "samples-inf", "mode", "seed"])
+    def test_flag_and_file_values_pass_one_check(self, capsys, tmp_path, argv, name, value):
+        code, out, err = run(capsys, *argv, f"--{name}", value)
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert err.startswith("error: ConfigError: ")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({name: value}))
+        assert run(capsys, *argv, "--config", str(cfg)) == (code, out, err)
 
 
 class TestParsing:

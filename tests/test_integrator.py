@@ -497,6 +497,17 @@ class TestIntegrate:
         assert traj.termination == "StepBudget"
         assert 1e102 < traj.coords[-1, 3] < 5.7e102
 
+    def test_chart_edge_stall_ends_the_run(self):
+        # past t = 11.2311681573 the steps that stay on the chart leave this
+        # orbit's state unchanged at r = 5.64380309e102, where (s**2 + 2n)**3
+        # is about to overflow, and the next, grown attempt leaves the chart;
+        # retrying them all took the default budget of 10**6 stepper calls
+        s = PhaseState(Point(0.0, 1.0, 0.0, 5.531491412549253e102), (0.0, 0.0, 0.0, 1e100))
+        traj = integrate(P1, s, IntegrationConfig(abs_tol=1e-12, rel_tol=1e-12, t_end=1e300))
+        assert traj.termination == "StepBudget"
+        assert traj.stats["accepted"] + traj.stats["chart_retries"] < 1000
+        assert 11.23 < traj.t[-1] < 11.24 and np.all(np.diff(traj.t) > 0)
+
     def test_overflowing_norm_is_domain_error(self):
         # dr = 1e308 is finite, its square in the norm is not
         s = PhaseState(Point(0.0, 1.0, 0.0, 2.0), (0.0, 0.0, 0.0, 1e308))
