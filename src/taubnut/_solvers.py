@@ -7,18 +7,21 @@ sections II.5-6, and the Fortran code DOP853). `DOP853` ports the DOP853 path
 of scipy.integrate (scipy/integrate/_ivp: rk.py, base.py, common.py and the
 tableau dop853_coefficients.py, copied digit for digit below). The initial
 step choice, each step, the E3/E5 error norm and the interpolant run the same
-IEEE operations in the same order, so every trajectory is bit for bit the one
-scipy's DOP853 gives. Where the calls differ from scipy's, they round the
-same: a stage state is summed in place (dy = K[:s].T a, dy *= h, dy += y for
-scipy's y + np.dot(K[:s].T, a) * h) on views of the stage array built once
-per stepper, an error norm is the sqrt(x.dot(x)) that np.linalg.norm takes
-of a 1-d array, and the step control runs on Python floats, whose arithmetic,
-abs, nextafter and ** are those of numpy's float64 scalars. Left out is what
-the package never uses: backward integration, max_step, vector tolerances,
-complex or vectorized systems, the argument checks IntegrationConfig makes
-first, scipy's status strings and messages, its rhs-call counter (the
-caller's fun counts its own calls) and its dense-output class (dense_output()
-returns the interpolant as a function). step() returns whether it stepped.
+IEEE operations in the same order, so every trajectory of an autonomous
+system is bit for bit the one scipy's DOP853 gives. Where the calls differ
+from scipy's, they round the same: a stage state is summed in place
+(dy = K[:s].T a, dy *= h, dy += y for scipy's y + np.dot(K[:s].T, a) * h) on
+views of the stage array built once per stepper, an error norm is the
+sqrt(x.dot(x)) that np.linalg.norm takes of a 1-d array, and the step control
+runs on Python floats, whose arithmetic, abs, nextafter and ** are those of
+numpy's float64 scalars. nfev counts the calls of fun as scipy's counter
+does, a call that raised included. Left out is what the package never uses:
+time-dependent systems (fun takes y alone, so the tableau's nodes C, which
+only place a stage in time, go too), first_step (the caller sets h_abs),
+backward integration, max_step, vector tolerances, complex or vectorized
+systems, the argument checks IntegrationConfig makes first, scipy's status
+strings and messages, and its dense-output class (dense_output() returns the
+interpolant as a function). step() returns whether it stepped.
 
 `brentq` runs the iteration of scipy's Zeros/brentq.c on arrays of brackets,
 so each root is bit for bit the one scipy.optimize.brentq returns.
@@ -70,23 +73,6 @@ from .errors import DomainError, RangeError
 N_STAGES = 12
 N_STAGES_EXTENDED = 16
 INTERPOLATOR_POWER = 7
-
-C = np.array([0.0,
-              0.526001519587677318785587544488e-01,
-              0.789002279381515978178381316732e-01,
-              0.118350341907227396726757197510,
-              0.281649658092772603273242802490,
-              0.333333333333333333333333333333,
-              0.25,
-              0.307692307692307692307692307692,
-              0.651282051282051282051282051282,
-              0.6,
-              0.857142857142857142857142857142,
-              1.0,
-              1.0,
-              0.1,
-              0.2,
-              0.777777777777777777777777777778])
 
 A = np.zeros((N_STAGES_EXTENDED, N_STAGES_EXTENDED))
 A[1, 0] = 5.26001519587677318785587544488e-2
@@ -266,10 +252,10 @@ MAX_FACTOR = 10  # largest factor an accepted step grows the next one by
 
 
 def _stages(K, rows):
-    """(K[s], K[:s].T, A[s, :s], C[s]) of the stages s in rows: the views
-    into the stage array K that a stage reads and writes, and its tableau
-    row and node, laid out as scipy reads them."""
-    return [(K[s], K[:s].T, A[s, :s], float(C[s])) for s in rows]
+    """(K[s], K[:s].T, A[s, :s]) of the stages s in rows: the views into the
+    stage array K that a stage reads and writes, and its tableau row, laid
+    out as scipy reads them."""
+    return [(K[s], K[:s].T, A[s, :s]) for s in rows]
 
 
 def _rms(x):
@@ -293,37 +279,37 @@ def _norm_2(x):
 
 
 class DOP853:
-    """DOP853 for y' = fun(t, y) from t0 towards t_bound > t0, driven one
-    step at a time: t, y, f (fun at t, y), h_abs (the next step to try), K
-    (the stage derivatives of the last attempt, end point included),
-    rejected (attempts the error test refused, added as step() returns),
-    t_old, y_old, step() and dense_output(). A run has finished when
-    t == t_bound. fun returns a float array shaped like y. first_step=None
-    picks the first step as scipy does (Hairer's algorithm, Solving ODEs I,
-    section II.4)."""
+    """DOP853 for the autonomous system y' = fun(y) from t0 towards
+    t_bound > t0, driven one step at a time: t, y, f (fun at y), h_abs (the
+    next step to try, which the caller sets first, to initial_step() for
+    scipy's choice), K (the stage derivatives of the last attempt, end point
+    included), nfev (calls of fun), rejected (attempts the error test
+    refused, added as step() returns), t_old, y_old, step() and
+    dense_output(). A run has finished when t == t_bound. fun returns a
+    float array shaped like y."""
 
-    def __init__(self, fun, t0, y0, t_bound, rtol, atol, first_step=None):
+    def __init__(self, fun, t0, y0, t_bound, rtol, atol):
         self.fun = fun
         self.t, self.y, self.t_bound = t0, np.asarray(y0, dtype=float), t_bound
         self.rtol, self.atol = rtol, atol
-        self.rejected = 0
+        self.nfev, self.rejected = 1, 0  # the one call below
         self.t_old = self.y_old = None
-        self.f = fun(t0, self.y)
-        self.h_abs = float(self._initial_step()) if first_step is None else first_step
+        self.f = fun(self.y)
         self.K_extended = K = np.empty((N_STAGES_EXTENDED, self.y.size))
         self.K = K[:N_STAGES + 1]
-        # stages 1-11, then the end point: A[N_STAGES, :N_STAGES] is B and
-        # C[N_STAGES] is 1, so its state is the step's y_new
+        # stages 1-11, then the end point: A[N_STAGES, :N_STAGES] is B, so
+        # its state is the step's y_new
         self._step_stages = _stages(K, range(1, N_STAGES + 1))
         self._extra_stages = _stages(K, range(N_STAGES + 1, N_STAGES_EXTENDED))
         self._KT_error = self.K.T  # the stages E3 and E5 weigh
 
-    def _initial_step(self, probe=True):
-        """scipy's first step; probe=False returns its first guess h0, which
-        moves y0 by a hundredth of its norm in the tolerance scale, without
-        the probe call fun(t0 + h0, y0 + h0 f0) that refines it."""
-        t0, y0, f0 = self.t, self.y, self.f
-        interval_length = abs(self.t_bound - t0)
+    def initial_step(self, probe=True):
+        """scipy's first step from t, y (Hairer's algorithm, Solving ODEs I,
+        section II.4); probe=False returns its first guess h0, which moves y
+        by a hundredth of its norm in the tolerance scale, without the probe
+        call fun(y + h0 f) that refines it."""
+        y0, f0 = self.y, self.f
+        interval_length = abs(self.t_bound - self.t)
         scale = self.atol + np.abs(y0) * self.rtol
         d0 = _rms(y0 / scale)
         with np.errstate(over="ignore", invalid="ignore"):  # d1 = inf makes h0 0
@@ -331,27 +317,29 @@ class DOP853:
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, interval_length)
         if not probe:
-            return h0
-        f1 = self.fun(t0 + h0, y0 + h0 * f0)
+            return float(h0)
+        self.nfev += 1
+        f1 = self.fun(y0 + h0 * f0)
         with np.errstate(over="ignore", invalid="ignore"):  # as scipy: inf -> h1 = 0, 0/0 -> NaN
             d2 = _rms((f1 - f0) / scale) / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
             h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-        return min(100 * h0, h1, interval_length)
+        return float(min(100 * h0, h1, interval_length))
 
-    def _run_stages(self, stages, t, y, h):
-        """K[s] = fun(t + c h, y + h K[:s].T a) for each stage, its state
-        summed in place; h multiplies as a 0-d array, which numpy takes
-        without converting a Python float each stage. Returns the last
-        stage's state and fun's value there."""
+    def _run_stages(self, stages, y, h):
+        """K[s] = fun(y + h K[:s].T a) for each stage, its state summed in
+        place; h multiplies as a 0-d array, which numpy takes without
+        converting a Python float each stage. Returns the last stage's state
+        and fun's value there."""
         fun, h_arr = self.fun, np.array(h)
-        for row, KT, a, c in stages:
+        for row, KT, a in stages:
             dy = KT.dot(a)
             dy *= h_arr
             dy += y
-            row[...] = f = fun(t + c * h, dy)
+            self.nfev += 1
+            row[...] = f = fun(dy)
         return dy, f
 
     def _estimate_error_norm(self, h, scale):
@@ -388,7 +376,7 @@ class DOP853:
             h = t_new - t
             h_abs = abs(h)
             self.K[0] = self.f
-            y_new, f_new = self._run_stages(self._step_stages, t, y, h)
+            y_new, f_new = self._run_stages(self._step_stages, y, h)
             scale = np.maximum(abs_y, np.abs(y_new))
             scale *= self.rtol
             scale += self.atol
@@ -412,7 +400,7 @@ class DOP853:
         K = self.K_extended
         t_old, y_old = self.t_old, self.y_old
         h = self.t - t_old
-        self._run_stages(self._extra_stages, t_old, y_old, h)
+        self._run_stages(self._extra_stages, y_old, h)
         F = np.empty((INTERPOLATOR_POWER, self.y.size))
         f_old = K[0]
         delta_y = self.y - y_old

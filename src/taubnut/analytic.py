@@ -176,6 +176,14 @@ def _radial_bracket(n: float, r):
     return rp * rm + 2 * n * np.log(rp + rm)
 
 
+def _collapse(key: str, value: float, turn: str, n: float) -> DegenerateError:
+    """The error of a family whose turning radius `turn` equals n: its
+    constant `key` is 0, or so small against n that `turn` rounds to n."""
+    if value == 0:
+        return DegenerateError(f"{key} = 0 collapses to the radial family ({turn} = n)")
+    return DegenerateError(f"{key} = {value!r} is negligible against n = {n!r}: {turn} rounds to n")
+
+
 # Curve kernels: (n, c, tr, r, mode) -> curves in ("t", *swept) order, on an
 # array r already checked to be finite and >= tr.value, and a checked mode.
 
@@ -202,7 +210,7 @@ def _thm2_curves(n, c, tr, r, mode):
     dtau/dr = (eps tau0/r1)(r+n)^{3/2}/((r-n)sqrt(r-R1)) identically."""
     R1 = tr.value
     if R1 == n:
-        raise DegenerateError("tau0 = 0 collapses to the radial family (R1 = n)")
+        raise _collapse("tau0", c.tau0, "R1", n)
     sp = np.sqrt(r + n)
     sm = np.sqrt(np.maximum(r - R1, 0.0))
     prod = sm * sp
@@ -284,7 +292,7 @@ def _thm5_curves(n, c, tr, r, mode):
     aligned mode coincides with literal."""
     Rp, Rm = tr.value, tr.r_minus
     if Rp == n:
-        raise DegenerateError("phi0 = 0 collapses to the radial family (R+ = n)")
+        raise _collapse("phi0", c.phi0, "R+", n)
     ct = math.cos(c.theta_const)
     above = np.maximum(r - Rp, 0.0)
     sqrtP = np.sqrt(above) * np.sqrt(r - Rm)
@@ -318,15 +326,15 @@ def _thm5_curves(n, c, tr, r, mode):
 _BIG_R = 1e150
 
 
-def _by_size(r, n, small, big):
-    """The terms small(r) of a velocity field, with the rows past _BIG_R
-    taken from big(r, n/r), the same terms divided through by r; rows up to
-    _BIG_R keep small's bits."""
+def _by_size(r, n, small, big, top=_BIG_R):
+    """The terms small(r) of a velocity field, with the rows past top taken
+    from big(r, n/r), the same terms divided through by r; rows up to top
+    keep small's bits."""
     # a float skips numpy's reduction; an empty array takes small's terms
-    if (r if isinstance(r, float) else r.max(initial=-math.inf)) <= _BIG_R:
+    if (r if isinstance(r, float) else r.max(initial=-math.inf)) <= top:
         return small(r)
-    with np.errstate(over="ignore", invalid="ignore"):  # small's rows past _BIG_R are dropped
-        return tuple(_scalar_like(r, np.where(r > _BIG_R, b, a))
+    with np.errstate(over="ignore", invalid="ignore"):  # small's rows past top are dropped
+        return tuple(_scalar_like(r, np.where(r > top, b, a))
                      for a, b in zip(small(r), big(r, n / r)))
 
 
@@ -408,7 +416,9 @@ def _thm5_F(params: ModelParams, r, r1: float, phi0: float, theta: float):
 def _thm5_velocity(c, params, r):
     n = params.n
     ct = math.cos(c.theta_const)
-    # rows past _BIG_R take F/r**2 and (r + n)/r, which leave dr as it is
+    # rows past top, where r*r or F's 2n r1^2 r^2 could overflow, take
+    # F/r**2 and (r + n)/r, which leave dr as it is
+    top = _BIG_R / math.sqrt(max(1.0, n * c.r1 * c.r1))
     dphi, dtau, F, rn = _by_size(
         r, n,
         lambda r: (c.phi0 / (r * r - n * n), c.phi0 * (r + 3 * n) * ct / (2 * n * (r + n)),
@@ -416,7 +426,8 @@ def _thm5_velocity(c, params, r):
         lambda r, x: (c.phi0 / r / r / ((1 - x) * (1 + x)),
                       c.phi0 * (1 + 3 * x) * ct / (2 * n * (1 + x)),
                       2 * n * c.r1 * c.r1 - c.phi0 * c.phi0 * ct * ct / r
-                      + _thm5_F(params, 0.0, c.r1, c.phi0, c.theta_const) / r / r, 1 + x))
+                      + _thm5_F(params, 0.0, c.r1, c.phi0, c.theta_const) / r / r, 1 + x),
+        top)
     if np.any(F < 0):
         raise DomainError("radius below the family's turning radius")
     dr = c.eps * np.sqrt(F) / (math.sqrt(2 * n) * rn)

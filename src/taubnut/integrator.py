@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import ClassVar
 
 import numpy as np
@@ -298,8 +299,7 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
     does a step() that returns False, its step NaN or below ten float
     spacings of t; the run reaches the horizon when the stepper's t lands on
     t_end. The run's counters are in the returned Trajectory's stats; its
-    nfev counts every rhs call, the initial-step probe of a first stepper
-    discarded for leaving the chart included."""
+    nfev is the one stepper's count of rhs calls."""
     n = params.n
     y0 = state.as_array()
     if not np.all(np.isfinite(y0)):
@@ -326,18 +326,14 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
     y[R] = math.sqrt(y0[R] - n)
     y[7] = y0[7] / (2 * y[R])
 
-    def rhs(_, yy):
-        stats["nfev"] += 1
-        return geodesic_rhs(params, yy)
-
+    solver = DOP853(partial(geodesic_rhs, params), 0.0, y, cfg.t_end, cfg.rel_tol, cfg.abs_tol)
     try:
-        solver = DOP853(rhs, 0.0, y, cfg.t_end, cfg.rel_tol, cfg.abs_tol)
+        solver.h_abs = solver.initial_step()
     except (DomainError, AxisError):
-        # the initial-step probe left the chart: start from the probe's own
-        # step, too short for a stage sum to overflow, and let the chart-exit
-        # retries shrink it
-        solver = DOP853(rhs, 0.0, y, cfg.t_end, cfg.rel_tol, cfg.abs_tol, first_step=0.0)
-        solver.h_abs = solver._initial_step(probe=False)
+        # the initial-step probe left the chart: start from its unprobed
+        # guess, too short for a stage sum to overflow, and let the
+        # chart-exit retries shrink it
+        solver.h_abs = solver.initial_step(probe=False)
     # the stage rates, a view of solver.K, of each coordinate an event row watches
     event_rates = {index: solver.K[:, index] for _, index, _, _ in event_table}
     grid = None if cfg.sample_grid is None else np.array(cfg.sample_grid)
@@ -405,7 +401,7 @@ def integrate(params: ModelParams, state: PhaseState, cfg: IntegrationConfig) ->
             termination, t_stop, y_stop = cause, tc, y if tc == t else interp(tc)
             break
 
-    stats["rejected"] = solver.rejected
+    stats["nfev"], stats["rejected"] = solver.nfev, solver.rejected
     if not sample_t or sample_t[-1] < t_stop:
         sample_t.append(t_stop)
         sample_y.append(y_stop)

@@ -504,6 +504,30 @@ class TestFamilyVelocities:
             with pytest.raises(DomainError, match="turning radius overflows"):
                 curve_derivatives(params, consts, radii)
 
+    @pytest.mark.parametrize("n, r", [(3e102, 9e102), (3e102, 1e149), (1e103, 3e103)])
+    def test_thm5_at_a_large_n_warns_nothing(self, n, r):
+        # 2n r1^2 r^2 overflows here, far below 1e150: the field takes its
+        # divided-through terms wherever that product could overflow. phi0
+        # is negligible against n, so dr/dt = sqrt((r - n)/(r + n)); at
+        # n = 1e103, n**3 itself overflows
+        consts = FamilyConstants(family="thm5", r1=1, phi0=1, theta_const=1, phi1=0, tau1=0)
+        params = ModelParams(n=n)
+        for radii in (r, np.array([r])):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                if n == 1e103:
+                    with pytest.raises(DomainError):
+                        family_velocities(consts, params, radii)
+                    with pytest.raises(DomainError):
+                        curve_derivatives(params, consts, radii)
+                else:
+                    dr = family_velocities(consts, params, radii)[3]
+                    dt_dr = curve_derivatives(params, consts, radii)["t"]
+                    exact = math.sqrt((r - n) / (r + n))
+                    assert dr == pytest.approx(exact, rel=1e-12)
+                    assert 1 / dt_dr == pytest.approx(exact, rel=1e-12)
+            assert [str(w.message) for w in caught] == []
+
     def test_array_reaching_chart_edge_rejected(self):
         with pytest.raises(DomainError):
             family_velocities(c_thm3(), P1, np.array([0.5, 2.0]))

@@ -1,7 +1,6 @@
 """End-to-end command-line tests driven through cli.main(argv): exit codes,
 CSV/JSON output contracts, config-file merging, and error reporting."""
 
-import functools
 import io
 import json
 import math
@@ -109,14 +108,12 @@ class TestIntegrate:
         assert code == 2 and err == ""
         assert trajectory_from_csv(out).termination == "StepBudget"
 
-    def test_first_step_fallback_warns_nothing(self, capsys, monkeypatch):
+    def test_first_step_fallback_warns_nothing(self, capsys):
         # the start lies just inside the radius where (s**2 + 2n)**3
         # overflows, so DOP853's first-step probe leaves the chart and the
-        # run starts from the probe's own step instead. The default budget of
-        # 10**6 stepper calls takes about a minute here (the steps stall at
-        # the chart edge), so the command runs with a budget of 2000
-        monkeypatch.setattr(cli, "IntegrationConfig",
-                            functools.partial(cli.IntegrationConfig, max_steps=2000))
+        # run starts from the probe's unprobed guess instead. The steps stall
+        # at the chart edge, which ends the run in StepBudget well inside the
+        # default budget of 10**6 stepper calls (38 rows)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run(capsys, "integrate", "--n", "1", "--init",
@@ -174,6 +171,20 @@ class TestAnalytic:
                            "--r1", "1e-300", "--tau0", "1", "--r-range", "2:3")
         assert code == 1 and err.startswith("error: DegenerateError:")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("family, flags, name, turn", [
+        ("thm2", ["--tau0"], "tau0", "R1"),
+        ("thm5", ["--theta-const", "1", "--phi0"], "phi0", "R+")])
+    def test_negligible_constant_is_named_with_its_value(self, capsys, family, flags, name,
+                                                         turn):
+        # at n = 1 the turning radius rounds to n for a constant of 1e-9: the
+        # message names the constant's value, not a zero it does not have
+        for value, message in (
+                ("1e-9", f"{name} = 1e-09 is negligible against n = 1.0: {turn} rounds to n"),
+                ("0", f"{name} = 0 collapses to the radial family ({turn} = n)")):
+            code, out, err = run(capsys, "analytic", "--family", family, "--n", "1",
+                                 "--r1", "1", *flags, value, "--r-range", "2:3")
+            assert (code, out, err) == (1, "", f"error: DegenerateError: {message}\n")
 
     @pytest.mark.parametrize("family, flags", [("thm2", ["--tau0", "1e200"]),
                                                ("thm3", ["--phi0", "1e200"]),

@@ -851,6 +851,34 @@ class TestPathBytes:
         assert digest.hexdigest() == self.SHA256[name]
 
 
+class TestOneStepper:
+    """`integrate` drives one DOP853 per run, the first-step fallback
+    included, and its nfev is that stepper's count of every rhs call."""
+
+    # the first-step probe of this start leaves the chart (as in
+    # test_chart_edge_stall_ends_the_run)
+    FALLBACK = (PhaseState(Point(0.0, 1.0, 0.0, 5.531491412549253e102), (0.0, 0.0, 0.0, 1e100)),
+                IntegrationConfig(t_end=1e300))
+
+    @pytest.mark.parametrize("name", ["fallback", *sorted(TestPathBytes.ORBITS)])
+    def test_one_stepper_counts_every_rhs_call(self, name, monkeypatch):
+        built = []
+
+        class Counted(integrator.DOP853):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(integrator, "DOP853", Counted)
+        calls, raised = counting(monkeypatch)
+        traj = integrate(P1, *(self.FALLBACK if name == "fallback" else TestPathBytes.ORBITS[name]))
+        assert len(built) == 1
+        assert traj.stats["nfev"] == len(calls) == built[0].nfev
+        if name == "fallback":
+            # the start's rhs call, then the probe, which raised and is counted
+            assert raised[0] == calls[1] and traj.stats["nfev"] == 674
+
+
 def scanning_dop853(levels, reached, built):
     """A DOP853 that builds each accepted step's dense output itself and
     scans it at 257 points: steps whose scan reaches one of the levels
@@ -990,8 +1018,9 @@ class TestNanStep:
             params = ModelParams(n=1.0)
             # tau, theta, phi, s, dtau, dtheta, dphi, ds: r = 2, dtau = dr = 1e200
             y0 = np.array([0.0, 1.0, 0.0, 1.0, 1e200, 0.0, 0.0, 5e199])
-            solver = _solvers.DOP853(lambda t, y: geodesic_rhs(params, y), 0.0, y0, 1.0,
+            solver = _solvers.DOP853(lambda y: geodesic_rhs(params, y), 0.0, y0, 1.0,
                                      1e-10, 1e-10)
+            solver.h_abs = solver.initial_step()
             assert np.isnan(solver.h_abs), solver.h_abs
             assert solver.step() is False
             assert (solver.t, solver.rejected) == (0.0, 0)
