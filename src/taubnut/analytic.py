@@ -9,12 +9,13 @@ Five families admit closed forms; the tags double as the data-format labels:
         tau0 = (r-n)/(r+n) dtau/dt; turning radius R1 = n + 2 tau0^2 n / r1^2.
   thm3  equatorial: theta = pi/2, tau constant; conserved
         phi0 = (r^2-n^2) dphi/dt; turning radius R2 = sqrt(n^2 + phi0^2/r1^2).
-  thm4  meridional: tau, phi constant; thm3's kernel, velocity field and
+  thm4  meridional: tau, phi constant; thm3's kernel, angular rate and
         turning radius under (phi0, R2) -> (theta0, R3).
   thm5  constant latitude with tau and phi locked by
         [4n^2 cos(theta)/(r+n)^2 - cos(theta)] dphi/dt
           + (2n/(r+n)^2) dtau/dt = 0;
-        turning radii R- < 0 < n <= R+ are the roots of the quadratic F.
+        turning radii R- < 0 < n <= R+ are the roots of the radial
+        quadratic F(r) = 2n r1^2 (r-R+)(r-R-).
 
 Every curve is an antiderivative in r integrated from the turning radius R.
 Three evaluation modes:
@@ -35,14 +36,22 @@ Three evaluation modes:
 Throughout, eps = +1/-1 selects the outgoing/ingoing radial branch and r1 > 0
 is the energy-like constant of each family's first integral.
 
+Every family's radial first integral factors as
+(r+n)^2 (dr/dt)^2 = r1^2 (r-R)(r-R'), with R the turning radius and R' the
+second root: -n for thm1 and thm2, -R for thm3 and thm4, R- for thm5. So
+family_velocities computes dr/dt = eps r1 sqrt(r-R) sqrt(r-R')/(r+n) once
+for all five families, with no radius switch: (r-R)(r-R') <= (r+n)^2 keeps
+|dr/dt| <= r1 up to the float maximum.
+
 A family is one entry of the private registry _REGISTRY: its constants and
 swept coordinates, default mode (the inversion mode derives from it),
-turning radius, curve kernel, first-integral velocity field (which also
-gives the exact curve derivatives), classifier extraction and seeded verify
-draw. Every function here that depends on the family, the CLI's choices and
-the verify scenarios read that entry, so adding a family means adding one
-entry. The curves hold at every radius up to the float maximum, or raise
-DomainError where a value itself passes the float range.
+turning radius pair (R, R'), curve kernel, angular first-integral rates
+(with dr/dt they give the exact curve derivatives), classifier extraction
+and seeded verify draw. Every function here that depends on the family,
+the CLI's choices and the verify scenarios read that entry, so adding a
+family means adding one entry. The curves hold at every radius up to the
+float maximum, or raise DomainError where a value itself passes the float
+range; their kernels divide through by r where r^2 could overflow.
 """
 
 from __future__ import annotations
@@ -120,11 +129,13 @@ _OPTIONAL_FIELDS = tuple(f.name for f in fields(FamilyConstants) if f.default is
 
 @dataclass(frozen=True)
 class TurningRadius:
-    """Smallest radius a family attains; r_minus is the second (negative) root
-    of the thm5 quadratic, None for the other families."""
+    """Smallest radius R a family attains, and the second root R' of its
+    radial first integral (r+n)^2 (dr/dt)^2 = r1^2 (r-R)(r-R'): -n for thm1
+    and thm2, -R for thm3 and thm4, and the negative root R- of the thm5
+    quadratic."""
 
     value: float
-    r_minus: float | None = None
+    r_minus: float
 
 
 def _spec(family: str, lacks: str) -> _Family:
@@ -135,9 +146,10 @@ def _spec(family: str, lacks: str) -> _Family:
 
 
 def turning_radius(consts: FamilyConstants, params: ModelParams) -> TurningRadius:
-    """Radius at which dr/dt vanishes: n for thm1, R1/R2/R3 for thm2-4, and
-    the root pair (R+, R-) of the quadratic F for thm5. Always >= n, with
-    equality exactly when the family's angular constant vanishes."""
+    """Radius at which dr/dt vanishes: n for thm1, R1/R2/R3 for thm2-4 and
+    R+ for thm5, with the second root of the radial first integral (see
+    TurningRadius). Always >= n, with equality exactly when the family's
+    angular constant vanishes."""
     spec = _spec(consts.family, "has no turning radius")
     if consts.r1 * consts.r1 == 0:
         raise DegenerateError(f"turning radius needs r1*r1 != 0 (r1 = {consts.r1!r})")
@@ -318,41 +330,9 @@ def _thm5_curves(n, c, tr, r, mode):
     return c.t1 + coef_t * bt, c.phi1 + coef_phi * atn, c.tau1 + coef_tau * btau
 
 
-# Per-family pieces of the registry below. Velocity fields take a radius or
-# an array of radii.
-
-# past this radius r*r could overflow: the velocity fields then evaluate
-# their terms divided through by r, as the curve kernels do
-_BIG_R = 1e150
-
-
-def _by_size(r, n, small, big, top=_BIG_R):
-    """The terms small(r) of a velocity field, with the rows past top taken
-    from big(r, n/r), the same terms divided through by r; rows up to top
-    keep small's bits."""
-    # a float skips numpy's reduction; an empty array takes small's terms
-    if (r if isinstance(r, float) else r.max(initial=-math.inf)) <= top:
-        return small(r)
-    with np.errstate(over="ignore", invalid="ignore"):  # small's rows past top are dropped
-        return tuple(_scalar_like(r, np.where(r > top, b, a))
-                     for a, b in zip(small(r), big(r, n / r)))
-
-
-def _dr(c, n, r, surplus):
-    """dr/dt on the eps branch from the radial first integral
-    (r+n)/(r-n) (dr/dt)^2 = surplus."""
-    if np.any(surplus < 0):
-        raise DomainError("radius below the family's turning radius")
-    h1 = (r + n) / (r - n)
-    return c.eps * np.sqrt(surplus / h1)
-
-
-def _thm2_velocity(c, params, r):
-    n = params.n
-    (dtau,) = _by_size(r, n, lambda r: (c.tau0 * (r + n) / (r - n),),
-                       lambda r, x: (c.tau0 * (1 + x) / (1 - x),))
-    return (dtau, 0.0, 0.0, _dr(c, n, r, c.r1 * c.r1 - 2 * c.tau0**2 * n / (r - n)))
-
+# Per-family pieces of the registry below. The angular rates take a radius
+# or an array of radii above n; each is a ratio that holds up to the float
+# maximum.
 
 def _thm2_extract(n, r, theta, v, radial_sq, tol):
     tau0 = (r - n) / (r + n) * v[0]
@@ -365,17 +345,14 @@ def _swept_constant(c) -> tuple:  # (x, x0) of thm3 or thm4
 
 
 def _sweep_turning(c, n, r1sq):
-    return math.sqrt(n * n + _swept_constant(c)[1] ** 2 / r1sq), None
+    R = math.sqrt(n * n + _swept_constant(c)[1] ** 2 / r1sq)
+    return R, -R
 
 
-def _sweep_velocity(c, params, r):
-    n = params.n
+def _sweep_rates(c, n, r):
     key, c0 = _swept_constant(c)
-    rate, drop = _by_size(r, n, lambda r: (c0 / (r * r - n * n), c0**2 / (r * r - n * n)),
-                          lambda r, x: (c0 / r / r / ((1 - x) * (1 + x)),
-                                        (c0 / r) ** 2 / ((1 - x) * (1 + x))))
-    dr = _dr(c, n, r, c.r1 * c.r1 - drop)
-    return (*(rate if k == key else 0.0 for k in COORDS[:3]), dr)
+    rate = c0 / (r - n) / (r + n)
+    return tuple(rate if k == key else 0.0 for k in COORDS[:3])
 
 
 def _thm3_extract(n, r, theta, v, radial_sq, tol):
@@ -400,38 +377,9 @@ def _thm5_turning(c, n, r1sq):
     return half_sum + rad, half_sum - rad
 
 
-def _thm5_F(params: ModelParams, r, r1: float, phi0: float, theta: float):
-    """The thm5 radial quadratic, evaluated exactly as written:
-    F(r) = 2n r1^2 r^2 - phi0^2 cos^2(theta) r
-           - (2n^3 r1^2 + n phi0^2 cos^2(theta) + 2n phi0^2 sin^2(theta))."""
-    n = params.n
-    c2 = math.cos(theta) ** 2
-    s2 = math.sin(theta) ** 2
-    r = np.asarray(r, dtype=float)
-    out = (2 * n * r1 * r1 * r * r - phi0 * phi0 * c2 * r
-           - (2 * n**3 * r1 * r1 + n * phi0 * phi0 * c2 + 2 * n * phi0 * phi0 * s2))
-    return float(out) if out.ndim == 0 else out
-
-
-def _thm5_velocity(c, params, r):
-    n = params.n
-    ct = math.cos(c.theta_const)
-    # rows past top, where r*r or F's 2n r1^2 r^2 could overflow, take
-    # F/r**2 and (r + n)/r, which leave dr as it is
-    top = _BIG_R / math.sqrt(max(1.0, n * c.r1 * c.r1))
-    dphi, dtau, F, rn = _by_size(
-        r, n,
-        lambda r: (c.phi0 / (r * r - n * n), c.phi0 * (r + 3 * n) * ct / (2 * n * (r + n)),
-                   _thm5_F(params, r, c.r1, c.phi0, c.theta_const), r + n),
-        lambda r, x: (c.phi0 / r / r / ((1 - x) * (1 + x)),
-                      c.phi0 * (1 + 3 * x) * ct / (2 * n * (1 + x)),
-                      2 * n * c.r1 * c.r1 - c.phi0 * c.phi0 * ct * ct / r
-                      + _thm5_F(params, 0.0, c.r1, c.phi0, c.theta_const) / r / r, 1 + x),
-        top)
-    if np.any(F < 0):
-        raise DomainError("radius below the family's turning radius")
-    dr = c.eps * np.sqrt(F) / (math.sqrt(2 * n) * rn)
-    return (dtau, 0.0, dphi, dr)
+def _thm5_rates(c, n, r):
+    dtau = c.phi0 * math.cos(c.theta_const) / (2 * n) * ((r + 3 * n) / (r + n))
+    return (dtau, 0.0, c.phi0 / (r - n) / (r + n))
 
 
 def _thm5_extract(n, r, theta, v, radial_sq, tol):
@@ -460,9 +408,11 @@ class _Family:
                           # coordinates with nonzero velocity on the family
     mode: str             # default evaluation mode; invert_mode derives from it
     start_theta: Callable  # c -> latitude a numeric orbit of the family starts at
-    turning: Callable     # (c, n, r1^2) -> (R, R- or None); thm3, thm4 share one
+    turning: Callable     # (c, n, r1^2) -> (R, R'), the roots of the radial
+                          # first integral; thm3, thm4 share one
     kernel: Callable      # (n, c, tr, r, mode) -> curves, unchecked
-    velocity: Callable    # (c, params, r) -> v from the first integrals; shared too
+    rates: Callable       # (c, n, r) -> (dtau, dtheta, dphi) from the angular
+                          # first integrals, for r > n; shared too
     extract: Callable     # (n, r, theta, v, radial_sq, tol) -> {r1, constants},
                           # or None when the state is off the family
     draw: Callable        # (rng, n, r1, sign) -> seeded verify constants
@@ -488,18 +438,18 @@ _REGISTRY = {
     "thm1": _Family(
         constants=(), swept=(), mode="literal",
         start_theta=lambda c: 1.0,
-        turning=lambda c, n, r1sq: (n, None),
+        turning=lambda c, n, r1sq: (n, -n),
         kernel=_thm1_curves,
-        velocity=lambda c, params, r: (0.0, 0.0, 0.0, _dr(c, params.n, r, c.r1 * c.r1)),
+        rates=lambda c, n, r: (0.0, 0.0, 0.0),
         extract=lambda n, r, theta, v, radial_sq, tol: {"r1": math.sqrt(radial_sq)},
         draw=lambda rng, n, r1, sign: {},
     ),
     "thm2": _Family(
         constants=("tau0",), swept=("tau",), mode="literal",
         start_theta=lambda c: 1.0,
-        turning=lambda c, n, r1sq: (n + 2 * c.tau0**2 * n / r1sq, None),
+        turning=lambda c, n, r1sq: (n + 2 * c.tau0**2 * n / r1sq, -n),
         kernel=_thm2_curves,
-        velocity=_thm2_velocity,
+        rates=lambda c, n, r: (c.tau0 * ((r + n) / (r - n)), 0.0, 0.0),
         extract=_thm2_extract,
         draw=lambda rng, n, r1, sign: {"tau0": sign * rng.uniform(0.3, 0.8) * r1},
     ),
@@ -508,7 +458,7 @@ _REGISTRY = {
         start_theta=lambda c: math.pi / 2,
         turning=_sweep_turning,
         kernel=_sweep_curves,
-        velocity=_sweep_velocity,
+        rates=_sweep_rates,
         extract=_thm3_extract,
         draw=lambda rng, n, r1, sign: {"phi0": sign * rng.uniform(0.3, 0.8) * n},
     ),
@@ -517,7 +467,7 @@ _REGISTRY = {
         start_theta=lambda c: 1.0,
         turning=_sweep_turning,
         kernel=_sweep_curves,
-        velocity=_sweep_velocity,
+        rates=_sweep_rates,
         extract=_thm4_extract,
         draw=lambda rng, n, r1, sign: {
             "theta0": sign * rng.uniform(2.0, 3.0) * n * r1,
@@ -529,7 +479,7 @@ _REGISTRY = {
         start_theta=lambda c: c.theta_const,
         turning=_thm5_turning,
         kernel=_thm5_curves,
-        velocity=_thm5_velocity,
+        rates=_thm5_rates,
         extract=_thm5_extract,
         draw=lambda rng, n, r1, sign: {
             "phi0": sign * rng.uniform(0.3, 0.8) * n,
@@ -583,7 +533,7 @@ def thm1_t_of_r(params: ModelParams, consts: FamilyConstants, r, mode: str = "li
 
 
 def curve_derivatives(params: ModelParams, consts: FamilyConstants, r):
-    """Exact d/dr of each curve from the first-integral velocity field v:
+    """Exact d/dr of each curve from the field v of family_velocities:
     dt/dr = 1/v_r and dx/dr = v_x/v_r (mode-independent for thm1-4 and equal
     to the corrected-mode derivatives for thm5), keyed like curves(). Radii
     must sit strictly above the turning radius."""
@@ -596,14 +546,19 @@ def curve_derivatives(params: ModelParams, consts: FamilyConstants, r):
 
 
 def family_velocities(consts: FamilyConstants, params: ModelParams, r) -> tuple:
-    """Velocity components at radius r (a float or an array of radii)
-    rebuilt from the family's first integrals, on the branch selected by eps."""
+    """Velocity components (dtau, dtheta, dphi, dr) at radius r (a float or an
+    array of radii above n) rebuilt from the family's first integrals, on the
+    branch selected by eps: the family's angular rates, and for every family
+    dr/dt = eps r1 sqrt(r-R) sqrt(r-R')/(r+n) from its turning radius pair."""
     arr = _radii(r, params.n, True, "r must exceed n = {}")
     spec = _spec(consts.family, "has no first-integral velocity field")
-    try:
-        return spec.velocity(consts, params, arr)
-    except OverflowError:  # a Python float power of a huge constant
-        raise DomainError(f"the {consts.family} velocity field overflows a float") from None
+    tr = turning_radius(consts, params)
+    _radii(arr, tr.value, False, "radius below the family's turning radius")
+    n = params.n
+    # (r-R)(r-R') <= (r+n)^2, so the ratio stays within 1 and |dr/dt| within r1
+    dr = consts.eps * consts.r1 * (np.sqrt(arr - tr.value) * np.sqrt(arr - tr.r_minus)
+                                   / (arr + n))
+    return (*spec.rates(consts, n, arr), dr)
 
 
 def classify(params: ModelParams, state: PhaseState, tol: float = 1e-9) -> FamilyConstants:
@@ -744,7 +699,7 @@ def radial_passthrough(params: ModelParams, t1: float, r1: float, *,
     reaches the origin point at t = t1 with coordinate speed dr/dt -> 0 but
     constant sqrt((r+n)/(r-n)) dr/dt, and the outgoing branch leaves it, so
     r(t1+d) = r(t1-d). This is the only family that touches r = n; built in
-    closed form from the thm1 curve (stitched_coords) and its velocity field,
+    closed form from the thm1 curve (stitched_coords) and family_velocities,
     no stepping involved. The profile is the same whichever branch is called
     incoming, so only |r1| enters it.
 
@@ -768,10 +723,10 @@ def radial_passthrough(params: ModelParams, t1: float, r1: float, *,
     T = thm1_t_of_r(params, consts, top, "aligned") - consts.t1
     ts = consts.t1 + np.linspace(-T, T, samples)
     r = stitched_coords(params, consts, ts)["r"]
-    # dr/dt is 0 on the seam r = n, where the velocity field divides by r - n
+    # family_velocities takes r > n only: the seam rows r = n keep dr/dt = 0
     dr = np.zeros(samples)
     off = r > n
-    speed = _REGISTRY["thm1"].velocity(consts, params, r[off])[3]
+    speed = family_velocities(consts, params, r[off])[3]
     dr[off] = np.sign(ts[off] - consts.t1) * speed
     # charges vanish (no tau/phi motion); norm = g_rr dr^2 = r1^2 exactly,
     # including in the r -> n limit

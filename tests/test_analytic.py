@@ -22,7 +22,6 @@ from taubnut.analytic import (
     FAMILIES,
     MODES,
     FamilyConstants,
-    _thm5_F,
     classify,
     curve_derivatives,
     curves,
@@ -169,6 +168,18 @@ class TestTurningRadius:
         assert tr.value == pytest.approx(THM5_R_PLUS, rel=0, abs=1e-14)
         assert tr.r_minus == pytest.approx(THM5_R_MINUS, rel=0, abs=1e-14)
 
+    def test_second_root_of_each_family(self):
+        # (R, R') of (r+n)^2 (dr/dt)^2 = r1^2 (r-R)(r-R'); thm5's pair is
+        # test_thm5_frozen_roots
+        n = 1.7
+        params = ModelParams(n=n)
+        R1 = n + 2 * 1.0**2 * n / 2.0**2
+        R = math.sqrt(n * n + 1.0)
+        for consts, pair in ((c_thm1(), (n, -n)), (c_thm2(), (R1, -n)),
+                             (c_thm3(), (R, -R)), (c_thm4(), (R, -R))):
+            tr = turning_radius(consts, params)
+            assert (tr.value, tr.r_minus) == pair, consts.family
+
     def test_thm5_root_ordering(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
@@ -204,20 +215,40 @@ class TestTurningRadius:
             turning_radius(consts, P1)
 
 
+def _thm5_F(params: ModelParams, r, r1: float, phi0: float, theta: float):
+    """The thm5 radial quadratic, evaluated exactly as written:
+    F(r) = 2n r1^2 r^2 - phi0^2 cos^2(theta) r
+           - (2n^3 r1^2 + n phi0^2 cos^2(theta) + 2n phi0^2 sin^2(theta))."""
+    n = params.n
+    c2 = math.cos(theta) ** 2
+    s2 = math.sin(theta) ** 2
+    r = np.asarray(r, dtype=float)
+    out = (2 * n * r1 * r1 * r * r - phi0 * phi0 * c2 * r
+           - (2 * n**3 * r1 * r1 + n * phi0 * phi0 * c2 + 2 * n * phi0 * phi0 * s2))
+    return float(out) if out.ndim == 0 else out
+
+
 class TestFEval:
-    """The thm5 radial quadratic F, analytic._thm5_F."""
+    """The thm5 radial quadratic F written out term by term: the reference
+    for the factored form 2n r1^2 (r-R+)(r-R-) that the thm5 velocity field
+    takes from the turning radius pair."""
 
     def test_frozen_value(self):
         assert _thm5_F(P1, 2.0, 1.0, 1.0, math.pi / 3) == pytest.approx(
             3.75, rel=0, abs=1e-14)
 
     def test_factorization(self):
+        # family_velocities takes thm5's dr/dt = sqrt(F)/(sqrt(2n)(r+n)) as
+        # r1 sqrt(r-R+) sqrt(r-R-)/(r+n), which holds by this identity
         consts = c_thm5(r1=1.2, phi0=0.9, theta=1.0)
         tr = turning_radius(consts, P1)
         for r in (1.7, 3.3, 8.0):
             expected = 2 * 1.0 * 1.2**2 * (r - tr.value) * (r - tr.r_minus)
             assert _thm5_F(P1, r, 1.2, 0.9, 1.0) == pytest.approx(
                 expected, rel=1e-13)
+            dr = family_velocities(consts, P1, r)[3]
+            assert dr == pytest.approx(math.sqrt(_thm5_F(P1, r, 1.2, 0.9, 1.0) / 2) / (r + 1),
+                                       rel=1e-13)
 
     def test_vanishes_at_turning_radius(self):
         tr = turning_radius(c_thm5(), P1)
@@ -494,39 +525,67 @@ class TestFamilyVelocities:
         (c_thm3(phi0=1e200), P1, 2.0),
         (c_thm2(tau0=1e200), P1, 2.0),
         (c_thm5(theta=1.0), ModelParams(n=1e200), 3e200),
-    ], ids=["thm3-phi0", "thm2-tau0", "thm5-n"])
+        (c_thm5(r1=1e160), P1, 5.0),
+    ], ids=["thm3-phi0", "thm2-tau0", "thm5-n", "thm5-r1"])
     def test_huge_constants_are_domain_error(self, consts, params, r):
-        # c0**2, tau0**2 and n**3 overflow as Python floats in the fields;
-        # curve_derivatives meets the overflowing turning radius first
+        # c0**2, tau0**2, n*n and r1^4 overflow in the turning radius, which
+        # both calls take before any field value
         for radii in (r, np.array([r, 2 * r])):
-            with pytest.raises(DomainError, match="velocity field overflows"):
+            with pytest.raises(DomainError, match="turning radius overflows"):
                 family_velocities(consts, params, radii)
             with pytest.raises(DomainError, match="turning radius overflows"):
                 curve_derivatives(params, consts, radii)
 
-    @pytest.mark.parametrize("n, r", [(3e102, 9e102), (3e102, 1e149), (1e103, 3e103)])
-    def test_thm5_at_a_large_n_warns_nothing(self, n, r):
-        # 2n r1^2 r^2 overflows here, far below 1e150: the field takes its
-        # divided-through terms wherever that product could overflow. phi0
-        # is negligible against n, so dr/dt = sqrt((r - n)/(r + n)); at
-        # n = 1e103, n**3 itself overflows
-        consts = FamilyConstants(family="thm5", r1=1, phi0=1, theta_const=1, phi1=0, tau1=0)
+    @pytest.mark.parametrize("n, r, r1", [
+        pytest.param(3e102, 9e102, 1, id="3e+102-9e+102"),
+        pytest.param(3e102, 1e149, 1, id="3e+102-1e+149"),
+        pytest.param(1e103, 3e103, 1, id="1e+103-3e+103"),
+        pytest.param(3e102, 9e103, 10, id="3e+102-9e+103-r1=10")])
+    def test_thm5_at_a_large_n_warns_nothing(self, n, r, r1):
+        # 2n r1^2 r^2 and 2n^3 r1^2 overflow here: the field takes dr/dt
+        # from the turning radius pair and forms neither. phi0 is negligible
+        # against n, so (R+, R-) = (n, -n) and dr/dt = r1 sqrt((r - n)/(r + n))
+        consts = FamilyConstants(family="thm5", r1=r1, phi0=1, theta_const=1, phi1=0, tau1=0)
         params = ModelParams(n=n)
         for radii in (r, np.array([r])):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                if n == 1e103:
-                    with pytest.raises(DomainError):
-                        family_velocities(consts, params, radii)
-                    with pytest.raises(DomainError):
-                        curve_derivatives(params, consts, radii)
-                else:
-                    dr = family_velocities(consts, params, radii)[3]
-                    dt_dr = curve_derivatives(params, consts, radii)["t"]
-                    exact = math.sqrt((r - n) / (r + n))
-                    assert dr == pytest.approx(exact, rel=1e-12)
-                    assert 1 / dt_dr == pytest.approx(exact, rel=1e-12)
+                dr = family_velocities(consts, params, radii)[3]
+                dt_dr = curve_derivatives(params, consts, radii)["t"]
+                exact = r1 * math.sqrt((r - n) / (r + n))
+                assert dr == pytest.approx(exact, rel=1e-12)
+                assert 1 / dt_dr == pytest.approx(exact, rel=1e-12)
             assert [str(w.message) for w in caught] == []
+
+    @settings(max_examples=500, deadline=None)
+    @given(family=st.sampled_from(tuple(_REGISTRY)), seed=st.integers(0, 2**32 - 1),
+           log_n=st.floats(-3.0, 3.0), log_r1=st.floats(-3.0, 300.0),
+           log_lift=st.floats(-15.0, 308.0), sign=st.sampled_from((1, -1)),
+           eps=st.sampled_from((1, -1)))
+    def test_velocity_fields_are_bounded(self, family, seed, log_n, log_r1, log_lift,
+                                         sign, eps):
+        # (r - R)(r - R') <= (r + n)^2 bounds |dr/dt| by r1 from the turning
+        # radius to the float maximum, for any r1; the constants are the
+        # verify draw's at this n and r1. A turning radius past the float
+        # range raises DomainError instead
+        n, r1 = 10.0**log_n, 10.0**log_r1
+        spec = _REGISTRY[family]
+        values = {**dict.fromkeys(spec.anchors, 0.0),
+                  **spec.draw(np.random.default_rng(seed), n, r1, sign)}
+        consts = FamilyConstants(family=family, eps=eps, r1=r1, **values)
+        params = ModelParams(n=n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                R = turning_radius(consts, params).value
+            except DomainError as exc:
+                assert "turning radius overflows" in str(exc)
+                return
+            r = min(R * (1 + 10.0**log_lift), 1.7e308)
+            for radii in (r, np.array([r])):
+                dr = family_velocities(consts, params, radii)[3]
+                assert np.all(np.isfinite(dr) & (eps * dr >= 0)), (r, dr)
+                assert np.all(abs(dr) <= r1 * (1 + 4 * np.finfo(float).eps)), (r, dr)
 
     def test_array_reaching_chart_edge_rejected(self):
         with pytest.raises(DomainError):
@@ -609,6 +668,19 @@ class TestHugeRadii:
                 assert close(v, limit[key]) and np.broadcast_to(row, (4,))[i] == v, (key, r)
             for key, d in curve_derivatives(params, consts, r).items():
                 assert close(d, d_limit[key]), (key, r)
+
+    @pytest.mark.parametrize("consts", [
+        c_thm1(r1=1e160), c_thm2(r1=1e160), c_thm3(r1=1e160), c_thm4(r1=1e160)],
+        ids=lambda c: c.family)
+    def test_huge_r1_gives_a_finite_dr(self, consts):
+        # r1^2 overflows, so the turning radius rounds to n and dr/dt is
+        # r1 sqrt((r - n)/(r + n)); thm5's turning radius overflows instead
+        # (TestFamilyVelocities::test_huge_constants_are_domain_error)
+        for radii in (5.0, np.array([5.0])):
+            dr = family_velocities(consts, P1, radii)[3]
+            dt_dr = curve_derivatives(P1, consts, radii)["t"]
+            assert dr == pytest.approx(1e160 * math.sqrt(4 / 6), rel=1e-15)
+            assert 1 / dt_dr == pytest.approx(1e160 * math.sqrt(4 / 6), rel=1e-15)
 
     @pytest.mark.parametrize("family", ["thm1", "thm2", "thm3", "thm4", "thm5"])
     def test_inversion_past_where_r_squared_overflows(self, family):

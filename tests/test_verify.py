@@ -443,9 +443,9 @@ class TestScenarios:
     # re-baseline updates the hash here and lists the moved values in
     # CHANGES.md.
     ALL_REPORT_SHA256 = {
-        42: "abdccffc68217327537866285a47c7b2607ed994d9e86fe19fedbfe4cb2a7d99",
-        7: "5974c66d2c65ad61d01d9953b1d953067134933937c00161248dc4555fa0a9cc",
-        0: "04f9ca6fa2102336fa69211ad656d7b1f07ba138d5bcb03d4a978d4be5a14e8e",
+        42: "1e1df9905e95e8431486905682496844827f48cadd983e56974cd9ed8e54bd79",
+        7: "373fc2e04e5ff04c7ad848f3d6af26add8314e93e711c3429826e36d48c66484",
+        0: "ba395b3c5874e7389181fdfe4ec21ec77ed8fc8eff37e1aa2eadf46b99bf6789",
     }
 
     @pytest.mark.parametrize("seed", sorted(ALL_REPORT_SHA256))
