@@ -51,7 +51,8 @@ and seeded verify draw. Every function here that depends on the family,
 the CLI's choices and the verify scenarios read that entry, so adding a
 family means adding one entry. The curves hold at every radius up to the
 float maximum, or raise DomainError where a value itself passes the float
-range; their kernels divide through by r where r^2 could overflow.
+range: every kernel builds them from the same three terms of the turning
+pair (_pair_terms), with no radius switch.
 """
 
 from __future__ import annotations
@@ -116,9 +117,10 @@ class FamilyConstants:
                 raise ConfigError(f"family {self.family!r} requires {name}")
             if name not in required and value is not None:
                 raise ConfigError(f"family {self.family!r} does not take {name}")
-        for name in ("r1", "t1", *required):
-            if not math.isfinite(getattr(self, name)):
+        for name in ("r1", "t1", *required):  # every numeric field that is set
+            if not math.isfinite(value := getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
+            object.__setattr__(self, name, float(value))  # a numpy scalar warns on overflow
         if self.theta_const is not None and not 0.0 < self.theta_const < np.pi:
             raise ConfigError("theta_const must lie in (0, pi)")
 
@@ -181,13 +183,6 @@ def _radii(r, low: float, strict: bool, message: str):
     return r
 
 
-# radial bracket: antiderivative of sqrt((r+n)/(r-n)), finite down to r = n
-def _radial_bracket(n: float, r):
-    rp = np.sqrt(r + n)
-    rm = np.sqrt(np.maximum(r - n, 0.0))
-    return rp * rm + 2 * n * np.log(rp + rm)
-
-
 def _collapse(key: str, value: float, turn: str, n: float) -> DegenerateError:
     """The error of a family whose turning radius `turn` equals n: its
     constant `key` is 0, or so small against n that `turn` rounds to n."""
@@ -199,14 +194,38 @@ def _collapse(key: str, value: float, turn: str, n: float) -> DegenerateError:
 # Curve kernels: (n, c, tr, r, mode) -> curves in ("t", *swept) order, on an
 # array r already checked to be finite and >= tr.value, and a checked mode.
 
+def _pair_terms(n, tr, r):
+    """The terms of every curve at radii r >= R, from the turning pair (R, R')
+    with r = (R+R')/2 + ((R-R')/2) cosh H: H/2 = asinh(sqrt(r-R)/sqrt(R-R')),
+    U = sqrt((r-R)(r-R')) + (R+R'+2n) H/2, which is every family's aligned t
+    bracket and vanishes at R, k = sqrt((n-R')/(R-n)) and the angle
+    arctan(k u) with u = sqrt((r-R)/(r-R')) in [0, 1); k and the angle are
+    None when R = n. Where (r-R)(r-R') passes the float range, both factors
+    exceed 1 and are scaled by 2^-600: exact, so the root keeps its bits."""
+    R, Rm = tr.value, tr.r_minus
+    above, below = r - R, r - Rm
+    half_H = np.arcsinh(np.sqrt(above) / math.sqrt(R - Rm))
+    root = np.sqrt(above * below)
+    wide = np.isinf(root)
+    if wide.any():
+        s = 2.0 ** -600
+        above, below = np.where(wide, above * s, above), np.where(wide, r * s - Rm * s, below)
+        root = np.where(wide, np.sqrt(above * below) / s, root)
+    U = root + (R + Rm + 2 * n) * half_H
+    if R == n:
+        return U, half_H, None, None
+    k2 = (n - Rm) / (R - n)  # one sqrt of k^2 u^2 rounds less than k times u
+    return U, half_H, math.sqrt(k2), np.arctan(np.sqrt(above / below * k2))
+
+
 def _thm1_curves(n, c, tr, r, mode):
     """Radial family time curve t(r) = t1 + (eps/r1) * [sqrt(r^2-n^2)
-    + 2n ln(sqrt(r+n)+sqrt(r-n))]; aligned mode subtracts the bracket's value
-    at r = n (equal to 2n ln sqrt(2n)) so t(n) = t1 exactly."""
-    bracket = _radial_bracket(n, r)
-    if mode == "aligned":
-        bracket = bracket - 2 * n * np.log(np.sqrt(2 * n))
-    return (c.t1 + c.eps / c.r1 * bracket,)
+    + 2n ln(sqrt(r+n)+sqrt(r-n))]; aligned mode takes U (_pair_terms), the
+    bracket less its value 2n ln sqrt(2n) at r = n, so t(n) = t1 exactly."""
+    bt = _pair_terms(n, tr, r)[0]
+    if mode == "literal":
+        bt = bt + 2 * n * math.log(math.sqrt(2 * n))
+    return (c.t1 + c.eps / c.r1 * bt,)
 
 
 def _thm2_curves(n, c, tr, r, mode):
@@ -219,24 +238,18 @@ def _thm2_curves(n, c, tr, r, mode):
              + sqrt(r-R1)sqrt(r+n)]
 
     Differentiating gives back dt/dr = (eps/r1) sqrt((r+n)/(r-R1)) and
-    dtau/dr = (eps tau0/r1)(r+n)^{3/2}/((r-n)sqrt(r-R1)) identically."""
+    dtau/dr = (eps tau0/r1)(r+n)^{3/2}/((r-n)sqrt(r-R1)) identically. Less
+    their values (n+R1), (5n+R1) times ln sqrt(R1+n) at R1, the brackets are
+    U and U + 4n (H/2 + k arctan(k u)) (_pair_terms; 2(2n)^{3/2}/sqrt(R1-n) = 4n k)."""
     R1 = tr.value
     if R1 == n:
         raise _collapse("tau0", c.tau0, "R1", n)
-    sp = np.sqrt(r + n)
-    sm = np.sqrt(np.maximum(r - R1, 0.0))
-    prod = sm * sp
-    logterm = np.log(sm + sp)
-    atan = np.arctan(np.sqrt(2 * n) * sm / (np.sqrt(R1 - n) * sp))
-    coef = 2 * np.power(2 * n, 1.5) / np.sqrt(R1 - n)
-    if math.isinf(coef):  # (2n)^{3/2} overflows: the same coefficient as 4n sqrt(2n/(R1-n))
-        coef = 4 * n * math.sqrt(2 * n / (R1 - n))
-    bt = prod + (n + R1) * logterm
-    btau = (5 * n + R1) * logterm + coef * atan + prod
-    if mode == "aligned":
-        off = np.log(np.sqrt(R1 + n))
-        bt = bt - (n + R1) * off
-        btau = btau - (5 * n + R1) * off
+    U, half_H, k, angle = _pair_terms(n, tr, r)
+    bt, btau = U, U + 4 * n * (half_H + k * angle)
+    if mode == "literal":
+        off = math.log(math.sqrt(R1 + n))
+        bt = bt + (n + R1) * off
+        btau = btau + (5 * n + R1) * off
     return c.t1 + c.eps / c.r1 * bt, c.tau1 + c.eps * c.tau0 / c.r1 * btau
 
 
@@ -249,31 +262,19 @@ def _sweep_curves(n, c, tr, r, mode):
     t(r) = t1 + (eps/r1)[sqrt(r^2-R^2) + n ln(r + sqrt(r^2-R^2))]
     x(r) = x1 + eps arctan(r1(rn - R^2)/(c0 sqrt(r^2-R^2)))
 
-    At r = R the arctan argument diverges; the one-sided limit
-    -sign(c0) pi/2 is used there."""
+    Less its value n ln R at R the t bracket is U (_pair_terms), and as
+    arctan((y - 1/y)/2) = 2 arctan(y) - pi/2 for y = k u > 0, the arctan is
+    sign(c0)(2 arctan(k u) - pi/2): -sign(c0) pi/2 at R, where aligned drops it."""
     key, c0 = _swept_constant(c)
-    if c0 == 0:
-        raise DegenerateError(f"{key}0 = 0 collapses to the radial family (R = n)")
     R = tr.value
-    rootsq = np.sqrt(np.maximum(r * r - R * R, 0.0))
-    log_term = np.log(r + rootsq)
-    at_turn = r == R
-    arg = c.r1 * (r * n - R * R) / np.where(at_turn, 1.0, c0 * rootsq)
-    # past top, r*r, r*n or their products with r1 and c0 could overflow:
-    # those rows take the same brackets divided through by r
-    top = 1e300 / max(1e146, n, c.r1 * n, abs(c0))
-    if r.max(initial=-math.inf) > top:
-        big, x = r > top, R / r
-        w = np.sqrt((1 - x) * (1 + x))
-        rootsq = np.where(big, r * w, rootsq)
-        log_term = np.where(big, np.log(r) + np.log1p(w), log_term)
-        arg = np.where(big, c.r1 / c0 * ((n - R * x) / w), arg)
-    bt = rootsq + n * log_term
-    if mode == "aligned":
-        bt = bt - n * np.log(R)
-    angle = np.where(at_turn, -np.sign(c0) * np.pi / 2, np.arctan(arg))
-    if mode == "aligned":
-        angle = angle + np.sign(c0) * np.pi / 2
+    if R == n:
+        raise _collapse(f"{key}0", c0, "R", n)
+    U, _, _, angle = _pair_terms(n, tr, r)
+    sign = math.copysign(1.0, c0)
+    bt, angle = U, 2 * sign * angle  # aligned
+    if mode == "literal":
+        bt = bt + n * math.log(R)
+        angle = angle - sign * math.pi / 2
     return c.t1 + c.eps / c.r1 * bt, getattr(c, f"{key}1") + c.eps * angle
 
 
@@ -301,22 +302,12 @@ def _thm5_curves(n, c, tr, r, mode):
     eps/r1, 2 eps phi0/(r1 sqrt(...)), eps phi0 cos(theta)/(2n r1), which makes
     every d/dr match the first-integral field dr/dt = eps sqrt(F)/(sqrt(2n)(r+n))
     exactly. All brackets vanish at R+, so no alignment offset exists and
-    aligned mode coincides with literal."""
+    aligned mode coincides with literal: they are U, arctan(k u), U + 4n H/2."""
     Rp, Rm = tr.value, tr.r_minus
     if Rp == n:
         raise _collapse("phi0", c.phi0, "R+", n)
+    U, half_H, _, angle = _pair_terms(n, tr, r)
     ct = math.cos(c.theta_const)
-    above = np.maximum(r - Rp, 0.0)
-    sqrtP = np.sqrt(above) * np.sqrt(r - Rm)
-    ash = np.arcsinh(np.sqrt(above / (Rp - Rm)))
-    S = c.phi0**2 * ct * ct / (2 * n * c.r1**2)
-    bt = sqrtP + (S + 2 * n) * ash
-    btau = sqrtP + (S + 6 * n) * ash
-    atn = above * (n - Rm) / ((r - Rm) * (Rp - n))
-    top = 1e300 / max(1.0, n - Rm, Rp - n)  # past it (r-R+)(n-R-), (r-R-)(R+-n) may overflow
-    if r.max(initial=-math.inf) > top:
-        atn = np.where(r > top, above / (r - Rm) * ((n - Rm) / (Rp - n)), atn)
-    atn = np.arctan(np.sqrt(atn))
     root_pm = math.sqrt((Rp - n) * (n - Rm))
     if mode == "corrected":
         coef_t = c.eps / c.r1
@@ -327,7 +318,7 @@ def _thm5_curves(n, c, tr, r, mode):
         coef_t = c.eps / root2n
         coef_phi = 2 * c.eps * root2n * c.phi0 / root_pm
         coef_tau = c.eps * c.phi0 * ct / root2n
-    return c.t1 + coef_t * bt, c.phi1 + coef_phi * atn, c.tau1 + coef_tau * btau
+    return c.t1 + coef_t * U, c.phi1 + coef_phi * angle, c.tau1 + coef_tau * (U + 4 * n * half_H)
 
 
 # Per-family pieces of the registry below. The angular rates take a radius

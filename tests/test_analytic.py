@@ -2,6 +2,7 @@
 frozen quadrature oracles, boundary and limit behavior, mode semantics, the
 classifier, t(r) inversion, two-branch stitching, and the JSON record format."""
 
+import decimal
 import hashlib
 import itertools
 import json
@@ -207,10 +208,12 @@ class TestTurningRadius:
             turning_radius(FamilyConstants(family="generic", eps=1, r1=1.0), P1)
 
     @pytest.mark.parametrize("consts", [c_thm2(tau0=1e200), c_thm3(phi0=1e200),
-                                        c_thm4(theta0=1e200), c_thm5(phi0=1e200)],
-                             ids=["thm2", "thm3", "thm4", "thm5"])
+                                        c_thm4(theta0=1e200), c_thm5(phi0=1e200),
+                                        c_thm2(r1=1.0, tau0=np.float64(1e200))],
+                             ids=["thm2", "thm3", "thm4", "thm5", "thm2-numpy-scalar"])
     def test_overflowing_constant_is_domain_error(self, consts):
-        # the angular constant's square overflows a float
+        # the angular constant's square overflows a float; a numpy scalar
+        # constant is stored as a float, so it raises no RuntimeWarning first
         with pytest.raises(DomainError, match="overflows"):
             turning_radius(consts, P1)
 
@@ -402,6 +405,27 @@ class TestThm4:
     def test_flag_requires_thm4(self):
         with pytest.raises(ConfigError):
             theta_range_exit(P1, c_thm3())
+
+
+class TestNearTheTurningRadius:
+    @pytest.mark.parametrize("family", ["thm3", "thm4"])
+    def test_aligned_t_keeps_its_digits(self, family):
+        # sqrt(r^2 - R^2) + n ln((r + sqrt(r^2 - R^2))/R) evaluated in 50
+        # decimal digits at the kernel's own float R; evaluated through
+        # r*r - R*R in floats it would lose about six digits at R(1 + 1e-12)
+        D = decimal.Decimal
+        for seed in range(20):
+            consts, params = seeded_family(family, seed)
+            R = turning_radius(consts, params).value
+            radii = R * (1 + 10.0 ** -np.arange(3, 13))
+            t = curves(params, consts, radii, "aligned")["t"]
+            for r, value in zip(radii.tolist(), t.tolist()):
+                with decimal.localcontext(decimal.Context(prec=50)):
+                    root = (D(r) * D(r) - D(R) * D(R)).sqrt()
+                    bracket = root + D(params.n) * ((D(r) + root) / D(R)).ln()
+                    exact = D(consts.t1) + consts.eps * bracket / D(consts.r1)
+                    err = abs(D(value) - exact) / max(1, abs(exact))
+                assert err <= D(1e-15), (seed, r, float(err))
 
 
 class TestThm5:
@@ -637,6 +661,21 @@ class TestHugeRadii:
             assert np.all(np.isfinite(t)) and np.all(eps * np.diff(t) > 0), (mode, eps)
             for key in angles:
                 assert max(abs(row[key] - limit[key]) for row in rows) <= 1e-12, (mode, eps)
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_thm5_holds_where_the_radius_gap_overflows(self, eps):
+        # at n = 1e-3, R+ - R- is about 2e-3, so (r - R+)/(R+ - R-) would
+        # pass the float range from about r = 1e306 while the corrected t
+        # stays near r; literal mode really overflows there (t is about 22 r)
+        consts, params = c_thm5(eps=eps, r1=1.0, phi0=5e-4, theta=1.0), ModelParams(n=1e-3)
+        limit = curves(params, consts, 1e100, "corrected")
+        radii = [1e306, 1e307, 1.7e308]
+        for rows in ([curves(params, consts, r, "corrected") for r in radii],
+                     [dict(zip(limit, v)) for v in zip(
+                         *curves(params, consts, np.array(radii), "corrected").values())]):
+            t = np.array([row["t"] for row in rows])
+            assert np.all(np.isfinite(t)) and np.all(eps * np.diff(t) > 0)
+            assert max(abs(row["phi"] - limit["phi"]) for row in rows) <= 1e-12
 
     HUGE = [1e150, 1e200, 1e300, 1.7e308]
 
@@ -1091,8 +1130,8 @@ class TestClosedFormBytes:
     # deliberate re-baseline updates the hash here and lists the moved
     # values in CHANGES.md.
     SHA256 = {
-        42: "ddaf02ab50ea9e5df64c381063b1af7d6103020b458a1822bb57f727c68b146c",
-        7: "31a561d7ed3382fc5b79c44c87c77207a4d4be9d07e915cf2573899e12bb7051",
+        42: "5609f9b55466f36bf58d1f9dfd4b38f8cc450d24ebdbeeb0e449b8a13f85e04f",
+        7: "e4cdc7f4e3a3fd8bf1f0a29c291dc48b9b8ce5130efac7c54a3c338a52faa3e8",
     }
 
     @pytest.mark.parametrize("seed", sorted(SHA256))
@@ -1116,6 +1155,70 @@ class TestClosedFormBytes:
             feed(f"{fam} invert", [invert_t_of_r(params, consts, consts.t1 + dt)
                                    for dt in (0.0, 0.1, 0.5, 1.0, 3.0)])
         assert digest.hexdigest() == self.SHA256[seed]
+
+
+def _paper_curves(params, c, r, mode):
+    """The closed-form brackets as the kernel docstrings print them, in numpy
+    with no radius switch: an independent route to each family's curves
+    (the kernels build theirs from the turning pair's terms)."""
+    n = params.n
+    tr = turning_radius(c, params)
+    R, Rm = tr.value, tr.r_minus
+    if c.family == "thm1":
+        bt = np.sqrt(r * r - n * n) + 2 * n * np.log(np.sqrt(r + n) + np.sqrt(r - n))
+        if mode == "aligned":
+            bt = bt - 2 * n * np.log(np.sqrt(2 * n))
+        return {"t": c.t1 + c.eps / c.r1 * bt}
+    if c.family == "thm2":
+        sm, sp = np.sqrt(r - R), np.sqrt(r + n)
+        log = np.log(sm + sp)
+        bt = sm * sp + (n + R) * log
+        btau = ((5 * n + R) * log + sm * sp + 2 * (2 * n) ** 1.5 / np.sqrt(R - n)
+                * np.arctan(np.sqrt(2 * n) * sm / (np.sqrt(R - n) * sp)))
+        if mode == "aligned":
+            bt = bt - (n + R) * np.log(np.sqrt(R + n))
+            btau = btau - (5 * n + R) * np.log(np.sqrt(R + n))
+        return {"t": c.t1 + c.eps / c.r1 * bt, "tau": c.tau1 + c.eps * c.tau0 / c.r1 * btau}
+    if c.family in ("thm3", "thm4"):
+        (key,) = _REGISTRY[c.family].swept
+        c0 = getattr(c, f"{key}0")
+        root = np.sqrt(r * r - R * R)
+        bt = root + n * np.log(r + root)
+        x = np.arctan(c.r1 * (r * n - R * R) / (c0 * root))
+        if mode == "aligned":
+            bt, x = bt - n * np.log(R), x + np.sign(c0) * np.pi / 2
+        return {"t": c.t1 + c.eps / c.r1 * bt, key: getattr(c, f"{key}1") + c.eps * x}
+    ct = math.cos(c.theta_const)
+    S = c.phi0**2 * ct**2 / (2 * n * c.r1**2)
+    sqrtP = np.sqrt((r - R) * (r - Rm))
+    ash = np.arcsinh(np.sqrt((r - R) / (R - Rm)))
+    atn = np.arctan(np.sqrt((r - R) * (n - Rm) / ((r - Rm) * (R - n))))
+    root_pm = np.sqrt((R - n) * (n - Rm))
+    if mode == "corrected":
+        coefs = (c.eps / c.r1, 2 * c.eps * c.phi0 / (c.r1 * root_pm),
+                 c.eps * c.phi0 * ct / (2 * n * c.r1))
+    else:
+        root2n = np.sqrt(2 * n)
+        coefs = (c.eps / root2n, 2 * c.eps * root2n * c.phi0 / root_pm,
+                 c.eps * c.phi0 * ct / root2n)
+    return {"t": c.t1 + coefs[0] * (sqrtP + (S + 2 * n) * ash), "phi": c.phi1 + coefs[1] * atn,
+            "tau": c.tau1 + coefs[2] * (sqrtP + (S + 6 * n) * ash)}
+
+
+class TestPaperBrackets:
+    @pytest.mark.parametrize("family", ["thm1", "thm2", "thm3", "thm4", "thm5"])
+    def test_kernels_match_the_printed_brackets(self, family):
+        # from 1.001 R, where r*r - R*R still keeps 13 digits, out to 1e6 n
+        for seed, eps in itertools.product(range(20), (1, -1)):
+            consts, params = seeded_family(family, seed)
+            consts = replace(consts, eps=eps)
+            R = turning_radius(consts, params).value
+            grid = np.geomspace(1.001 * R, 1e6 * params.n, 200)
+            for mode in MODES if family == "thm5" else MODES[:2]:
+                paper = _paper_curves(params, consts, grid, mode)
+                for key, values in curves(params, consts, grid, mode).items():
+                    err = np.abs(values - paper[key]) / np.maximum(1.0, np.abs(paper[key]))
+                    assert err.max() <= 1e-12, (seed, eps, mode, key, err.max())
 
 
 class TestJsonRecords:

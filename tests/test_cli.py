@@ -174,7 +174,9 @@ class TestAnalytic:
 
     @pytest.mark.parametrize("family, flags, name, turn", [
         ("thm2", ["--tau0"], "tau0", "R1"),
-        ("thm5", ["--theta-const", "1", "--phi0"], "phi0", "R+")])
+        ("thm5", ["--theta-const", "1", "--phi0"], "phi0", "R+"),
+        ("thm3", ["--phi0"], "phi0", "R"),
+        ("thm4", ["--theta0"], "theta0", "R")])
     def test_negligible_constant_is_named_with_its_value(self, capsys, family, flags, name,
                                                          turn):
         # at n = 1 the turning radius rounds to n for a constant of 1e-9: the

@@ -443,9 +443,9 @@ class TestScenarios:
     # re-baseline updates the hash here and lists the moved values in
     # CHANGES.md.
     ALL_REPORT_SHA256 = {
-        42: "1e1df9905e95e8431486905682496844827f48cadd983e56974cd9ed8e54bd79",
-        7: "373fc2e04e5ff04c7ad848f3d6af26add8314e93e711c3429826e36d48c66484",
-        0: "ba395b3c5874e7389181fdfe4ec21ec77ed8fc8eff37e1aa2eadf46b99bf6789",
+        42: "e70b5748c774e7e15364960181c94a5300cad28f86d704bbb34304cc520c8f35",
+        7: "3b3a83fef30422a1164d123bf12c561f96429d556a09b1c426fc93d794c29cb3",
+        0: "040065735be51efc86fb8610841950dc7ae7e1a4f57d2a5ef93847c5b7807c18",
     }
 
     @pytest.mark.parametrize("seed", sorted(ALL_REPORT_SHA256))
